@@ -433,13 +433,9 @@ impl<'a> RuleAnalyzer<'a> {
                 }
                 continue;
             }
-            // An empty-but-bounded alphabet means the event names
-            // methods the schema never interned; the detector falls
-            // back to string matching, so stay silent rather than
-            // guess.
-            if info.alphabet.as_ref().is_some_and(|a| a.is_empty()) {
-                continue;
-            }
+            // An empty-but-bounded alphabet (the event names only
+            // undeclared methods) is unreachable too: no leaf matches a
+            // symbol-less occurrence.
             if info.audible.is_empty() && !info.rule.def.event.has_timers() {
                 out.push(Diagnostic::new(
                     DiagCode::UnreachableRule,

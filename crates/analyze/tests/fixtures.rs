@@ -220,6 +220,16 @@ fn unreachable_fixture_fails_the_gate() {
     assert!(err.contains("unreachable-rule"), "{err}");
 }
 
+/// A rule whose event names an undeclared method has an empty alphabet:
+/// no occurrence carries a symbol it admits, so it can never fire.
+#[test]
+fn undeclared_method_fixture_fails_the_gate() {
+    let fixture = load("undeclared_method.json");
+    let report = analyze(&fixture);
+    assert_expected(&fixture, &report);
+    assert!(report.gate().is_err());
+}
+
 #[test]
 fn effects_mismatch_fixture_fails_the_gate() {
     let fixture = load("effects_mismatch.json");

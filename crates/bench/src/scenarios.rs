@@ -355,48 +355,6 @@ pub fn dispatch_scenario(kind: DispatchKind) -> (Database, Oid) {
 }
 
 // ---------------------------------------------------------------------
-// Routing-index throughput (BENCH_dispatch.json)
-// ---------------------------------------------------------------------
-
-/// Many rules watching one hot object, each for a single one of its
-/// `methods` event methods (rule `i` watches method `i % methods`).
-/// With symbol-keyed routing an occurrence notifies only the
-/// `rules / methods` watchers of its method; with routing disabled every
-/// subscriber of the hot object is notified and the non-matching
-/// detectors reject the occurrence one by one.
-pub fn routing_scenario(rules: usize, methods: usize) -> (Database, Oid, Vec<String>) {
-    assert!(methods > 0 && rules >= methods);
-    let mut db = Database::new();
-    let names: Vec<String> = (0..methods).map(|i| format!("m{i}")).collect();
-    let mut decl = ClassDecl::reactive("R");
-    for n in &names {
-        decl = decl.event_method(n, &[], EventSpec::End);
-    }
-    db.define_class(decl).unwrap();
-    for n in &names {
-        db.register_method("R", n, |_, _, _| Ok(Value::Null))
-            .unwrap();
-    }
-    db.register_condition("never", |_, _| Ok(false));
-    db.register_action("nothing", |_, _| Ok(()));
-    let obj = db.create("R").unwrap();
-    for i in 0..rules {
-        let name = format!("w{i}");
-        let m = &names[i % methods];
-        db.add_rule(
-            RuleDef::on(event(&format!("end R::{m}()")).unwrap())
-                .named(&name)
-                .when("never")
-                .then("nothing"),
-        )
-        .unwrap();
-        db.subscribe(obj, &name).unwrap();
-    }
-    db.reset_stats();
-    (db, obj, names)
-}
-
-// ---------------------------------------------------------------------
 // E2 / E8 / E12 — event detection scenarios
 // ---------------------------------------------------------------------
 

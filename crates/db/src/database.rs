@@ -463,13 +463,6 @@ impl Database {
         self.engine.set_resolver(r);
     }
 
-    /// Toggle the engine's symbol-keyed routing index (on by default).
-    /// Disabling reverts to full per-object fan-out — the baseline the
-    /// `dispatch_throughput` benchmark measures against.
-    pub fn set_routing_enabled(&mut self, enabled: bool) {
-        self.engine.set_routing(enabled);
-    }
-
     // ------------------------------------------------------------------
     // Objects
     // ------------------------------------------------------------------
@@ -739,9 +732,7 @@ impl Database {
     pub(crate) fn drain_due_timers(&mut self) -> Result<usize> {
         let now = self.clock.instant_now();
         let clock = Arc::clone(&self.clock);
-        let immediate = self
-            .engine
-            .drain_timers(&self.registry, now, || clock.tick())?;
+        let immediate = self.engine.drain_timers(now, || clock.tick())?;
         let n = immediate.len();
         for f in &immediate {
             self.execute_firing(f)?;

@@ -616,7 +616,7 @@ mod tests {
             .alphabet(&reg)
             .is_none());
 
-        // Specs on unknown classes have empty alphabets (string fallback).
+        // Specs on unknown classes have empty alphabets (never match).
         let unknown = EventExpr::primitive(P::end("Nope", "a"));
         assert_eq!(unknown.alphabet(&reg).unwrap(), vec![]);
     }
@@ -675,10 +675,9 @@ mod tests {
         assert_eq!(alpha, sorted);
     }
 
-    /// The symbol-less string-fallback path: a spec naming a known class
-    /// but an *undeclared* method interns no symbols, so the alphabet is
-    /// `Some(empty)` — bounded but deaf. The analyzer turns this into a
-    /// reachability lint rather than a routing entry.
+    /// A spec naming a known class but an *undeclared* method interns no
+    /// symbols, so the alphabet is `Some(empty)` — bounded but deaf. The
+    /// analyzer reports such a rule as unreachable.
     #[test]
     fn undeclared_method_yields_empty_alphabet() {
         use sentinel_object::ClassDecl;

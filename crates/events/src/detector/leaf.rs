@@ -1,12 +1,9 @@
 //! Primitive-event leaves: compiling a spec into a leaf node and
-//! matching incoming occurrences against it (interned-symbol fast path
-//! with a string-compare fallback for out-of-schema occurrences).
+//! matching incoming occurrences against it by interned symbol.
 
-use crate::occurrence::PrimitiveOccurrence;
 use crate::spec::{sym_alphabet, EventModifier, PrimitiveEventSpec};
 use sentinel_object::{ClassId, ClassRegistry, EventSym, Result};
 
-use super::state::Env;
 use super::Node;
 
 /// Compile a primitive spec against the schema. Unknown classes are
@@ -31,24 +28,9 @@ pub(super) fn alphabet(
     sym_alphabet(registry, class, method, modifier)
 }
 
-/// Does the leaf consume this occurrence? In-schema occurrences carry
-/// an interned symbol and match by integer membership; hand-built
-/// occurrences naming undeclared methods take the string-compare
-/// fallback.
-pub(super) fn matches(
-    env: &Env<'_>,
-    class: ClassId,
-    method: &str,
-    modifier: EventModifier,
-    alphabet: &[EventSym],
-    occ: &PrimitiveOccurrence,
-) -> bool {
-    match env.sym {
-        Some(sym) => alphabet.binary_search(&sym).is_ok(),
-        None => {
-            modifier == occ.modifier
-                && method == &*occ.method
-                && env.registry.is_subclass(occ.class, class)
-        }
-    }
+/// Does the leaf consume an occurrence with this interned symbol? A
+/// symbol-less occurrence names a method outside the schema, which no
+/// leaf can declare, so it never matches.
+pub(super) fn matches(sym: Option<EventSym>, alphabet: &[EventSym]) -> bool {
+    sym.is_some_and(|s| alphabet.binary_search(&s).is_ok())
 }

@@ -196,8 +196,8 @@ impl DetectorInstance {
     /// [`process`](Self::process) with the occurrence's interned symbol
     /// already resolved by the caller (the engine resolves once per event
     /// and shares the symbol across every notified detector). `None`
-    /// means the occurrence names a method outside the schema — leaves
-    /// then match by the string-compare fallback.
+    /// means the occurrence names a method outside the schema: no leaf
+    /// matches it, though it still advances time-driven operators.
     pub fn process_resolved(
         &mut self,
         registry: &ClassRegistry,
@@ -218,7 +218,6 @@ impl DetectorInstance {
             None => occ.at,
         };
         let mut env = Env {
-            registry,
             sym,
             context: self.context,
             caps: self.caps,
@@ -257,16 +256,9 @@ impl DetectorInstance {
     /// instant the timer came due — windows advance to it — and `seq`
     /// the fresh logical timestamp the engine assigned to the fire, so
     /// the tick is totally ordered against event occurrences.
-    pub fn process_timer(
-        &mut self,
-        registry: &ClassRegistry,
-        idx: usize,
-        due: u64,
-        seq: u64,
-    ) -> Vec<CompositeOccurrence> {
+    pub fn process_timer(&mut self, idx: usize, due: u64, seq: u64) -> Vec<CompositeOccurrence> {
         self.stats.offered += 1;
         let mut env = Env {
-            registry,
             sym: None,
             context: self.context,
             caps: self.caps,
@@ -430,9 +422,8 @@ enum Node {
         method: String,
         modifier: EventModifier,
         /// Sorted interned symbols this leaf consumes (the spec closed
-        /// over subclasses). Occurrences carrying a symbol match by
-        /// binary search; symbol-less occurrences fall back to the
-        /// string compare.
+        /// over subclasses), matched by binary search. `class`, `method`
+        /// and `modifier` recompute it when the schema grows.
         alphabet: Vec<EventSym>,
     },
     And {
@@ -637,13 +628,8 @@ impl Node {
 
     fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>) -> Vec<CompositeOccurrence> {
         match self {
-            Node::Primitive {
-                class,
-                method,
-                modifier,
-                alphabet,
-            } => match stim {
-                Stim::Prim(occ) if leaf::matches(env, *class, method, *modifier, alphabet, occ) => {
+            Node::Primitive { alphabet, .. } => match stim {
+                Stim::Prim(occ) if leaf::matches(env.sym, alphabet) => {
                     env.matched = true;
                     vec![CompositeOccurrence::from_primitive((*occ).clone())]
                 }
@@ -1668,13 +1654,21 @@ mod tests {
     use sentinel_object::{ClassDecl, Oid, Value};
     use std::sync::Arc;
 
-    /// Schema with two reactive classes used throughout.
+    /// Schema with two reactive classes used throughout. The one-letter
+    /// methods are the operands of the composite-operator tests.
     fn registry() -> ClassRegistry {
         let mut reg = ClassRegistry::new();
-        reg.define(ClassDecl::reactive("Stock").method("SetPrice", &[]))
-            .unwrap();
-        reg.define(ClassDecl::reactive("FinancialInfo").method("SetValue", &[]))
-            .unwrap();
+        let mut stock = ClassDecl::reactive("Stock").method("SetPrice", &[]);
+        for m in ["a", "b", "c", "s", "m", "e", "w"] {
+            stock = stock.method(m, &[]);
+        }
+        reg.define(stock).unwrap();
+        reg.define(
+            ClassDecl::reactive("FinancialInfo")
+                .method("SetValue", &[])
+                .method("c", &[]),
+        )
+        .unwrap();
         reg.define(ClassDecl::reactive("Growth").parent("Stock"))
             .unwrap();
         reg
@@ -2367,7 +2361,7 @@ mod temporal_op_tests {
         let mut d = DetectorInstance::compile_default(&EventExpr::at(5), &reg).unwrap();
         // Primitive occurrences never match a timer leaf.
         assert!(d.process(&reg, &occ(&reg, 1, "m")).is_empty());
-        let got = d.process_timer(&reg, 0, 5, 2);
+        let got = d.process_timer(0, 5, 2);
         assert_eq!(got.len(), 1);
         assert!(got[0].constituents.is_empty(), "a tick has no parameters");
         assert_eq!((got[0].start, got[0].end), (2, 2));
@@ -2381,12 +2375,12 @@ mod temporal_op_tests {
         let expr = leaf("m").then(EventExpr::every(10));
         let mut d = DetectorInstance::compile_default(&expr, &reg).unwrap();
         d.process(&reg, &occ(&reg, 5, "m"));
-        let got = d.process_timer(&reg, 0, 10, 6);
+        let got = d.process_timer(0, 10, 6);
         assert_eq!(got.len(), 1);
         assert_eq!((got[0].start, got[0].end), (5, 6));
         assert_eq!(got[0].constituents.len(), 1, "only the event constituent");
         // A fire addressed to a different leaf index is ignored.
-        assert!(d.process_timer(&reg, 1, 20, 7).is_empty());
+        assert!(d.process_timer(1, 20, 7).is_empty());
     }
 
     #[test]
@@ -2402,10 +2396,10 @@ mod temporal_op_tests {
         .unwrap();
         d.process(&reg, &occ(&reg, 1, "m"));
         d.begin_txn();
-        assert_eq!(d.process_timer(&reg, 0, 5, 2).len(), 1);
+        assert_eq!(d.process_timer(0, 5, 2).len(), 1);
         d.abort_txn();
         // The consumed left is re-armed: the next fire pairs again.
-        assert_eq!(d.process_timer(&reg, 0, 10, 3).len(), 1);
+        assert_eq!(d.process_timer(0, 10, 3).len(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::context::ParamContext;
 use crate::occurrence::{CompositeOccurrence, PrimitiveOccurrence};
-use sentinel_object::{ClassRegistry, EventSym};
+use sentinel_object::EventSym;
 use std::collections::VecDeque;
 
 use super::{DetectorCaps, Node};
@@ -89,8 +89,8 @@ pub(super) enum JournalEntry {
 
 /// Per-call environment threaded through the node recursion.
 pub(super) struct Env<'a> {
-    pub(super) registry: &'a ClassRegistry,
-    /// The occurrence's interned symbol (`None` = out-of-schema event).
+    /// The occurrence's interned symbol (`None` = out-of-schema event or
+    /// timer fire).
     pub(super) sym: Option<EventSym>,
     pub(super) context: ParamContext,
     pub(super) caps: DetectorCaps,

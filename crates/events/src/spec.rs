@@ -95,7 +95,7 @@ impl PrimitiveEventSpec {
 
     /// The spec's interned-symbol alphabet (see [`sym_alphabet`]). Empty
     /// when the class is unknown or the method is undeclared — such specs
-    /// only ever match through the string-compare fallback.
+    /// never match.
     pub fn alphabet(&self, registry: &ClassRegistry) -> Vec<EventSym> {
         match registry.id_of(&self.class) {
             Ok(cid) => sym_alphabet(registry, cid, &self.method, self.modifier),

@@ -596,7 +596,7 @@ impl ClassRegistry {
     /// Resolve the interned symbol for a primitive event raised by an
     /// instance of `class` invoking `method` (`end` selects the
     /// end-of-method half). `None` when the method is not part of the
-    /// class's visible interface — callers fall back to string matching.
+    /// class's visible interface; no primitive event spec matches it.
     pub fn event_sym(&self, class: ClassId, method: &str, end: bool) -> Option<EventSym> {
         self.classes
             .get(class.0 as usize)?

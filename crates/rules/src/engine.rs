@@ -295,10 +295,8 @@ pub struct RuleEngine {
     stats: Arc<EngineCounters>,
     scratch: Vec<RuleId>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
-    /// first routed occurrence and after [`set_routing`](Self::set_routing)
-    /// disables it.
+    /// first occurrence.
     routing: Option<RoutingIndex>,
-    routing_enabled: bool,
     /// Bumped on rule add/remove/enable/disable — the rule-side half of
     /// the routing index's validity stamp.
     epoch: u64,
@@ -365,7 +363,6 @@ impl RuleEngine {
             stats: Arc::new(EngineCounters::default()),
             scratch: Vec::new(),
             routing: None,
-            routing_enabled: true,
             epoch: 0,
             capture: None,
             telemetry: None,
@@ -407,22 +404,6 @@ impl RuleEngine {
     /// the next occurrence roots a fresh cascade.
     pub fn set_lineage_context(&mut self, ctx: Option<(u64, u64, u32)>) {
         self.lineage_ctx = ctx;
-    }
-
-    /// Turn the `(target, symbol)` routing index on or off. On by
-    /// default; disabling falls back to full per-object fan-out (every
-    /// subscriber of the generating object is notified) — the baseline
-    /// the `dispatch_throughput` benchmark compares against.
-    pub fn set_routing(&mut self, enabled: bool) {
-        self.routing_enabled = enabled;
-        if !enabled {
-            self.routing = None;
-        }
-    }
-
-    /// Is symbol-keyed routing enabled?
-    pub fn routing_enabled(&self) -> bool {
-        self.routing_enabled
     }
 
     /// Attach an observability handle; it is propagated to every
@@ -747,11 +728,10 @@ impl RuleEngine {
     /// [`take_deferred`](Self::take_deferred) /
     /// [`take_detached`](Self::take_detached).
     ///
-    /// With routing enabled (the default) and the occurrence carrying an
-    /// interned symbol, only subscribers whose detector alphabet contains
-    /// that symbol are notified. Symbol-less occurrences (methods outside
-    /// the declared schema) and disabled routing fall back to notifying
-    /// every subscriber of the generating object.
+    /// Only subscribers whose detector alphabet contains the occurrence's
+    /// interned symbol are notified, plus the broad (unbounded-alphabet)
+    /// subscribers, which hear everything. A symbol-less occurrence (a
+    /// method outside the declared schema) reaches only the broad ones.
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
@@ -763,26 +743,20 @@ impl RuleEngine {
             None => Timer::off(),
         };
         let sym = occ.sym(registry);
+        if !self.routing_fresh(registry) {
+            self.rebuild_routing(registry);
+        }
         let mut consumers = std::mem::take(&mut self.scratch);
-        match (self.routing_enabled, sym) {
-            (true, Some(s)) => {
-                if !self.routing_fresh(registry) {
-                    self.rebuild_routing(registry);
-                }
-                consumers.clear();
-                let idx = self.routing.as_ref().expect("routing index just built");
-                push_unique(&mut consumers, idx.by_object.get(&(occ.oid, s)));
-                push_unique(&mut consumers, idx.broad_by_object.get(&occ.oid));
-                push_unique(&mut consumers, idx.by_class_sym.get(&s));
-                if !idx.broad_by_class.is_empty() {
-                    for &c in &registry.get(occ.class).linearization {
-                        push_unique(&mut consumers, idx.broad_by_class.get(&c));
-                    }
-                }
-            }
-            _ => {
-                self.subscriptions
-                    .consumers(registry, occ.oid, occ.class, &mut consumers);
+        let idx = self.routing.as_ref().expect("routing index just built");
+        push_unique(
+            &mut consumers,
+            sym.and_then(|s| idx.by_object.get(&(occ.oid, s))),
+        );
+        push_unique(&mut consumers, idx.broad_by_object.get(&occ.oid));
+        push_unique(&mut consumers, sym.and_then(|s| idx.by_class_sym.get(&s)));
+        if !idx.broad_by_class.is_empty() {
+            for &c in &registry.get(occ.class).linearization {
+                push_unique(&mut consumers, idx.broad_by_class.get(&c));
             }
         }
 
@@ -889,7 +863,6 @@ impl RuleEngine {
     /// primitive occurrences.
     pub fn drain_timers(
         &mut self,
-        registry: &ClassRegistry,
         now: u64,
         mut next_seq: impl FnMut() -> u64,
     ) -> Result<Vec<ReadyFiring>> {
@@ -933,7 +906,7 @@ impl RuleEngine {
                 }
             }
             let seq = next_seq();
-            let completions = rule.detector.process_timer(registry, idx, fire.due, seq);
+            let completions = rule.detector.process_timer(idx, fire.due, seq);
             if completions.is_empty() {
                 continue;
             }
@@ -1518,7 +1491,7 @@ mod tests {
         assert_eq!(eng.timer_count(), 1);
         let mut seq = 100u64;
         let fired = eng
-            .drain_timers(&reg, 25, || {
+            .drain_timers(25, || {
                 seq += 1;
                 seq
             })
@@ -1530,7 +1503,7 @@ mod tests {
         assert_eq!(fired[1].firing.occurrence.end, 102);
         assert_eq!(eng.rule(r).unwrap().stats.triggered, 2);
         // Nothing new due yet.
-        assert!(eng.drain_timers(&reg, 29, || 0).unwrap().is_empty());
+        assert!(eng.drain_timers(29, || 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1546,14 +1519,14 @@ mod tests {
             .unwrap();
         eng.disable(r).unwrap();
         assert_eq!(eng.timer_count(), 0);
-        assert!(eng.drain_timers(&reg, 50, || 1).unwrap().is_empty());
+        assert!(eng.drain_timers(50, || 1).unwrap().is_empty());
         // Re-enabling schedules at the next boundary after the cursor —
         // the elapsed periods are not replayed.
         eng.enable(r).unwrap();
         assert_eq!(eng.timer_count(), 1);
         let mut seq = 0u64;
         let fired = eng
-            .drain_timers(&reg, 60, || {
+            .drain_timers(60, || {
                 seq += 1;
                 seq
             })
@@ -1588,7 +1561,7 @@ mod tests {
         eng.begin_capture();
         let mut seq = 1u64;
         let fired = eng
-            .drain_timers(&reg, 10, || {
+            .drain_timers(10, || {
                 seq += 1;
                 seq
             })
@@ -1597,7 +1570,7 @@ mod tests {
         eng.discard_pending();
         eng.abort_capture();
         let fired = eng
-            .drain_timers(&reg, 20, || {
+            .drain_timers(20, || {
                 seq += 1;
                 seq
             })

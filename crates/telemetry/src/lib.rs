@@ -15,9 +15,8 @@
 //! * **Zero-cost when disabled.** Every instrumentation entry point
 //!   checks one relaxed [`AtomicBool`](std::sync::atomic::AtomicBool)
 //!   and returns; subjects are lazy closures that are never evaluated
-//!   unless tracing is on. The `telemetry_overhead` bench in
-//!   `sentinel-bench` holds the disabled path to the un-instrumented
-//!   dispatch cost.
+//!   unless tracing is on. The repository benchmark (`benchmark/`)
+//!   reports the enabled path's cost as `telemetry.overhead_ratio`.
 //! * **Lock-light when enabled.** Counters and histogram buckets are
 //!   relaxed atomics; the only lock is the trace ring buffer's mutex,
 //!   taken per record and only while tracing.
