@@ -580,13 +580,21 @@ impl<'a> RuleAnalyzer<'a> {
         if any_unknown {
             return; // an unknown action may re-enable anything
         }
+        // A rule is re-enabled by sending it `Enable` or by writing its
+        // `enabled` slot, which is the flag itself.
         let rule_meta = self.registry.id_of("Rule").ok();
         let enabler_exists = infos.iter().filter(|i| i.rule.enabled).any(|i| {
-            i.raised.iter().flatten().any(|&s| {
+            let sends_enable = i.raised.iter().flatten().any(|&s| {
                 let si = self.registry.sym_info(s);
                 si.method == "Enable"
                     && rule_meta.is_none_or(|rm| self.registry.is_subclass(si.class, rm))
-            })
+            });
+            let writes_enabled = i
+                .effects
+                .iter()
+                .flat_map(|fx| &fx.writes)
+                .any(|w| w.attr == "enabled" && self.class_covers(&w.class, "Rule"));
+            sends_enable || writes_enabled
         });
         if enabler_exists {
             return;

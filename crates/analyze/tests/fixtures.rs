@@ -247,6 +247,29 @@ fn effects_mismatch_fixture_fails_the_gate() {
     assert!(report.gate().is_err());
 }
 
+/// Writing a rule's `enabled` slot re-enables it, so a declared write of
+/// `Rule.enabled` counts as an enabler; without it the same rule set
+/// reports the disabled rule.
+#[test]
+fn slot_enabler_fixture_is_not_disabled_forever() {
+    let disabled_forever = |report: &sentinel_analyze::AnalysisReport| {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code.as_str() == "disabled-forever")
+    };
+    let mut fixture = load("slot_enabler.json");
+    let report = analyze(&fixture);
+    assert_expected(&fixture, &report);
+    assert!(!disabled_forever(&report), "{}", report.render_table());
+
+    for (_, fx) in &mut fixture.effects {
+        fx.writes.clear();
+    }
+    let report = analyze(&fixture);
+    assert!(disabled_forever(&report), "{}", report.render_table());
+}
+
 /// Known-terminating corpus: a definite acyclic chain must prove every
 /// rule with the exact longest-path bound and raise no termination
 /// findings at all.

@@ -1,75 +1,54 @@
 //! The event/rule catalog and its persistence forms.
 //!
-//! Events and rules are first-class objects; this module defines how
-//! their *definitions* are captured in snapshots and in WAL `Meta`
-//! records so that recovery can rebuild the rule engine. Bodies
-//! (conditions, actions, method implementations) are code and are
-//! re-registered by the application after recovery, keyed by name — the
-//! same contract a recompiled C++ application had with Zeitgeist.
+//! Events and rules are first-class objects, and the object store is the
+//! catalog: an `Event` object's `name`/`expr` slots *are* the event, and
+//! a `Rule` object's `enabled` and `subscriptions` slots *are* the
+//! rule's flag and its Figure 4 consumer relation. Those slots change
+//! through the ordinary slot-write path, so ordinary undo, redo, and
+//! snapshots cover them; the engine's flags and subscription sets are a
+//! cache rebuilt from the slots by [`Database::sync_rule`].
+//!
+//! Only rule *definitions* (event expression, coupling, bodies' names)
+//! still travel beside the store, as [`MetaOp`] records in the WAL and
+//! [`CatalogSnapshot::rules`] in snapshots. Bodies (conditions, actions,
+//! method implementations) are code and are re-registered by the
+//! application after recovery, keyed by name — the same contract a
+//! recompiled C++ application had with Zeitgeist.
 
-use crate::database::{meta, Database};
+use crate::database::{meta, Database, Target};
 use sentinel_events::{DetectorState, EventExpr, ParamContext};
 use sentinel_object::{ObjectError, Oid, Result, Value};
-use sentinel_rules::{CouplingMode, Firing, RuleDef, RuleStats};
+use sentinel_rules::{Firing, RuleDef, RuleStats};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
-/// A named first-class event object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
-    /// Application-chosen event name.
-    pub name: String,
-    /// The event object's identity in the store.
-    pub oid: Oid,
-    /// The expression the event object denotes.
-    pub expr: EventExpr,
-}
-
-/// A first-class rule object (definition + runtime flags).
+/// A rule definition bound to its rule object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuleRecord {
     /// The rule object's identity in the store.
     pub oid: Oid,
     /// The serializable rule definition (Figure 7's attributes).
     pub def: RuleDef,
-    /// Whether the rule was enabled when recorded.
-    pub enabled: bool,
 }
 
-/// Catalog mutations, logged as WAL `Meta` records (tag `"catalog"`) so
-/// recovery can replay rule/event/subscription changes made after the
-/// last snapshot.
+/// Rule-definition changes, logged as WAL `Meta` records (tag
+/// `"catalog"`) so recovery can rebuild the engine's rules created or
+/// deleted after the last snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names are self-describing records
 pub enum MetaOp {
-    /// A first-class event object was defined.
-    DefineEvent(EventRecord),
     /// A rule object was created.
     AddRule(RuleRecord),
     /// A rule object was deleted.
     RemoveRule { name: String },
-    /// A rule was enabled or disabled.
-    SetEnabled { name: String, enabled: bool },
-    /// `object.Subscribe(rule)`.
-    SubscribeObject { object: Oid, rule: String },
-    /// `object.Unsubscribe(rule)`.
-    UnsubscribeObject { object: Oid, rule: String },
-    /// A class-level subscription was added.
-    SubscribeClass { class: String, rule: String },
-    /// A class-level subscription was removed.
-    UnsubscribeClass { class: String, rule: String },
 }
 
-/// Full catalog state embedded in a snapshot's `extra` payload.
+/// Rule definitions and detector state embedded in a snapshot's `extra`
+/// payload (everything else is in the snapshot's objects).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CatalogSnapshot {
-    /// Every named first-class event object.
-    pub events: Vec<EventRecord>,
-    /// Every rule object with its runtime flags.
+    /// Every rule definition.
     pub rules: Vec<RuleRecord>,
-    /// (reactive object, rule name) instance subscriptions.
-    pub object_subs: Vec<(Oid, String)>,
-    /// (class name, rule name) class subscriptions.
-    pub class_subs: Vec<(String, String)>,
     /// Partial composite-detection state per rule name, captured at
     /// checkpoint so a half-detected sequence/window survives a restart.
     /// Rules with nothing buffered are omitted.
@@ -80,33 +59,16 @@ pub struct CatalogSnapshot {
     pub instant: u64,
 }
 
-/// In-memory inverse of a catalog mutation, replayed (in reverse) when
-/// the surrounding transaction aborts. This is what makes rule and event
-/// objects "subject to the same transaction semantics" (§2) in memory,
-/// matching what the WAL's committed-only replay gives on disk.
+/// In-memory inverse of a rule-definition change, replayed (in reverse)
+/// when the surrounding transaction aborts. The rule object itself is
+/// restored by the store's undo; this restores the engine's definition.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)] // field names are self-describing records
 pub enum CatalogUndo {
-    /// Undo a `define_event`: forget the name.
-    EventDefined { name: String },
     /// Undo an `add_rule`: remove the rule from the engine.
     RuleAdded { name: String },
-    /// Undo a `remove_rule`: re-create the rule and its subscriptions.
-    RuleRemoved {
-        record: Box<RuleRecord>,
-        object_subs: Vec<Oid>,
-        class_subs: Vec<String>,
-    },
-    /// Undo an enable/disable: restore the previous flag.
-    EnabledChanged { name: String, was: bool },
-    /// Undo a subscribe: unsubscribe again.
-    ObjectSubscribed { object: Oid, rule: String },
-    /// Undo an unsubscribe: re-subscribe.
-    ObjectUnsubscribed { object: Oid, rule: String },
-    /// Undo a class subscribe.
-    ClassSubscribed { class: String, rule: String },
-    /// Undo a class unsubscribe.
-    ClassUnsubscribed { class: String, rule: String },
+    /// Undo a `remove_rule`: re-create the rule from its definition.
+    RuleRemoved { record: Box<RuleRecord> },
 }
 
 impl Database {
@@ -118,7 +80,7 @@ impl Database {
     /// object is an instance of the matching `Event` subclass
     /// (Figure 5) and is persisted like any other object.
     pub fn define_event(&mut self, name: &str, expr: EventExpr) -> Result<Oid> {
-        if self.events.contains_key(name) {
+        if self.find_event(name).is_some() {
             return Err(ObjectError::App(format!("event `{name}` already defined")));
         }
         // Validate the expression against the schema now.
@@ -133,38 +95,41 @@ impl Database {
         let class = self.registry.id_of(subclass)?;
         let expr_json = serde_json::to_string(&expr)
             .map_err(|e| ObjectError::Storage(format!("serialize event expr: {e}")))?;
-        let name_owned = name.to_string();
+        let name = name.to_string();
         self.with_auto_txn(move |db| {
             let oid = db.create_internal(class)?;
-            db.set_attr_internal(oid, "name", Value::Str(name_owned.clone()))?;
+            db.set_attr_internal(oid, "name", Value::Str(name))?;
             db.set_attr_internal(oid, "expr", Value::Str(expr_json))?;
-            let record = EventRecord {
-                name: name_owned.clone(),
-                oid,
-                expr,
-            };
-            db.events.insert(name_owned.clone(), record.clone());
-            db.catalog_undo
-                .push(CatalogUndo::EventDefined { name: name_owned });
-            db.log_meta(MetaOp::DefineEvent(record))?;
             Ok(oid)
         })
     }
 
-    /// The expression of a named event object.
+    /// The expression of a named event object, parsed from its `expr`
+    /// slot.
     pub fn event_expr(&self, name: &str) -> Result<EventExpr> {
-        self.events
-            .get(name)
-            .map(|r| r.expr.clone())
-            .ok_or_else(|| ObjectError::UnknownEvent(name.to_string()))
+        let oid = self.event_oid(name)?;
+        let json = self.store.get_attr(&self.registry, oid, "expr")?;
+        serde_json::from_str(json.as_str()?)
+            .map_err(|e| ObjectError::Storage(format!("parse event expr of `{name}`: {e}")))
     }
 
     /// The store oid of a named event object.
     pub fn event_oid(&self, name: &str) -> Result<Oid> {
-        self.events
-            .get(name)
-            .map(|r| r.oid)
+        self.find_event(name)
             .ok_or_else(|| ObjectError::UnknownEvent(name.to_string()))
+    }
+
+    /// Scan the `Event` extent for the object named `name`. Event lookup
+    /// happens only at definition time, so a scan beats keeping an index
+    /// that transactions would have to undo.
+    fn find_event(&self, name: &str) -> Option<Oid> {
+        self.store
+            .extent(&self.registry, self.event_class)
+            .into_iter()
+            .find(|&oid| {
+                matches!(self.store.get_attr(&self.registry, oid, "name"),
+                         Ok(Value::Str(n)) if n == name)
+            })
     }
 
     // ------------------------------------------------------------------
@@ -188,11 +153,7 @@ impl Database {
             db.catalog_undo.push(CatalogUndo::RuleAdded {
                 name: def.name.clone(),
             });
-            db.log_meta(MetaOp::AddRule(RuleRecord {
-                oid,
-                def,
-                enabled: true,
-            }))?;
+            db.log_meta(MetaOp::AddRule(RuleRecord { oid, def }))?;
             Ok(oid)
         })
     }
@@ -204,76 +165,97 @@ impl Database {
         let def = def.into();
         let name = def.name.clone();
         let oid = self.add_rule(def)?;
-        self.subscribe_class_inner(class, &name)?;
+        self.subscribe(class, &name)?;
         Ok(oid)
     }
 
     /// Delete a rule and its rule object.
     pub fn remove_rule(&mut self, name: &str) -> Result<()> {
         let id = self.engine.id_of(name)?;
-        let rule = self.engine.rule(id)?;
-        let oid = rule.oid;
-        let enabled = rule.enabled;
-        let object_subs = self.engine.subscriptions.objects_of(id);
-        let class_ids = self.engine.subscriptions.classes_of(id);
-        let class_subs: Vec<String> = class_ids
-            .iter()
-            .map(|&c| self.registry.get(c).name.clone())
-            .collect();
-        let name_owned = name.to_string();
+        let oid = self.engine.rule(id)?.oid;
+        let name = name.to_string();
         self.with_auto_txn(move |db| {
             let def = db.engine.remove_rule(id)?;
             db.delete_internal(oid)?;
             db.catalog_undo.push(CatalogUndo::RuleRemoved {
-                record: Box::new(RuleRecord { oid, def, enabled }),
-                object_subs,
-                class_subs,
+                record: Box::new(RuleRecord { oid, def }),
             });
-            db.log_meta(MetaOp::RemoveRule { name: name_owned })?;
-            Ok(())
+            db.log_meta(MetaOp::RemoveRule { name })
         })
     }
 
-    /// Enable a rule by name. Equivalent to sending `Enable` to the rule
-    /// object (which additionally generates the rule's own events).
+    /// Enable a rule by name: a write of its `enabled` slot. Sending
+    /// `Enable` to the rule object does the same and additionally
+    /// generates the rule's own events.
     pub fn enable_rule(&mut self, name: &str) -> Result<()> {
-        let id = self.engine.id_of(name)?;
-        let oid = self.engine.rule(id)?.oid;
-        self.with_auto_txn(|db| db.toggle_rule_by_oid(oid, true))
+        let oid = self.rule_oid(name)?;
+        self.set_attr(oid, "enabled", Value::Bool(true))
     }
 
     /// Disable a rule by name: it stops receiving events and its partial
     /// detector state is discarded.
     pub fn disable_rule(&mut self, name: &str) -> Result<()> {
-        let id = self.engine.id_of(name)?;
-        let oid = self.engine.rule(id)?.oid;
-        self.with_auto_txn(|db| db.toggle_rule_by_oid(oid, false))
+        let oid = self.rule_oid(name)?;
+        self.set_attr(oid, "enabled", Value::Bool(false))
     }
 
-    pub(crate) fn toggle_rule_by_oid(&mut self, oid: Oid, enable: bool) -> Result<()> {
-        let id = self
-            .engine
-            .id_of_oid(oid)
-            .ok_or_else(|| ObjectError::UnknownRule(format!("no rule object at {oid}")))?;
-        let was = self.engine.rule(id)?.enabled;
-        if was == enable {
+    /// Reconcile the engine's cached view of one rule — its enabled flag
+    /// and its subscription edges — with the rule object's `enabled` and
+    /// `subscriptions` slots. Called after every slot write to a `Rule`
+    /// object, for each rule object a rolled-back transaction wrote, and
+    /// for every rule object at recovery. A no-op for an object with no
+    /// engine rule behind it (a rule mid-creation or already removed).
+    pub(crate) fn sync_rule(&mut self, oid: Oid) -> Result<()> {
+        let Some(id) = self.engine.id_of_oid(oid) else {
             return Ok(());
+        };
+        let enabled = self
+            .store
+            .get_attr(&self.registry, oid, "enabled")?
+            .as_bool()?;
+        if self.engine.rule(id)?.enabled != enabled {
+            if enabled {
+                self.engine.enable(id)?;
+            } else {
+                self.engine.disable(id)?;
+            }
         }
-        let name = self.engine.rule(id)?.def.name.clone();
-        if enable {
-            self.engine.enable(id)?;
-        } else {
-            self.engine.disable(id)?;
+        let targets = self.store.get_attr(&self.registry, oid, "subscriptions")?;
+        let mut objects = Vec::new();
+        let mut classes = Vec::new();
+        for t in targets.as_list()? {
+            match t {
+                Value::Oid(o) => objects.push(*o),
+                Value::Str(c) => classes.push(self.registry.id_of(c)?),
+                other => {
+                    return Err(ObjectError::App(format!(
+                        "rule object {oid}: subscription target must be an oid or a \
+                         class name, not `{other}`"
+                    )))
+                }
+            }
         }
-        self.set_attr_internal(oid, "enabled", Value::Bool(enable))?;
-        self.catalog_undo.push(CatalogUndo::EnabledChanged {
-            name: name.clone(),
-            was,
-        });
-        self.log_meta(MetaOp::SetEnabled {
-            name,
-            enabled: enable,
-        })
+        let subs = &mut self.engine.subscriptions;
+        let wanted: HashSet<Oid> = objects.iter().copied().collect();
+        for o in subs.objects_of(id) {
+            if !wanted.contains(&o) {
+                subs.unsubscribe_object(o, id);
+            }
+        }
+        for c in subs.classes_of(id) {
+            if !classes.contains(&c) {
+                subs.unsubscribe_class(c, id);
+            }
+        }
+        // Subscribing is idempotent; walking the slot in order keeps the
+        // consumer lists in subscription order.
+        for o in objects {
+            subs.subscribe_object(o, id);
+        }
+        for c in classes {
+            subs.subscribe_class(c, id);
+        }
+        Ok(())
     }
 
     /// The rule object's oid (so other rules can subscribe to it).
@@ -308,6 +290,83 @@ impl Database {
             .collect()
     }
 
+    // ------------------------------------------------------------------
+    // Subscriptions: the rule object's `subscriptions` slot
+    // ------------------------------------------------------------------
+
+    /// Connect a rule to a [`Target`] — one reactive object or a whole
+    /// reactive class. `Oid` and `&str` convert into [`Target`], so
+    /// `db.subscribe(oid, "R")` and `db.subscribe("Class", "R")` both
+    /// read naturally. The edge is an entry in the rule object's
+    /// `subscriptions` slot (an oid or a class name), so it commits,
+    /// aborts, and recovers with that slot.
+    pub fn subscribe<'a>(&mut self, target: impl Into<Target<'a>>, rule: &str) -> Result<()> {
+        let target = target.into();
+        let (class, entry) = match target {
+            Target::Object(object) => (self.store.class_of(object)?, Value::Oid(object)),
+            Target::Class(class) => (self.registry.id_of(class)?, Value::Str(class.into())),
+        };
+        let def = self.registry.get(class);
+        if def.reactivity != sentinel_object::Reactivity::Reactive {
+            return Err(ObjectError::App(match target {
+                Target::Object(object) => format!(
+                    "object {object} is of passive class `{}` and generates no events",
+                    def.name
+                ),
+                Target::Class(class) => {
+                    format!("class `{class}` is passive and generates no events")
+                }
+            }));
+        }
+        let oid = self.rule_oid(rule)?;
+        self.with_auto_txn(|db| {
+            db.edit_subscriptions(oid, |list| {
+                if !list.contains(&entry) {
+                    list.push(entry);
+                }
+            })
+        })
+    }
+
+    /// Reverse of [`subscribe`](Self::subscribe), for either target kind.
+    pub fn unsubscribe<'a>(&mut self, target: impl Into<Target<'a>>, rule: &str) -> Result<()> {
+        let entry = match target.into() {
+            Target::Object(object) => Value::Oid(object),
+            Target::Class(class) => {
+                self.registry.id_of(class)?;
+                Value::Str(class.into())
+            }
+        };
+        let oid = self.rule_oid(rule)?;
+        self.with_auto_txn(|db| db.edit_subscriptions(oid, |list| list.retain(|t| *t != entry)))
+    }
+
+    /// Rewrite a rule object's `subscriptions` slot through the ordinary
+    /// write path (which re-syncs the engine); skips the write when the
+    /// edit changes nothing.
+    pub(crate) fn edit_subscriptions(
+        &mut self,
+        rule_oid: Oid,
+        edit: impl FnOnce(&mut Vec<Value>),
+    ) -> Result<()> {
+        let Value::List(mut list) =
+            self.store
+                .get_attr(&self.registry, rule_oid, "subscriptions")?
+        else {
+            return Err(ObjectError::App(format!(
+                "rule object {rule_oid} has no subscription list"
+            )));
+        };
+        let before = list.len();
+        edit(&mut list);
+        if list.len() == before {
+            // Both edits only add or only remove, so an unchanged
+            // length is an unchanged list.
+            return Ok(());
+        }
+        self.set_attr_internal(rule_oid, "subscriptions", Value::List(list))
+    }
+
     /// Convenience: install an *observer* — a notifiable consumer that
     /// runs a callback on every detection of `expr`, with no condition
     /// and no effect on the database unless the callback makes one. An
@@ -333,47 +392,28 @@ impl Database {
     }
 }
 
-// Keep an explicit reference to CouplingMode so the doc link in add_rule
-// renders; also used by tests elsewhere in the crate.
-const _: fn() -> CouplingMode = CouplingMode::default;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sentinel_events::PrimitiveEventSpec;
 
+    fn record(oid: u64) -> RuleRecord {
+        RuleRecord {
+            oid: Oid(oid),
+            def: RuleDef::new(
+                "r",
+                EventExpr::primitive(PrimitiveEventSpec::begin("C", "m")),
+                "noop",
+            ),
+        }
+    }
+
     #[test]
     fn meta_op_serde_round_trip() {
-        let ops = vec![
-            MetaOp::DefineEvent(EventRecord {
-                name: "e".into(),
-                oid: Oid(3),
-                expr: EventExpr::primitive(PrimitiveEventSpec::end("C", "m")),
-            }),
-            MetaOp::AddRule(RuleRecord {
-                oid: Oid(4),
-                def: RuleDef::new(
-                    "r",
-                    EventExpr::primitive(PrimitiveEventSpec::begin("C", "m")),
-                    "noop",
-                ),
-                enabled: true,
-            }),
+        for op in [
+            MetaOp::AddRule(record(4)),
             MetaOp::RemoveRule { name: "r".into() },
-            MetaOp::SetEnabled {
-                name: "r".into(),
-                enabled: false,
-            },
-            MetaOp::SubscribeObject {
-                object: Oid(1),
-                rule: "r".into(),
-            },
-            MetaOp::SubscribeClass {
-                class: "C".into(),
-                rule: "r".into(),
-            },
-        ];
-        for op in ops {
+        ] {
             let s = serde_json::to_string(&op).unwrap();
             assert_eq!(serde_json::from_str::<MetaOp>(&s).unwrap(), op);
         }
@@ -382,18 +422,7 @@ mod tests {
     #[test]
     fn catalog_snapshot_serde() {
         let snap = CatalogSnapshot {
-            events: vec![],
-            rules: vec![RuleRecord {
-                oid: Oid(9),
-                def: RuleDef::new(
-                    "r",
-                    EventExpr::primitive(PrimitiveEventSpec::end("C", "m")),
-                    "noop",
-                ),
-                enabled: false,
-            }],
-            object_subs: vec![(Oid(1), "r".into())],
-            class_subs: vec![("C".into(), "r".into())],
+            rules: vec![record(9)],
             detector_state: vec![],
             instant: 42,
         };

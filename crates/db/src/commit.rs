@@ -11,7 +11,7 @@
 //! `Database` (begin/commit/abort, detached execution, checkpoint and
 //! recovery). The rollback half lives in [`crate::undo`].
 
-use crate::catalog::{CatalogSnapshot, EventRecord, MetaOp, RuleRecord};
+use crate::catalog::{CatalogSnapshot, MetaOp, RuleRecord};
 use crate::config::DbConfig;
 use crate::database::{meta, Database};
 use crate::stats::SharedDbStats;
@@ -298,6 +298,7 @@ impl Database {
         let id = self.pipeline.commit(self.clock.now())?;
         self.engine.commit_capture();
         self.catalog_undo.clear();
+        self.txn_rules.clear();
         self.txn_touched.clear();
         // The transaction is durable: its firings' fates are sealed.
         self.flush_pending_firings(false);
@@ -592,24 +593,13 @@ impl Database {
     }
 
     pub(crate) fn catalog_snapshot(&self) -> CatalogSnapshot {
-        let mut events: Vec<EventRecord> = self.events.values().cloned().collect();
-        events.sort_by(|a, b| a.name.cmp(&b.name));
         let mut rules: Vec<RuleRecord> = Vec::new();
-        let mut object_subs = Vec::new();
-        let mut class_subs = Vec::new();
         let mut detector_state = Vec::new();
         for r in self.engine.iter_rules() {
             rules.push(RuleRecord {
                 oid: r.oid,
                 def: r.def.clone(),
-                enabled: r.enabled,
             });
-            for o in self.engine.subscriptions.objects_of(r.id) {
-                object_subs.push((o, r.def.name.clone()));
-            }
-            for c in self.engine.subscriptions.classes_of(r.id) {
-                class_subs.push((self.registry.get(c).name.clone(), r.def.name.clone()));
-            }
             // Partial detections survive the checkpoint: a half-matched
             // sequence or an open window resumes after recovery instead
             // of silently restarting from scratch.
@@ -619,14 +609,9 @@ impl Database {
             }
         }
         rules.sort_by(|a, b| a.def.name.cmp(&b.def.name));
-        object_subs.sort();
-        class_subs.sort();
         detector_state.sort_by(|a, b| a.0.cmp(&b.0));
         CatalogSnapshot {
-            events,
             rules,
-            object_subs,
-            class_subs,
             detector_state,
             instant: self.clock.instant_now(),
         }
@@ -672,19 +657,19 @@ impl Database {
         } else {
             db.rule_class = db.registry.id_of(meta::RULE)?;
             db.event_class = db.registry.id_of(meta::EVENT)?;
-            // Re-register the intercepted Rule methods.
-            db.methods.register(db.rule_class, "Enable", |_, _, _| {
-                Err(ObjectError::App("handled by the engine".into()))
-            });
-            db.methods.register(db.rule_class, "Disable", |_, _, _| {
-                Err(ObjectError::App("handled by the engine".into()))
-            });
+            db.register_rule_methods();
         }
-        // Catalog: snapshot first, then committed meta records in order.
-        if !rec.extra.is_empty() {
-            let snap: CatalogSnapshot = serde_json::from_str(&rec.extra)
-                .map_err(|e| ObjectError::Storage(format!("parse catalog snapshot: {e}")))?;
-            db.apply_catalog_snapshot(snap)?;
+        // Rule definitions: snapshot first, then committed meta records
+        // in order. The rule objects themselves (flags, subscriptions)
+        // came back with the store; sync each one into the engine.
+        let snap: CatalogSnapshot = if rec.extra.is_empty() {
+            CatalogSnapshot::default()
+        } else {
+            serde_json::from_str(&rec.extra)
+                .map_err(|e| ObjectError::Storage(format!("parse catalog snapshot: {e}")))?
+        };
+        for r in snap.rules {
+            db.engine.add_rule_unchecked(r.def, r.oid, &db.registry)?;
         }
         for (_txn, tag, payload) in &rec.meta {
             if tag != "catalog" {
@@ -692,101 +677,41 @@ impl Database {
             }
             let op: MetaOp = serde_json::from_str(payload)
                 .map_err(|e| ObjectError::Storage(format!("parse meta op: {e}")))?;
-            db.apply_meta_op(op)?;
+            match op {
+                MetaOp::AddRule(r) => {
+                    db.engine.add_rule_unchecked(r.def, r.oid, &db.registry)?;
+                }
+                MetaOp::RemoveRule { name } => {
+                    if let Ok(id) = db.engine.id_of(&name) {
+                        db.engine.remove_rule(id)?;
+                    }
+                }
+            }
+        }
+        for oid in db.store.extent(&db.registry, db.rule_class) {
+            db.sync_rule(oid)?;
+        }
+        // Restore partial detections captured at checkpoint, now that
+        // the rules' enabled flags are known. Import is shape-checked: a
+        // rule whose event expression changed between checkpoint and
+        // recovery rejects the stale state and starts fresh rather than
+        // corrupting its detector.
+        for (rule, state) in snap.detector_state {
+            let Ok(id) = db.engine.id_of(&rule) else {
+                continue; // the rule was removed after the checkpoint
+            };
+            let r = db.engine.rule_mut(id)?;
+            if r.enabled {
+                r.detector.import_state(&state);
+            }
+        }
+        if snap.instant > 0 {
+            db.clock.set_virtual(snap.instant);
         }
         // Timers were registered while the clocks were still rewinding;
         // re-align them to the recovered instant so downtime is not
         // replayed as a burst of elapsed `every` boundaries.
         db.engine.reset_timers_to(db.clock.instant_now());
         Ok(db)
-    }
-
-    fn apply_catalog_snapshot(&mut self, snap: CatalogSnapshot) -> Result<()> {
-        for e in snap.events {
-            self.events.insert(e.name.clone(), e);
-        }
-        for r in snap.rules {
-            let id = self
-                .engine
-                .add_rule_unchecked(r.def, r.oid, &self.registry)?;
-            if !r.enabled {
-                self.engine.disable(id)?;
-            }
-        }
-        for (object, rule) in snap.object_subs {
-            let id = self.engine.id_of(&rule)?;
-            self.engine.subscriptions.subscribe_object(object, id);
-        }
-        for (class, rule) in snap.class_subs {
-            let id = self.engine.id_of(&rule)?;
-            let cid = self.registry.id_of(&class)?;
-            self.engine.subscriptions.subscribe_class(cid, id);
-        }
-        // Restore partial detections captured at checkpoint. Import is
-        // shape-checked: a rule whose event expression changed between
-        // checkpoint and recovery rejects the stale state and starts
-        // fresh rather than corrupting its detector.
-        for (rule, state) in snap.detector_state {
-            let Ok(id) = self.engine.id_of(&rule) else {
-                continue; // defensive: state for a rule not in this snapshot
-            };
-            let r = self.engine.rule_mut(id)?;
-            if r.enabled {
-                r.detector.import_state(&state);
-            }
-        }
-        if snap.instant > 0 {
-            self.clock.set_virtual(snap.instant);
-        }
-        Ok(())
-    }
-
-    fn apply_meta_op(&mut self, op: MetaOp) -> Result<()> {
-        match op {
-            MetaOp::DefineEvent(e) => {
-                self.events.insert(e.name.clone(), e);
-            }
-            MetaOp::AddRule(r) => {
-                let id = self
-                    .engine
-                    .add_rule_unchecked(r.def, r.oid, &self.registry)?;
-                if !r.enabled {
-                    self.engine.disable(id)?;
-                }
-            }
-            MetaOp::RemoveRule { name } => {
-                if let Ok(id) = self.engine.id_of(&name) {
-                    self.engine.remove_rule(id)?;
-                }
-            }
-            MetaOp::SetEnabled { name, enabled } => {
-                if let Ok(id) = self.engine.id_of(&name) {
-                    if enabled {
-                        self.engine.enable(id)?;
-                    } else {
-                        self.engine.disable(id)?;
-                    }
-                }
-            }
-            MetaOp::SubscribeObject { object, rule } => {
-                let id = self.engine.id_of(&rule)?;
-                self.engine.subscriptions.subscribe_object(object, id);
-            }
-            MetaOp::UnsubscribeObject { object, rule } => {
-                let id = self.engine.id_of(&rule)?;
-                self.engine.subscriptions.unsubscribe_object(object, id);
-            }
-            MetaOp::SubscribeClass { class, rule } => {
-                let id = self.engine.id_of(&rule)?;
-                let cid = self.registry.id_of(&class)?;
-                self.engine.subscriptions.subscribe_class(cid, id);
-            }
-            MetaOp::UnsubscribeClass { class, rule } => {
-                let id = self.engine.id_of(&rule)?;
-                let cid = self.registry.id_of(&class)?;
-                self.engine.subscriptions.unsubscribe_class(cid, id);
-            }
-        }
-        Ok(())
     }
 }

@@ -1,14 +1,14 @@
 //! The [`Database`]: Sentinel's public face.
 //!
 //! This module holds the handle itself — construction, schema and code
-//! registration, object access, the reactive dispatch path, and
-//! subscriptions. The transaction/commit machinery lives in
-//! [`crate::commit`], rollback in [`crate::undo`], the first-class
-//! event/rule catalog operations in [`crate::catalog`], and attribute
-//! indexes in [`crate::index`]; all of them extend `Database` with
-//! further `impl` blocks.
+//! registration, object access, and the reactive dispatch path. The
+//! transaction/commit machinery lives in [`crate::commit`], rollback in
+//! [`crate::undo`], the first-class event/rule catalog operations and
+//! subscriptions in [`crate::catalog`], and attribute indexes in
+//! [`crate::index`]; all of them extend `Database` with further `impl`
+//! blocks.
 
-use crate::catalog::{CatalogUndo, EventRecord, MetaOp};
+use crate::catalog::CatalogUndo;
 use crate::commit::CommitPipeline;
 use crate::config::DbConfig;
 use crate::index::AttrIndex;
@@ -107,8 +107,10 @@ pub struct Database {
     pub(crate) has_indexes: bool,
     /// Objects mutated by the active transaction, re-indexed on abort.
     pub(crate) txn_touched: Vec<Oid>,
-    pub(crate) events: HashMap<String, EventRecord>,
     pub(crate) catalog_undo: Vec<CatalogUndo>,
+    /// Rule objects the active transaction wrote; rollback re-syncs the
+    /// engine from each one's restored slots.
+    pub(crate) txn_rules: Vec<Oid>,
     pub(crate) rule_class: ClassId,
     pub(crate) event_class: ClassId,
     /// Shared pipeline observability handle; clones live in the engine,
@@ -193,7 +195,6 @@ impl std::fmt::Debug for Database {
             .field("classes", &self.registry.len())
             .field("objects", &self.store.len())
             .field("rules", &self.engine.rule_count())
-            .field("events", &self.events.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -284,8 +285,8 @@ impl Database {
             indexes: Arc::new(RwLock::new(Vec::new())),
             has_indexes: false,
             txn_touched: Vec::new(),
-            events: HashMap::new(),
             catalog_undo: Vec::new(),
+            txn_rules: Vec::new(),
             rule_class: ClassId(0),
             event_class: ClassId(0),
             telemetry,
@@ -320,7 +321,9 @@ impl Database {
         }
         // Rule is notifiable (it consumes events) *and* reactive: its
         // Enable/Disable operations are themselves event generators, so
-        // rules can be monitored by other rules.
+        // rules can be monitored by other rules. `subscriptions` is the
+        // Figure 4 consumer relation stored at the rule's end: oids of
+        // monitored objects and names of monitored classes.
         self.rule_class = self.define_class(
             ClassDecl::reactive(meta::RULE)
                 .parent(meta::NOTIFIABLE)
@@ -328,23 +331,25 @@ impl Database {
                 .attr_with_default("enabled", TypeTag::Bool, Value::Bool(true))
                 .attr("coupling", TypeTag::Str)
                 .attr("priority", TypeTag::Int)
+                .attr_with_default("subscriptions", TypeTag::List, Value::List(Vec::new()))
                 .event_method("Enable", &[], EventSpec::End)
                 .event_method("Disable", &[], EventSpec::End),
         )?;
-        // Bodies are intercepted in dispatch (they must reach the rule
-        // engine); the registered closures document the contract.
-        self.methods.register(self.rule_class, "Enable", |_, _, _| {
-            Err(ObjectError::App(
-                "Rule::Enable is handled by the engine".into(),
-            ))
-        });
-        self.methods
-            .register(self.rule_class, "Disable", |_, _, _| {
-                Err(ObjectError::App(
-                    "Rule::Disable is handled by the engine".into(),
-                ))
-            });
+        self.register_rule_methods();
         Ok(())
+    }
+
+    /// `Rule::Enable`/`Disable` are ordinary bodies writing the rule
+    /// object's `enabled` slot; the write path re-syncs the engine.
+    /// Bodies are code, so recovery registers them again.
+    pub(crate) fn register_rule_methods(&mut self) {
+        for (method, on) in [("Enable", true), ("Disable", false)] {
+            self.methods
+                .register(self.rule_class, method, move |w, this, _| {
+                    w.set_attr(this, "enabled", Value::Bool(on))?;
+                    Ok(Value::Null)
+                });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -580,7 +585,17 @@ impl Database {
             self.index_refresh_attr(oid, class, attr)?;
             self.txn_touched.push(oid);
         }
+        if class == self.rule_class {
+            self.rule_written(oid)?;
+        }
         Ok(())
+    }
+
+    /// A slot of rule object `oid` changed: remember it for rollback and
+    /// bring the engine's cache up to date.
+    pub(crate) fn rule_written(&mut self, oid: Oid) -> Result<()> {
+        self.txn_rules.push(oid);
+        self.sync_rule(oid)
     }
 
     pub(crate) fn delete_internal(&mut self, oid: Oid) -> Result<()> {
@@ -597,7 +612,13 @@ impl Database {
             )
         });
         self.pipeline.stage_undo(UndoOp::Delete { oid, state })?;
-        self.engine.subscriptions.remove_object(oid);
+        // Rules monitoring the object drop it from their `subscriptions`
+        // slot through the ordinary write path, so an abort restores
+        // the edges along with the object.
+        for rule in self.engine.subscriptions.subscribers_of(oid).to_vec() {
+            let rule_oid = self.engine.rule(rule)?.oid;
+            self.edit_subscriptions(rule_oid, |list| list.retain(|t| *t != Value::Oid(oid)))?;
+        }
         if let Some((class_name, slots)) = logged {
             let txn = self.pipeline.current().expect("in txn");
             self.log(LogRecord::Delete {
@@ -698,16 +719,7 @@ impl Database {
             )?;
         }
 
-        // Rule meta-operations are intercepted: they must reach the rule
-        // engine, which generic native bodies cannot see.
-        let result = if self.registry.is_subclass(class, self.rule_class)
-            && (method == "Enable" || method == "Disable")
-        {
-            self.toggle_rule_by_oid(receiver, method == "Enable")?;
-            Value::Null
-        } else {
-            body(self, receiver, args)?
-        };
+        let result = body(self, receiver, args)?;
 
         if espec.end() {
             self.raise(
@@ -781,109 +793,6 @@ impl Database {
             self.execute_firing(f)?;
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Subscriptions
-    // ------------------------------------------------------------------
-
-    /// Connect a rule to a [`Target`] — one reactive object or a whole
-    /// reactive class. `Oid` and `&str` convert into [`Target`], so
-    /// `db.subscribe(oid, "R")` and `db.subscribe("Class", "R")` both
-    /// read naturally.
-    pub fn subscribe<'a>(&mut self, target: impl Into<Target<'a>>, rule: &str) -> Result<()> {
-        match target.into() {
-            Target::Object(oid) => self.subscribe_object_inner(oid, rule),
-            Target::Class(class) => self.subscribe_class_inner(class, rule),
-        }
-    }
-
-    /// Reverse of [`subscribe`](Self::subscribe), for either target kind.
-    pub fn unsubscribe<'a>(&mut self, target: impl Into<Target<'a>>, rule: &str) -> Result<()> {
-        match target.into() {
-            Target::Object(oid) => self.unsubscribe_object_inner(oid, rule),
-            Target::Class(class) => self.unsubscribe_class_inner(class, rule),
-        }
-    }
-
-    /// `object.Subscribe(rule)` — the rule starts consuming the events
-    /// generated by this (reactive) object.
-    fn subscribe_object_inner(&mut self, object: Oid, rule: &str) -> Result<()> {
-        let id = self.engine.id_of(rule)?;
-        let class = self.store.class_of(object)?;
-        if self.registry.get(class).reactivity != Reactivity::Reactive {
-            return Err(ObjectError::App(format!(
-                "object {object} is of passive class `{}` and generates no events",
-                self.registry.get(class).name
-            )));
-        }
-        let rule_name = rule.to_string();
-        self.with_auto_txn(move |db| {
-            db.engine.subscriptions.subscribe_object(object, id);
-            db.catalog_undo.push(CatalogUndo::ObjectSubscribed {
-                object,
-                rule: rule_name.clone(),
-            });
-            db.log_meta(MetaOp::SubscribeObject {
-                object,
-                rule: rule_name,
-            })
-        })
-    }
-
-    fn unsubscribe_object_inner(&mut self, object: Oid, rule: &str) -> Result<()> {
-        let id = self.engine.id_of(rule)?;
-        let rule_name = rule.to_string();
-        self.with_auto_txn(move |db| {
-            db.engine.subscriptions.unsubscribe_object(object, id);
-            db.catalog_undo.push(CatalogUndo::ObjectUnsubscribed {
-                object,
-                rule: rule_name.clone(),
-            });
-            db.log_meta(MetaOp::UnsubscribeObject {
-                object,
-                rule: rule_name,
-            })
-        })
-    }
-
-    pub(crate) fn subscribe_class_inner(&mut self, class: &str, rule: &str) -> Result<()> {
-        let id = self.engine.id_of(rule)?;
-        let cid = self.registry.id_of(class)?;
-        if self.registry.get(cid).reactivity != Reactivity::Reactive {
-            return Err(ObjectError::App(format!(
-                "class `{class}` is passive and generates no events"
-            )));
-        }
-        let (class_name, rule_name) = (class.to_string(), rule.to_string());
-        self.with_auto_txn(move |db| {
-            db.engine.subscriptions.subscribe_class(cid, id);
-            db.catalog_undo.push(CatalogUndo::ClassSubscribed {
-                class: class_name.clone(),
-                rule: rule_name.clone(),
-            });
-            db.log_meta(MetaOp::SubscribeClass {
-                class: class_name,
-                rule: rule_name,
-            })
-        })
-    }
-
-    fn unsubscribe_class_inner(&mut self, class: &str, rule: &str) -> Result<()> {
-        let id = self.engine.id_of(rule)?;
-        let cid = self.registry.id_of(class)?;
-        let (class_name, rule_name) = (class.to_string(), rule.to_string());
-        self.with_auto_txn(move |db| {
-            db.engine.subscriptions.unsubscribe_class(cid, id);
-            db.catalog_undo.push(CatalogUndo::ClassUnsubscribed {
-                class: class_name.clone(),
-                rule: rule_name.clone(),
-            });
-            db.log_meta(MetaOp::UnsubscribeClass {
-                class: class_name,
-                rule: rule_name,
-            })
-        })
     }
 
     // ------------------------------------------------------------------

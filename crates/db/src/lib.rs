@@ -39,7 +39,7 @@ pub mod stats;
 pub mod typed;
 pub(crate) mod undo;
 
-pub use catalog::{CatalogSnapshot, EventRecord, MetaOp, RuleRecord};
+pub use catalog::{CatalogSnapshot, MetaOp, RuleRecord};
 pub use config::{DbConfig, ExecutionMode};
 pub use database::{Database, Target};
 pub use dsl::event;

@@ -368,9 +368,9 @@ impl Database {
                 "action",
             ],
         );
-        let mut recs = self.catalog_snapshot().rules;
-        recs.sort_by(|a, b| a.def.name.cmp(&b.def.name));
-        for r in recs {
+        let mut rules: Vec<_> = self.engine.iter_rules().collect();
+        rules.sort_by(|a, b| a.def.name.cmp(&b.def.name));
+        for r in rules {
             rel.push(vec![
                 Value::Str(r.def.name.clone()),
                 Value::Oid(r.oid),
@@ -386,16 +386,26 @@ impl Database {
     }
 
     /// The `subscriptions` relation: one row per object- or class-level
-    /// subscription. Columns: `rule, kind, target`.
+    /// subscription, read from the `subscriptions` slot of every object
+    /// in the `Rule` extent. Columns: `rule, kind, target`.
     pub fn meta_subscriptions(&self) -> Relation {
         let mut rel = Relation::new("subscriptions", &["rule", "kind", "target"]);
-        let snap = self.catalog_snapshot();
         let mut rows: Vec<(String, &'static str, Value)> = Vec::new();
-        for (oid, rule) in snap.object_subs {
-            rows.push((rule, "object", Value::Oid(oid)));
-        }
-        for (class, rule) in snap.class_subs {
-            rows.push((rule, "class", Value::Str(class)));
+        for oid in self.store.extent(&self.registry, self.rule_class) {
+            let attr = |name| self.store.get_attr(&self.registry, oid, name);
+            let (Ok(Value::Str(rule)), Ok(Value::List(targets))) =
+                (attr("name"), attr("subscriptions"))
+            else {
+                continue;
+            };
+            for target in targets {
+                let kind = if matches!(target, Value::Oid(_)) {
+                    "object"
+                } else {
+                    "class"
+                };
+                rows.push((rule.clone(), kind, target));
+            }
         }
         rows.sort_by(|a, b| (&a.0, a.1, render_cell(&a.2)).cmp(&(&b.0, b.1, render_cell(&b.2))));
         for (rule, kind, target) in rows {

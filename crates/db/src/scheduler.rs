@@ -691,6 +691,9 @@ impl Database {
                     new: w.new.clone(),
                 })?;
             }
+            if w.class == self.rule_class {
+                self.rule_written(w.oid)?;
+            }
         }
         if self.has_indexes {
             for w in &done.writes {

@@ -494,41 +494,6 @@ fn rules_are_first_class_objects_with_oids() {
 }
 
 #[test]
-fn rules_on_rules_meta_monitoring() {
-    // A meta-rule fires when another rule is disabled — possible because
-    // Rule is a reactive class whose Disable is an event generator.
-    let mut db = payroll_db();
-    db.define_class(ClassDecl::new("Audit").attr("count", TypeTag::Int))
-        .unwrap();
-    let audit = db.create("Audit").unwrap();
-    db.register_action("nothing", |_, _| Ok(()));
-    db.register_action("note-disable", move |w, _f| {
-        let n = w.get_attr(audit, "count")?.as_int()?;
-        w.set_attr(audit, "count", Value::Int(n + 1))
-    });
-    let target_oid = db
-        .add_rule(RuleDef::new(
-            "Target",
-            event("end Employee::Change-Income(float x)").unwrap(),
-            "nothing",
-        ))
-        .unwrap();
-    db.add_rule(RuleDef::new(
-        "Watcher",
-        event("end Rule::Disable()").unwrap(),
-        "note-disable",
-    ))
-    .unwrap();
-    db.subscribe(target_oid, "Watcher").unwrap();
-
-    db.send(target_oid, "Disable", &[]).unwrap();
-    assert_eq!(db.get_attr(audit, "count").unwrap(), Value::Int(1));
-    // Enable does not match the Watcher's event.
-    db.send(target_oid, "Enable", &[]).unwrap();
-    assert_eq!(db.get_attr(audit, "count").unwrap(), Value::Int(1));
-}
-
-#[test]
 fn disabled_rule_does_not_fire_or_record() {
     let mut db = payroll_db();
     db.register_action("nothing", |_, _| Ok(()));
@@ -695,87 +660,6 @@ fn unsubscribe_stops_delivery() {
     db.send(fred, "Change-Income", &[Value::Float(2.0)])
         .unwrap();
     assert_eq!(db.rule_stats("R").unwrap().notifications, 1);
-}
-
-#[test]
-fn catalog_mutations_roll_back_with_transaction() {
-    let mut db = payroll_db();
-    db.register_action("nothing", |_, _| Ok(()));
-    let fred = db.create("Employee").unwrap();
-
-    db.begin().unwrap();
-    db.add_rule(RuleDef::new(
-        "Tx",
-        event("end Employee::Change-Income(float x)").unwrap(),
-        "nothing",
-    ))
-    .unwrap();
-    db.subscribe(fred, "Tx").unwrap();
-    db.abort().unwrap();
-
-    // The rule and its subscription are gone, in memory and on replay.
-    assert!(db.rule_stats("Tx").is_err());
-    db.send(fred, "Change-Income", &[Value::Float(1.0)])
-        .unwrap();
-    assert_eq!(db.engine_stats().notifications, 0);
-    // And the name is reusable.
-    db.add_rule(RuleDef::new(
-        "Tx",
-        event("end Employee::Change-Income(float x)").unwrap(),
-        "nothing",
-    ))
-    .unwrap();
-}
-
-#[test]
-fn durable_database_recovers_rules_events_and_subscriptions() {
-    let dir = std::env::temp_dir().join(format!("sentinel-db-rec-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let fred;
-    {
-        let mut db = Database::with_config(DbConfig::durable(&dir)).unwrap();
-        db.define_class(
-            ClassDecl::reactive("Employee")
-                .attr("salary", TypeTag::Float)
-                .event_method("Change-Income", &[("x", TypeTag::Float)], EventSpec::End),
-        )
-        .unwrap();
-        db.register_setter("Employee", "Change-Income", "salary")
-            .unwrap();
-        db.register_action("nothing", |_, _| Ok(()));
-        fred = db.create("Employee").unwrap();
-        db.send(fred, "Change-Income", &[Value::Float(70.0)])
-            .unwrap();
-        db.define_event("E", event("end Employee::Change-Income(float x)").unwrap())
-            .unwrap();
-        db.add_rule(RuleDef::new("R", db.event_expr("E").unwrap(), "nothing"))
-            .unwrap();
-        db.subscribe(fred, "R").unwrap();
-        db.disable_rule("R").unwrap();
-        // NOTE: schema (class declarations) reaches disk only via
-        // checkpoint; WAL records reference classes by name.
-        db.checkpoint().unwrap();
-        db.enable_rule("R").unwrap(); // post-checkpoint, recovered from WAL
-        db.send(fred, "Change-Income", &[Value::Float(80.0)])
-            .unwrap();
-    } // drop = crash (nothing flushed beyond commit records)
-
-    let mut db = Database::recover(DbConfig::durable(&dir)).unwrap();
-    // Object state: both committed updates survive.
-    assert_eq!(db.get_attr(fred, "salary").unwrap(), Value::Float(80.0));
-    // Catalog: event object, rule, enablement, subscription all back.
-    assert!(db.event_expr("E").is_ok());
-    assert!(db.rule_enabled("R").unwrap());
-    // Re-register code, then the recovered rule fires again.
-    db.register_setter("Employee", "Change-Income", "salary")
-        .unwrap();
-    db.register_action("nothing", |_, _| Ok(()));
-    db.send(fred, "Change-Income", &[Value::Float(90.0)])
-        .unwrap();
-    assert_eq!(db.rule_stats("R").unwrap().triggered, 1);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

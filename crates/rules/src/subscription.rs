@@ -52,12 +52,16 @@ impl SubscriptionManager {
         }
     }
 
-    /// Reverse of [`subscribe_object`](Self::subscribe_object).
+    /// Reverse of [`subscribe_object`](Self::subscribe_object). The
+    /// object's consumer list is dropped with its last consumer.
     pub fn unsubscribe_object(&mut self, object: Oid, rule: RuleId) {
         if let Some(set) = self.objects_of.get_mut(&rule) {
             if set.remove(&object) {
                 if let Some(v) = self.by_object.get_mut(&object) {
                     v.retain(|&r| r != rule);
+                    if v.is_empty() {
+                        self.by_object.remove(&object);
+                    }
                 }
                 self.generation += 1;
             }
@@ -105,16 +109,10 @@ impl SubscriptionManager {
         }
     }
 
-    /// Drop the consumer list of a deleted object.
-    pub fn remove_object(&mut self, object: Oid) {
-        if let Some(rules) = self.by_object.remove(&object) {
-            for r in rules {
-                if let Some(set) = self.objects_of.get_mut(&r) {
-                    set.remove(&object);
-                }
-            }
-            self.generation += 1;
-        }
+    /// The rules subscribed to `object` itself (its instance-level
+    /// consumer list, in subscription order).
+    pub fn subscribers_of(&self, object: Oid) -> &[RuleId] {
+        self.by_object.get(&object).map_or(&[], Vec::as_slice)
     }
 
     /// Mutation counter: changes whenever any subscription edge is added
@@ -296,14 +294,16 @@ mod tests {
     }
 
     #[test]
-    fn remove_object_clears_its_consumer_list() {
-        let (reg, emp, _) = registry();
+    fn last_unsubscribe_drops_the_consumer_list() {
         let mut subs = SubscriptionManager::new();
         subs.subscribe_object(Oid(1), RuleId(1));
-        subs.remove_object(Oid(1));
-        let mut out = Vec::new();
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert!(out.is_empty());
+        subs.subscribe_object(Oid(1), RuleId(2));
+        assert_eq!(subs.subscribers_of(Oid(1)), &[RuleId(1), RuleId(2)]);
+        subs.unsubscribe_object(Oid(1), RuleId(1));
+        assert_eq!(subs.subscribers_of(Oid(1)), &[RuleId(2)]);
+        subs.unsubscribe_object(Oid(1), RuleId(2));
+        assert!(subs.subscribers_of(Oid(1)).is_empty());
+        assert!(!subs.by_object.contains_key(&Oid(1)));
         assert_eq!(subs.object_subscription_count(RuleId(1)), 0);
     }
 }

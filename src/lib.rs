@@ -33,7 +33,6 @@
 pub mod shell;
 
 pub use sentinel_analyze as analyze;
-pub use sentinel_baselines as baselines;
 pub use sentinel_db as db;
 pub use sentinel_events as events;
 pub use sentinel_object as object;

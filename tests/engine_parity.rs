@@ -9,8 +9,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sentinel::baselines::{AdamEngine, AdamRuleSpec, OdeConstraintKind, OdeEngine};
 use sentinel::prelude::*;
+use sentinel_baselines::{AdamEngine, AdamRuleSpec, OdeConstraintKind, OdeEngine};
 use std::sync::Arc;
 
 const EMPLOYEES: usize = 6;

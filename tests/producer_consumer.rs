@@ -2,8 +2,8 @@
 //! pipeline and Figure 1 dual interface, driven through the umbrella
 //! crate's public API only.
 
-use sentinel::baselines::{ActiveEngine, AdamEngine, OdeEngine};
 use sentinel::prelude::*;
+use sentinel_baselines::{ActiveEngine, AdamEngine, OdeEngine};
 
 /// Figure 2: two independent reactive objects generate primitive events
 /// `e1` and `e2`; a rule consumes both through its local detector
