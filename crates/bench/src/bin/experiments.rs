@@ -209,7 +209,15 @@ fn e3(cfg: &Cfg) {
                 sdb.send(shot, "Set", &[Value::Float(i as f64)]).unwrap();
             }
         });
-        let s_checks = sdb.engine_stats().notifications as f64 / updates as f64;
+        // Rules checked per update: each rule's own delivery count (the
+        // hot rules are identical, so they share one detector between
+        // them — the engine counter would read 1).
+        let rule_checks: u64 = sdb
+            .rule_names()
+            .iter()
+            .map(|n| sdb.rule_stats(n).unwrap().notifications)
+            .sum();
+        let s_checks = rule_checks as f64 / updates as f64;
 
         let (mut adb, ahot) = adam_hot_object(total);
         let ad = time_once(|| {

@@ -279,7 +279,13 @@ impl Database {
     /// Occurrences buffered by a rule's detector (experiment E12).
     pub fn rule_detector_buffered(&self, name: &str) -> Result<usize> {
         let id = self.engine.id_of(name)?;
-        Ok(self.engine.rule(id)?.detector.buffered())
+        Ok(self.engine.detector_of(id)?.buffered())
+    }
+
+    /// Live event detectors: rules whose detectors would be
+    /// indistinguishable share one, so this is at most the rule count.
+    pub fn detector_count(&self) -> usize {
+        self.engine.detector_count()
     }
 
     /// Names of all rules.

@@ -603,7 +603,11 @@ impl Database {
             // Partial detections survive the checkpoint: a half-matched
             // sequence or an open window resumes after recovery instead
             // of silently restarting from scratch.
-            let state = r.detector.export_state();
+            let state = self
+                .engine
+                .detector_of(r.id)
+                .expect("every rule has a detector")
+                .export_state();
             if !state.is_trivial() {
                 detector_state.push((r.def.name.clone(), state));
             }
@@ -700,9 +704,8 @@ impl Database {
             let Ok(id) = db.engine.id_of(&rule) else {
                 continue; // the rule was removed after the checkpoint
             };
-            let r = db.engine.rule_mut(id)?;
-            if r.enabled {
-                r.detector.import_state(&state);
+            if db.engine.rule(id)?.enabled {
+                db.engine.detector_of_mut(id)?.import_state(&state);
             }
         }
         if snap.instant > 0 {

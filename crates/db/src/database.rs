@@ -920,23 +920,12 @@ impl Database {
     pub fn metrics_prometheus(&self) -> String {
         let d = self.stats.snapshot();
         let e = self.engine.stats();
-        let extra = [
-            ("sends_total", d.sends),
-            ("events_generated_total", d.events_generated),
-            ("condition_evals_total", d.condition_evals),
-            ("condition_true_total", d.condition_true),
-            ("actions_run_total", d.actions_run),
-            ("commits_total", d.commits),
-            ("aborts_total", d.aborts),
-            ("detached_runs_total", d.detached_runs),
-            ("occurrences_total", e.occurrences),
-            ("notifications_total", e.notifications),
-            ("scheduled_immediate_total", e.immediate),
-            ("scheduled_deferred_total", e.deferred),
-            ("scheduled_detached_total", e.detached),
-            ("detached_shed_total", e.detached_shed),
-            ("wal_durable_commits_total", self.pipeline.durable_commits()),
-        ];
+        let mut extra = crate::stats::prometheus_counters(&d, &e).to_vec();
+        extra.push((
+            "wal_durable_commits_total",
+            "Commits made durable in the write-ahead log.",
+            self.pipeline.durable_commits(),
+        ));
         let mut out = sentinel_telemetry::prometheus_text(&self.telemetry.snapshot(), &extra);
         self.append_rule_metrics(&mut out);
         out

@@ -345,22 +345,7 @@ impl Session {
     pub fn metrics_prometheus(&self) -> String {
         let d = self.reads.stats.snapshot();
         let e = self.reads.engine.snapshot();
-        let extra = [
-            ("sends_total", d.sends),
-            ("events_generated_total", d.events_generated),
-            ("condition_evals_total", d.condition_evals),
-            ("condition_true_total", d.condition_true),
-            ("actions_run_total", d.actions_run),
-            ("commits_total", d.commits),
-            ("aborts_total", d.aborts),
-            ("detached_runs_total", d.detached_runs),
-            ("occurrences_total", e.occurrences),
-            ("notifications_total", e.notifications),
-            ("scheduled_immediate_total", e.immediate),
-            ("scheduled_deferred_total", e.deferred),
-            ("scheduled_detached_total", e.detached),
-            ("detached_shed_total", e.detached_shed),
-        ];
+        let extra = crate::stats::prometheus_counters(&d, &e);
         let mut out = sentinel_telemetry::prometheus_text(&self.reads.telemetry.snapshot(), &extra);
         out.push_str(&sentinel_telemetry::prometheus_shard_text(
             &self.reads.store.shard_loads(),

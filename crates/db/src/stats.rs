@@ -31,6 +31,70 @@ pub struct DbStats {
     pub detached_runs: u64,
 }
 
+/// The facade and engine counters of the Prometheus exposition, as
+/// `(name, help, value)` — shared by `Database` and `Session`.
+pub(crate) fn prometheus_counters(
+    d: &DbStats,
+    e: &EngineStats,
+) -> [(&'static str, &'static str, u64); 14] {
+    [
+        ("sends_total", "Messages dispatched.", d.sends),
+        (
+            "events_generated_total",
+            "Primitive events generated.",
+            d.events_generated,
+        ),
+        (
+            "condition_evals_total",
+            "Rule condition evaluations.",
+            d.condition_evals,
+        ),
+        (
+            "condition_true_total",
+            "Rule conditions that held.",
+            d.condition_true,
+        ),
+        ("actions_run_total", "Rule actions executed.", d.actions_run),
+        ("commits_total", "Transactions committed.", d.commits),
+        ("aborts_total", "Transactions aborted.", d.aborts),
+        (
+            "detached_runs_total",
+            "Detached firings executed.",
+            d.detached_runs,
+        ),
+        (
+            "occurrences_total",
+            "Primitive occurrences offered to the rule engine.",
+            e.occurrences,
+        ),
+        (
+            "notifications_total",
+            "Deliveries of an occurrence to a detector; rules sharing a detector count once.",
+            e.notifications,
+        ),
+        (
+            "scheduled_immediate_total",
+            "Firings scheduled with immediate coupling.",
+            e.immediate,
+        ),
+        (
+            "scheduled_deferred_total",
+            "Firings scheduled with deferred coupling.",
+            e.deferred,
+        ),
+        (
+            "scheduled_detached_total",
+            "Firings scheduled with detached coupling.",
+            e.detached,
+        ),
+        (
+            "detached_shed_total",
+            "Detached firings shed at a full queue.",
+            e.detached_shed,
+        ),
+    ]
+}
+
 /// Live facade counters: the atomic twin of [`DbStats`].
 ///
 /// Counters are relaxed — they are monotonic tallies, not

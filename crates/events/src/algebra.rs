@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A composite event expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(missing_docs)] // operand fields are positional and described per variant
 pub enum EventExpr {
     /// A primitive event (leaf).
@@ -99,7 +99,7 @@ pub enum EventExpr {
 }
 
 /// The aggregation function of [`EventExpr::Aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AggFn {
     /// Number of operand occurrences in the window.
     Count,

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 /// The buffering/pairing policy used by every binary operator node in a
 /// detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ParamContext {
     /// Paper semantics: every combination detects; nothing consumed.
     #[default]

@@ -70,7 +70,7 @@ use window::Watermarks;
 
 /// Resource limits protecting against unbounded detector state (the
 /// unrestricted context never discards occurrences on its own).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DetectorCaps {
     /// Maximum occurrences buffered per operator-node side; the oldest
     /// occurrence is dropped (and counted) when the cap is exceeded.
@@ -100,8 +100,10 @@ pub struct DetectorStats {
 
 /// A compiled, stateful detector for one event expression.
 ///
-/// `Clone` duplicates the full partial-detection state (used by tests to
-/// cross-check the journal against brute-force snapshots).
+/// `Clone` duplicates the full partial-detection state, open undo
+/// journal included: the rule engine clones a shared detector to split
+/// a rule off it, and tests cross-check the journal against brute-force
+/// snapshots.
 #[derive(Clone)]
 pub struct DetectorInstance {
     root: Node,

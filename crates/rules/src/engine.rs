@@ -7,6 +7,12 @@
 //! to (but not including) body execution: the database facade executes
 //! the [`ReadyFiring`]s the engine hands back, because execution needs
 //! the full `World`, which owns the engine.
+//!
+//! Detectors live in an engine-owned arena, not in the rules. Rules whose
+//! detectors could never be told apart — same event, context, caps and
+//! subscriptions, same partial state — share one arena slot, so a
+//! composite event is detected once per occurrence however many rules
+//! consume it (events as first-class notifiable objects, Figures 5–6).
 
 use crate::body::{ActionFn, CondFn, Firing, Lineage, RuleBodyRegistry};
 use crate::conflict::{ConflictResolver, FifoResolver};
@@ -14,14 +20,15 @@ use crate::coupling::CouplingMode;
 use crate::rule::{Rule, RuleDef, RuleId, RuleStats};
 use crate::subscription::SubscriptionManager;
 use sentinel_events::{
-    DetectorCaps, PrimitiveOccurrence, TimeSource, TimerId, TimerRow, TimerWheel,
+    CompositeOccurrence, DetectorCaps, DetectorInstance, EventExpr, ParamContext,
+    PrimitiveOccurrence, TimeSource, TimerId, TimerRow, TimerWheel,
 };
 use sentinel_object::{ClassId, ClassRegistry, EventSym, ObjectError, Oid, Result};
 use sentinel_telemetry::{
     FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,8 +91,11 @@ pub enum BackpressurePolicy {
 pub struct EngineStats {
     /// Primitive occurrences offered to the engine.
     pub occurrences: u64,
-    /// Deliveries of an occurrence to a subscribed rule's detector — the
-    /// "rule checking" work the subscription mechanism minimises.
+    /// Deliveries of an occurrence (or timer fire) to a detector — the
+    /// "rule checking" work the subscription mechanism minimises. Rules
+    /// sharing a detector count one delivery between them; each rule's
+    /// own [`RuleStats::notifications`] still counts every delivery it
+    /// heard.
     pub notifications: u64,
     /// Firings routed with immediate coupling.
     pub immediate: u64,
@@ -143,11 +153,103 @@ impl EngineCounters {
     }
 }
 
+/// Index of a [`Slot`] in the detector arena.
+type SlotId = usize;
+
+/// One detector and the rules it detects for. Every member has the same
+/// [`ShareKey`], so each would have received the same deliveries into
+/// the same state had it kept a private detector.
+struct Slot {
+    detector: DetectorInstance,
+    /// Member rules in id order — the order a detection fans out in.
+    members: Vec<RuleId>,
+}
+
+/// The detector arena: slots addressed by index, freed indices reused.
+#[derive(Default)]
+struct Arena {
+    slots: Vec<Option<Slot>>,
+    free: Vec<SlotId>,
+}
+
+impl Arena {
+    fn insert(&mut self, detector: DetectorInstance, members: Vec<RuleId>) -> SlotId {
+        let slot = Some(Slot { detector, members });
+        match self.free.pop() {
+            Some(sid) => {
+                self.slots[sid] = slot;
+                sid
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn remove(&mut self, sid: SlotId) -> Slot {
+        self.free.push(sid);
+        self.slots[sid].take().expect("live slot")
+    }
+
+    fn get(&self, sid: SlotId) -> &Slot {
+        self.slots[sid].as_ref().expect("live slot")
+    }
+
+    fn get_mut(&mut self, sid: SlotId) -> &mut Slot {
+        self.slots[sid].as_mut().expect("live slot")
+    }
+
+    fn live(&self) -> impl Iterator<Item = (SlotId, &Slot)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(sid, s)| Some((sid, s.as_ref()?)))
+    }
+
+    fn live_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
+        self.slots.iter_mut().flatten()
+    }
+}
+
+/// What two rules must agree on to share a detector. Rules with equal
+/// keys hear exactly the same occurrences, so once their detectors hold
+/// equal state they stay equal forever after.
+#[derive(PartialEq, Eq, Hash)]
+struct ShareKey<'a> {
+    event: &'a EventExpr,
+    context: ParamContext,
+    caps: DetectorCaps,
+    objects: Vec<Oid>,
+    classes: Vec<ClassId>,
+}
+
+impl<'a> ShareKey<'a> {
+    /// `None` keeps the rule private: a disabled rule is not routed, and
+    /// a timer-bearing rule is fed by its own wheel entries.
+    fn of(rule: &'a Rule, subs: &SubscriptionManager) -> Option<Self> {
+        if !rule.enabled || rule.def.event.has_timers() {
+            return None;
+        }
+        let mut objects = subs.objects_of(rule.id);
+        objects.sort_unstable();
+        let mut classes = subs.classes_of(rule.id);
+        classes.sort_unstable();
+        Some(ShareKey {
+            event: &rule.def.event,
+            context: rule.def.context,
+            caps: rule.caps,
+            objects,
+            classes,
+        })
+    }
+}
+
 /// Keyed dispatch over `(subscription target, event symbol)`.
 ///
 /// Built lazily from the subscription tables plus each rule's detector
 /// *alphabet* (the interned primitive-event symbols that can advance it,
-/// closed over subclasses). An occurrence then notifies only the rules
+/// closed over subclasses). An occurrence then reaches only the slots
 /// whose alphabet contains its symbol, instead of every subscriber of
 /// the generating object. Rules with an unbounded alphabet (`Plus`
 /// deadlines are signalled by any subsequent occurrence) go in the
@@ -157,7 +259,7 @@ impl EngineCounters {
 /// subscription generation, and the engine epoch it was built at, and is
 /// rebuilt on any mismatch. That keeps it correct even though
 /// `engine.subscriptions` is a public field mutable behind the engine's
-/// back.
+/// back. Splitting a rule off its slot drops the index outright.
 #[derive(Debug, Default)]
 struct RoutingIndex {
     /// Schema size at build time (the registry is append-only).
@@ -166,17 +268,17 @@ struct RoutingIndex {
     subs_gen: u64,
     /// Engine epoch (rule add/remove/enable/disable) at build time.
     epoch: u64,
-    /// Instance subscriptions of symbol-bounded rules.
-    by_object: HashMap<(Oid, EventSym), Vec<RuleId>>,
-    /// Instance subscriptions of unbounded (broad) rules.
-    broad_by_object: HashMap<Oid, Vec<RuleId>>,
-    /// Class subscriptions of symbol-bounded rules. A symbol names its
+    /// Instance subscriptions of symbol-bounded slots.
+    by_object: HashMap<(Oid, EventSym), Vec<SlotId>>,
+    /// Instance subscriptions of unbounded (broad) slots.
+    broad_by_object: HashMap<Oid, Vec<SlotId>>,
+    /// Class subscriptions of symbol-bounded slots. A symbol names its
     /// dynamic class, so subclass closure is resolved at build time and
     /// dispatch is a single lookup — no linearization walk.
-    by_class_sym: HashMap<EventSym, Vec<RuleId>>,
-    /// Class subscriptions of unbounded rules, looked up along the
+    by_class_sym: HashMap<EventSym, Vec<SlotId>>,
+    /// Class subscriptions of unbounded slots, looked up along the
     /// occurrence's class linearization (only when non-empty).
-    broad_by_class: HashMap<ClassId, Vec<RuleId>>,
+    broad_by_class: HashMap<ClassId, Vec<SlotId>>,
 }
 
 impl RoutingIndex {
@@ -188,85 +290,156 @@ impl RoutingIndex {
     }
 }
 
-/// Append `list` to `out`, skipping rules already present. Fan-outs are
-/// small, so a linear scan beats hashing and allocates nothing.
-fn push_unique(out: &mut Vec<RuleId>, list: Option<&Vec<RuleId>>) {
-    if let Some(list) = list {
-        for &r in list {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
+/// Append `sid` to `list` unless present. Lists are short, so a linear
+/// scan beats hashing.
+fn push_slot(list: &mut Vec<SlotId>, sid: SlotId) {
+    if !list.contains(&sid) {
+        list.push(sid);
     }
 }
 
-/// Route one ready firing to its coupling destination — the immediate
-/// batch, the deferred queue, or the (bounded) detached queue. Shared by
-/// the occurrence path and the timer-drain path; takes the queues as
-/// disjoint field borrows because the caller holds a rule borrow.
-#[allow(clippy::too_many_arguments)]
-fn route_ready(
-    ready: ReadyFiring,
-    rule_name: &Arc<str>,
-    target: Oid,
-    at: u64,
-    immediate: &mut Vec<ReadyFiring>,
-    deferred: &mut Vec<ReadyFiring>,
-    detached: &mut std::collections::VecDeque<QueuedDetached>,
+/// Append `list` to `out`, skipping slots already present. Fan-outs are
+/// small, so a linear scan beats hashing and allocates nothing.
+fn push_unique(out: &mut Vec<SlotId>, list: Option<&Vec<SlotId>>) {
+    for &sid in list.into_iter().flatten() {
+        push_slot(out, sid);
+    }
+}
+
+/// Everything scheduling a completed detection needs, borrowed from the
+/// engine field by field so dispatch can hold the arena and a rule at
+/// the same time.
+struct Fanout<'a> {
+    bodies: &'a RuleBodyRegistry,
+    bodies_version: u64,
+    history: bool,
+    lineage_ctx: Option<(u64, u64, u32)>,
+    conflict_tags: Option<&'a HashMap<RuleId, u32>>,
+    immediate: Vec<ReadyFiring>,
+    deferred: &'a mut Vec<ReadyFiring>,
+    detached: &'a mut VecDeque<QueuedDetached>,
     detached_cap: usize,
     detached_policy: BackpressurePolicy,
-    stats: &EngineCounters,
-    telemetry: &Option<Arc<Telemetry>>,
-) {
-    let stage = match ready.coupling {
-        CouplingMode::Immediate => {
-            EngineCounters::bump(&stats.immediate);
-            immediate.push(ready);
-            Some(Stage::FiringImmediate)
+    stats: &'a EngineCounters,
+    telemetry: &'a Option<Arc<Telemetry>>,
+}
+
+impl Fanout<'_> {
+    /// Schedule one rule's firings for the occurrences its detector
+    /// completed: resolve its bodies (cached per registry version), stamp
+    /// lineage, and route each firing by the rule's coupling mode.
+    fn fire(
+        &mut self,
+        rule: &mut Rule,
+        completions: impl ExactSizeIterator<Item = CompositeOccurrence>,
+        target: Oid,
+        at: u64,
+    ) -> Result<()> {
+        rule.stats.triggered += completions.len() as u64;
+        if rule.bodies_version != self.bodies_version
+            || rule.cached_condition.is_none()
+            || rule.cached_action.is_none()
+        {
+            rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
+            rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
+            rule.bodies_version = self.bodies_version;
         }
-        CouplingMode::Deferred => {
-            EngineCounters::bump(&stats.deferred);
-            deferred.push(ready);
-            Some(Stage::FiringDeferred)
-        }
-        CouplingMode::Detached => {
-            if detached.len() >= detached_cap && detached_policy == BackpressurePolicy::Shed {
-                // Full queue, shed policy: drop the firing rather than
-                // grow without bound — but leave a lineage record, so
-                // cascade trees show the shed firing instead of a
-                // silent gap.
-                EngineCounters::bump(&stats.detached_shed);
-                if let Some(tel) = telemetry {
-                    let lin = ready.firing.lineage;
-                    let end = ready.firing.occurrence.end;
-                    tel.record_firing(|| FiringRecord {
-                        id: FiringId(lin.id),
-                        rule: rule_name.to_string(),
-                        target: target.0,
-                        coupling: FiringCoupling::Detached,
-                        parent: lin.parent.map(FiringId),
-                        root_occurrence: lin.root,
-                        occurrence: end,
-                        depth: lin.depth,
-                        latency_ns: 0,
-                        outcome: FiringOutcome::Shed,
-                        lane: Default::default(),
-                    });
+        let condition = rule.cached_condition.as_ref().expect("resolved above");
+        let action = rule.cached_action.as_ref().expect("resolved above");
+        for occurrence in completions {
+            let lineage = if self.history {
+                let tel = self.telemetry.as_ref().expect("history implies telemetry");
+                let id = tel.next_firing_id();
+                match self.lineage_ctx {
+                    Some((parent, root, parent_depth)) => Lineage {
+                        id,
+                        parent: Some(parent),
+                        root,
+                        depth: parent_depth + 1,
+                    },
+                    None => Lineage {
+                        id,
+                        parent: None,
+                        root: occurrence.end,
+                        depth: 0,
+                    },
                 }
-                None
             } else {
-                EngineCounters::bump(&stats.detached);
-                detached.push_back(QueuedDetached {
-                    ready,
-                    queued: std::time::Instant::now(),
-                });
-                Some(Stage::FiringDetached)
-            }
+                Lineage::default()
+            };
+            let ready = ReadyFiring {
+                priority: rule.def.priority,
+                coupling: rule.def.coupling,
+                condition: condition.clone(),
+                action: action.clone(),
+                firing: Firing {
+                    rule: rule.id,
+                    rule_name: rule.name.clone(),
+                    occurrence,
+                    lineage,
+                },
+                group: self.conflict_tags.and_then(|t| t.get(&rule.id).copied()),
+            };
+            self.route(ready, &rule.name, target, at);
         }
-    };
-    if let (Some(tel), Some(stage)) = (telemetry, stage) {
-        // Lazy: the closure runs only when tracing is on.
-        tel.hit(stage, at, || rule_name.to_string());
+        Ok(())
+    }
+
+    /// Route one ready firing to its coupling destination — the immediate
+    /// batch, the deferred queue, or the (bounded) detached queue.
+    fn route(&mut self, ready: ReadyFiring, rule_name: &Arc<str>, target: Oid, at: u64) {
+        let stage = match ready.coupling {
+            CouplingMode::Immediate => {
+                EngineCounters::bump(&self.stats.immediate);
+                self.immediate.push(ready);
+                Some(Stage::FiringImmediate)
+            }
+            CouplingMode::Deferred => {
+                EngineCounters::bump(&self.stats.deferred);
+                self.deferred.push(ready);
+                Some(Stage::FiringDeferred)
+            }
+            CouplingMode::Detached => {
+                if self.detached.len() >= self.detached_cap
+                    && self.detached_policy == BackpressurePolicy::Shed
+                {
+                    // Full queue, shed policy: drop the firing rather than
+                    // grow without bound — but leave a lineage record, so
+                    // cascade trees show the shed firing instead of a
+                    // silent gap.
+                    EngineCounters::bump(&self.stats.detached_shed);
+                    if let Some(tel) = self.telemetry {
+                        let lin = ready.firing.lineage;
+                        let end = ready.firing.occurrence.end;
+                        tel.record_firing(|| FiringRecord {
+                            id: FiringId(lin.id),
+                            rule: rule_name.to_string(),
+                            target: target.0,
+                            coupling: FiringCoupling::Detached,
+                            parent: lin.parent.map(FiringId),
+                            root_occurrence: lin.root,
+                            occurrence: end,
+                            depth: lin.depth,
+                            latency_ns: 0,
+                            outcome: FiringOutcome::Shed,
+                            lane: Default::default(),
+                        });
+                    }
+                    None
+                } else {
+                    EngineCounters::bump(&self.stats.detached);
+                    self.detached.push_back(QueuedDetached {
+                        ready,
+                        queued: std::time::Instant::now(),
+                    });
+                    Some(Stage::FiringDetached)
+                }
+            }
+        };
+        if let (Some(tel), Some(stage)) = (self.telemetry, stage) {
+            // Lazy: the closure runs only when tracing is on.
+            tel.hit(stage, at, || rule_name.to_string());
+        }
     }
 }
 
@@ -275,6 +448,9 @@ pub struct RuleEngine {
     rules: HashMap<RuleId, Rule>,
     by_name: HashMap<String, RuleId>,
     by_oid: HashMap<Oid, RuleId>,
+    /// Every rule's event detector, shared between rules whose detectors
+    /// would be indistinguishable (see [`ShareKey`]).
+    arena: Arena,
     /// Named condition/action bodies (the PMF analog).
     pub bodies: RuleBodyRegistry,
     /// The consumer lists connecting rules to reactive objects.
@@ -285,7 +461,7 @@ pub struct RuleEngine {
     deferred: Vec<ReadyFiring>,
     /// Bounded detached-firing queue: each entry remembers when it was
     /// scheduled so the drain can report queue-wait latency.
-    detached: std::collections::VecDeque<QueuedDetached>,
+    detached: VecDeque<QueuedDetached>,
     detached_cap: usize,
     detached_policy: BackpressurePolicy,
     /// Queue length at [`begin_capture`](Self::begin_capture): an abort
@@ -293,18 +469,20 @@ pub struct RuleEngine {
     /// firings earlier committed transactions already queued.
     detached_floor: usize,
     stats: Arc<EngineCounters>,
-    scratch: Vec<RuleId>,
+    scratch: Vec<SlotId>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
     /// first occurrence.
     routing: Option<RoutingIndex>,
     /// Bumped on rule add/remove/enable/disable — the rule-side half of
     /// the routing index's validity stamp.
     epoch: u64,
-    /// Rules whose detectors have an undo journal open for the
-    /// transaction in flight: a rule joins the set (and its journal
-    /// starts) the first time it receives an occurrence after
-    /// [`begin_capture`](Self::begin_capture).
-    capture: Option<std::collections::HashSet<RuleId>>,
+    /// Between [`begin_capture`](Self::begin_capture) and its commit or
+    /// abort: the first delivery to a slot opens an undo journal on its
+    /// detector and records the slot in `touched`.
+    capturing: bool,
+    /// Slots whose detectors have a journal open for the transaction in
+    /// flight (kept across transactions for its capacity).
+    touched: Vec<SlotId>,
     telemetry: Option<Arc<Telemetry>>,
     /// Causal context for firings scheduled by the next occurrence:
     /// `(parent firing id, root occurrence, parent depth)`. Set by the
@@ -322,8 +500,8 @@ pub struct RuleEngine {
     timers: TimerWheel,
     /// Routes a fire back to its consumer: `TimerId → (rule, leaf idx)`.
     timer_routes: HashMap<TimerId, (RuleId, usize)>,
-    /// Time source handed to every rule's detector (window/aggregate
-    /// nodes stamp arrivals with its instant axis).
+    /// Time source handed to every detector (window/aggregate nodes stamp
+    /// arrivals with its instant axis).
     time: Option<Arc<TimeSource>>,
 }
 
@@ -331,6 +509,7 @@ impl std::fmt::Debug for RuleEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleEngine")
             .field("rules", &self.rules.len())
+            .field("detectors", &self.detector_count())
             .field("resolver", &self.resolver.name())
             .field("stats", &self.stats)
             .finish()
@@ -350,13 +529,14 @@ impl RuleEngine {
             rules: HashMap::new(),
             by_name: HashMap::new(),
             by_oid: HashMap::new(),
+            arena: Arena::default(),
             bodies: RuleBodyRegistry::new(),
             subscriptions: SubscriptionManager::new(),
             resolver: Box::new(FifoResolver),
             caps: DetectorCaps::default(),
             next_rule: 0,
             deferred: Vec::new(),
-            detached: std::collections::VecDeque::new(),
+            detached: VecDeque::new(),
             detached_cap: usize::MAX,
             detached_policy: BackpressurePolicy::default(),
             detached_floor: 0,
@@ -364,7 +544,8 @@ impl RuleEngine {
             scratch: Vec::new(),
             routing: None,
             epoch: 0,
-            capture: None,
+            capturing: false,
+            touched: Vec::new(),
             telemetry: None,
             lineage_ctx: None,
             conflict_tags: None,
@@ -374,11 +555,11 @@ impl RuleEngine {
         }
     }
 
-    /// Install the time source: every existing rule's detector (and
-    /// every rule added later) reads window instants from it.
+    /// Install the time source: every existing detector (and every one
+    /// compiled later) reads window instants from it.
     pub fn set_time_source(&mut self, time: Arc<TimeSource>) {
-        for rule in self.rules.values_mut() {
-            rule.detector.set_time_source(time.clone());
+        for slot in self.arena.live_mut() {
+            slot.detector.set_time_source(time.clone());
         }
         self.time = Some(time);
     }
@@ -407,12 +588,12 @@ impl RuleEngine {
     }
 
     /// Attach an observability handle; it is propagated to every
-    /// existing rule's detector (and to rules added later), labelled
-    /// with the rule's name.
+    /// existing detector (and to detectors compiled later), labelled
+    /// with the name of the (first) rule it serves.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        for rule in self.rules.values_mut() {
-            rule.detector
-                .set_telemetry(telemetry.clone(), rule.def.name.as_str());
+        for slot in self.arena.live_mut() {
+            let name = self.rules[&slot.members[0]].name.clone();
+            slot.detector.set_telemetry(telemetry.clone(), name);
         }
         self.telemetry = Some(telemetry);
     }
@@ -420,33 +601,33 @@ impl RuleEngine {
     /// Start transactional detection: until
     /// [`commit_capture`](Self::commit_capture) or
     /// [`abort_capture`](Self::abort_capture), the first delivery to
-    /// each rule opens an undo journal on its detector, so an abort can
+    /// each detector opens an undo journal on it, so an abort can
     /// restore exactly the pre-transaction detection state — including
     /// occurrences a rolled-back detection consumed. Journaling costs
     /// O(1) per state mutation, independent of buffered-state size.
     pub fn begin_capture(&mut self) {
-        self.capture = Some(std::collections::HashSet::new());
+        self.capturing = true;
         self.detached_floor = self.detached.len();
     }
 
     /// Transaction committed: close the journals.
     pub fn commit_capture(&mut self) {
-        if let Some(touched) = self.capture.take() {
-            for rid in touched {
-                if let Some(rule) = self.rules.get_mut(&rid) {
-                    rule.detector.commit_txn();
-                }
-            }
-        }
+        self.end_capture(DetectorInstance::commit_txn);
     }
 
-    /// Transaction aborted: roll every touched rule's detector back.
+    /// Transaction aborted: roll every touched detector back — once per
+    /// slot, for all the rules it serves.
     pub fn abort_capture(&mut self) {
-        if let Some(touched) = self.capture.take() {
-            for rid in touched {
-                if let Some(rule) = self.rules.get_mut(&rid) {
-                    rule.detector.abort_txn();
-                }
+        self.end_capture(DetectorInstance::abort_txn);
+    }
+
+    fn end_capture(&mut self, close: fn(&mut DetectorInstance)) {
+        self.capturing = false;
+        for sid in self.touched.drain(..) {
+            // A slot freed (or freed and reused) since it was touched has
+            // no journal of this transaction left; closing is a no-op.
+            if let Some(slot) = self.arena.slots[sid].as_mut() {
+                close(&mut slot.detector);
             }
         }
     }
@@ -498,7 +679,7 @@ impl RuleEngine {
         self.next_rule += 1;
         let id = RuleId(self.next_rule);
         let name = def.name.clone();
-        let mut rule = Rule::instantiate(id, oid, def, registry, self.caps)?;
+        let (mut rule, mut detector) = Rule::instantiate(id, oid, def, registry, self.caps)?;
         // Resolve the body handles now so the first completion doesn't
         // pay the name lookup. Unregistered bodies (the recovery path)
         // stay `None` and resolve — or error — at fire time.
@@ -506,11 +687,13 @@ impl RuleEngine {
         rule.cached_action = self.bodies.action(&rule.def.action).ok();
         rule.bodies_version = self.bodies.version();
         if let Some(tel) = &self.telemetry {
-            rule.detector.set_telemetry(tel.clone(), name.as_str());
+            detector.set_telemetry(tel.clone(), rule.name.clone());
         }
         if let Some(time) = &self.time {
-            rule.detector.set_time_source(time.clone());
+            detector.set_time_source(time.clone());
         }
+        // Private until the next routing rebuild finds it a group.
+        rule.slot = self.arena.insert(detector, vec![id]);
         self.rules.insert(id, rule);
         self.by_name.insert(name, id);
         if !oid.is_nil() {
@@ -574,12 +757,18 @@ impl RuleEngine {
         }
     }
 
-    /// Delete a rule and all its subscriptions.
+    /// Delete a rule and all its subscriptions. The rules it shared a
+    /// detector with keep it.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<RuleDef> {
         let rule = self
             .rules
             .remove(&id)
             .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
+        let slot = self.arena.get_mut(rule.slot);
+        slot.members.retain(|&m| m != id);
+        if slot.members.is_empty() {
+            self.arena.remove(rule.slot);
+        }
         self.by_name.remove(&rule.def.name);
         if !rule.oid.is_nil() {
             self.by_oid.remove(&rule.oid);
@@ -628,6 +817,62 @@ impl RuleEngine {
         self.rules.len()
     }
 
+    /// The detector a rule's events are delivered to — shared with every
+    /// rule it is grouped with, all of which see the same state.
+    pub fn detector_of(&self, id: RuleId) -> Result<&DetectorInstance> {
+        Ok(&self.arena.get(self.rule(id)?.slot).detector)
+    }
+
+    /// Mutable access to a rule's detector. The rule first gets a private
+    /// copy, so the change cannot leak into the rules it shared with; the
+    /// next routing rebuild regroups it if its state still matches.
+    pub fn detector_of_mut(&mut self, id: RuleId) -> Result<&mut DetectorInstance> {
+        let sid = self.split_off(id)?;
+        Ok(&mut self.arena.get_mut(sid).detector)
+    }
+
+    /// Number of live detectors: rules minus the ones sharing. Grouping
+    /// is recomputed lazily, at the first occurrence after a rule or
+    /// subscription change.
+    pub fn detector_count(&self) -> usize {
+        self.arena.live().count()
+    }
+
+    /// Discard partial detections involving occurrences newer than `ts`
+    /// in every detector — one walk over the arena, not one per rule.
+    pub fn prune_detectors_newer_than(&mut self, ts: u64) {
+        for slot in self.arena.live_mut() {
+            slot.detector.prune_newer_than(ts);
+        }
+    }
+
+    /// Give a rule a private copy of its slot's detector (a no-op when it
+    /// is already alone) and return the rule's slot. A copy made inside a
+    /// capture carries the open journal, so an abort still restores it.
+    fn split_off(&mut self, id: RuleId) -> Result<SlotId> {
+        let rule = self
+            .rules
+            .get_mut(&id)
+            .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
+        let slot = self.arena.get_mut(rule.slot);
+        if slot.members.len() == 1 {
+            return Ok(rule.slot);
+        }
+        slot.members.retain(|&m| m != id);
+        let mut detector = slot.detector.clone();
+        if let Some(tel) = &self.telemetry {
+            detector.set_telemetry(tel.clone(), rule.name.clone());
+        }
+        let journaled = detector.in_txn();
+        rule.slot = self.arena.insert(detector, vec![id]);
+        if journaled {
+            self.touched.push(rule.slot);
+        }
+        // The index still routes to the old slot only.
+        self.routing = None;
+        Ok(rule.slot)
+    }
+
     /// Enable a rule. (Figure 7's `Enable` method.) Re-registers the
     /// rule's timers (if it was disabled they were cancelled).
     pub fn enable(&mut self, id: RuleId) -> Result<()> {
@@ -642,10 +887,11 @@ impl RuleEngine {
 
     /// Disable a rule: it stops receiving and recording events, its
     /// partial detector state is discarded, and its timers stop firing.
+    /// The rules it shared a detector with keep their partial state.
     pub fn disable(&mut self, id: RuleId) -> Result<()> {
-        let r = self.rule_mut(id)?;
-        r.enabled = false;
-        r.detector.reset();
+        let sid = self.split_off(id)?;
+        self.arena.get_mut(sid).detector.reset();
+        self.rule_mut(id)?.enabled = false;
         self.cancel_rule_timers(id);
         self.epoch += 1;
         Ok(())
@@ -664,11 +910,13 @@ impl RuleEngine {
     }
 
     /// (Re)build the routing index from the subscription tables and the
-    /// enabled rules' alphabets. Reuses the previous index's allocations.
+    /// enabled rules' alphabets, after regrouping the arena. Reuses the
+    /// previous index's allocations.
     fn rebuild_routing(&mut self, registry: &ClassRegistry) {
         for rule in self.rules.values_mut() {
             rule.refresh_alphabet(registry);
         }
+        self.regroup();
         let mut idx = self.routing.take().unwrap_or_default();
         idx.clear();
         idx.schema_len = registry.len();
@@ -685,10 +933,10 @@ impl RuleEngine {
                 match &rule.alphabet {
                     Some(syms) => {
                         for &s in syms {
-                            idx.by_object.entry((oid, s)).or_default().push(rid);
+                            push_slot(idx.by_object.entry((oid, s)).or_default(), rule.slot);
                         }
                     }
-                    None => idx.broad_by_object.entry(oid).or_default().push(rid),
+                    None => push_slot(idx.broad_by_object.entry(oid).or_default(), rule.slot),
                 }
             }
         }
@@ -710,28 +958,144 @@ impl RuleEngine {
                             // hears it only when that class falls under
                             // the subscribed one.
                             if registry.is_subclass(registry.sym_info(s).class, def.id) {
-                                idx.by_class_sym.entry(s).or_default().push(rid);
+                                push_slot(idx.by_class_sym.entry(s).or_default(), rule.slot);
                             }
                         }
                     }
-                    None => idx.broad_by_class.entry(def.id).or_default().push(rid),
+                    None => push_slot(idx.broad_by_class.entry(def.id).or_default(), rule.slot),
                 }
             }
         }
         self.routing = Some(idx);
     }
 
-    /// Offer one primitive occurrence: deliver it to the rules subscribed
-    /// to the generating object (directly or via its class), run their
-    /// detectors, and return the **immediate** firings in execution order.
+    /// Regroup the arena so rules share a detector exactly when sharing
+    /// is unobservable. First every member whose [`ShareKey`] no longer
+    /// matches its slot's gets its own copy of the detector (members
+    /// that still agree stay together, state and journal included).
+    /// Then slots with equal keys and equal exported state merge —
+    /// unless either has a journal open, since two journals cannot be
+    /// folded into one.
+    fn regroup(&mut self) {
+        let keys: HashMap<RuleId, ShareKey<'_>> = self
+            .rules
+            .iter()
+            .filter_map(|(&id, r)| Some((id, ShareKey::of(r, &self.subscriptions)?)))
+            .collect();
+        let mut moved: Vec<(RuleId, SlotId)> = Vec::new();
+
+        for sid in 0..self.arena.slots.len() {
+            let Some(slot) = self.arena.slots[sid].as_mut() else {
+                continue;
+            };
+            if slot.members.len() < 2 {
+                continue;
+            }
+            // Partition by key; unkeyed members go alone.
+            let mut groups: Vec<Vec<RuleId>> = Vec::new();
+            for rid in std::mem::take(&mut slot.members) {
+                let key = keys.get(&rid);
+                match groups
+                    .iter_mut()
+                    .find(|g| key.is_some() && keys.get(&g[0]) == key)
+                {
+                    Some(g) => g.push(rid),
+                    None => groups.push(vec![rid]),
+                }
+            }
+            let mut groups = groups.into_iter();
+            slot.members = groups.next().expect("a live slot has members");
+            for members in groups {
+                let mut detector = self.arena.get(sid).detector.clone();
+                if let Some(tel) = &self.telemetry {
+                    detector.set_telemetry(tel.clone(), self.rules[&members[0]].name.clone());
+                }
+                let journaled = detector.in_txn();
+                let new = self.arena.insert(detector, members.clone());
+                if journaled {
+                    self.touched.push(new);
+                }
+                moved.extend(members.into_iter().map(|rid| (rid, new)));
+            }
+        }
+
+        let mut buckets: HashMap<&ShareKey<'_>, Vec<SlotId>> = HashMap::new();
+        for (sid, slot) in self.arena.live() {
+            if let Some(key) = keys.get(&slot.members[0]) {
+                if !slot.detector.in_txn() {
+                    buckets.entry(key).or_default().push(sid);
+                }
+            }
+        }
+        for bucket in buckets.into_values().filter(|b| b.len() > 1) {
+            let states: Vec<_> = bucket
+                .iter()
+                .map(|&sid| self.arena.get(sid).detector.export_state())
+                .collect();
+            let mut gone = vec![false; bucket.len()];
+            for i in 0..bucket.len() {
+                if gone[i] {
+                    continue;
+                }
+                for j in i + 1..bucket.len() {
+                    if gone[j] || states[i] != states[j] {
+                        continue;
+                    }
+                    gone[j] = true;
+                    let absorbed = self.arena.remove(bucket[j]).members;
+                    moved.extend(absorbed.iter().map(|&rid| (rid, bucket[i])));
+                    let survivor = &mut self.arena.get_mut(bucket[i]).members;
+                    survivor.extend(absorbed);
+                    survivor.sort_unstable();
+                }
+            }
+        }
+
+        for (rid, sid) in moved {
+            self.rules.get_mut(&rid).expect("grouped rules exist").slot = sid;
+        }
+    }
+
+    /// Split borrow for dispatch: the arena, the rules, the touched-slot
+    /// list, and a fan-out over everything firings are routed through.
+    fn dispatch_parts(
+        &mut self,
+    ) -> (
+        &mut Arena,
+        &mut HashMap<RuleId, Rule>,
+        Option<&mut Vec<SlotId>>,
+        Fanout<'_>,
+    ) {
+        let fanout = Fanout {
+            bodies: &self.bodies,
+            bodies_version: self.bodies.version(),
+            history: self.telemetry.as_ref().is_some_and(|t| t.is_history()),
+            lineage_ctx: self.lineage_ctx,
+            conflict_tags: self.conflict_tags.as_deref(),
+            immediate: Vec::new(),
+            deferred: &mut self.deferred,
+            detached: &mut self.detached,
+            detached_cap: self.detached_cap,
+            detached_policy: self.detached_policy,
+            stats: &self.stats,
+            telemetry: &self.telemetry,
+        };
+        let touched = self.capturing.then_some(&mut self.touched);
+        (&mut self.arena, &mut self.rules, touched, fanout)
+    }
+
+    /// Offer one primitive occurrence: deliver it to the detectors of the
+    /// rules subscribed to the generating object (directly or via its
+    /// class), and return the **immediate** firings in execution order.
     /// Deferred/detached firings are queued internally for
     /// [`take_deferred`](Self::take_deferred) /
     /// [`take_detached`](Self::take_detached).
     ///
-    /// Only subscribers whose detector alphabet contains the occurrence's
-    /// interned symbol are notified, plus the broad (unbounded-alphabet)
-    /// subscribers, which hear everything. A symbol-less occurrence (a
-    /// method outside the declared schema) reaches only the broad ones.
+    /// Only detectors whose alphabet contains the occurrence's interned
+    /// symbol are notified, plus the broad (unbounded-alphabet) ones,
+    /// which hear everything. A symbol-less occurrence (a method outside
+    /// the declared schema) reaches only the broad ones. Each detector
+    /// runs once; its completions fan out to every rule it serves.
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
@@ -760,90 +1124,38 @@ impl RuleEngine {
             }
         }
 
-        let bodies_version = self.bodies.version();
-        let history_on = self.telemetry.as_ref().is_some_and(|t| t.is_history());
-        let mut immediate = Vec::new();
-        for rid in consumers.iter().copied() {
-            let Some(rule) = self.rules.get_mut(&rid) else {
-                continue; // stale subscription of a deleted rule
-            };
-            if !rule.enabled {
-                continue;
-            }
-            EngineCounters::bump(&self.stats.notifications);
-            rule.stats.notifications += 1;
-            if let Some(cap) = self.capture.as_mut() {
-                if cap.insert(rid) {
-                    rule.detector.begin_txn();
+        let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
+        for &sid in &consumers {
+            let slot = arena.get_mut(sid);
+            EngineCounters::bump(&fanout.stats.notifications);
+            if let Some(touched) = touched.as_deref_mut() {
+                if !slot.detector.in_txn() {
+                    slot.detector.begin_txn();
+                    touched.push(sid);
                 }
             }
-            let completions = rule.detector.process_resolved(registry, occ, sym);
-            if completions.is_empty() {
-                continue;
-            }
-            rule.stats.triggered += completions.len() as u64;
-            if rule.bodies_version != bodies_version
-                || rule.cached_condition.is_none()
-                || rule.cached_action.is_none()
-            {
-                rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
-                rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
-                rule.bodies_version = bodies_version;
-            }
-            let condition = rule.cached_condition.as_ref().expect("resolved above");
-            let action = rule.cached_action.as_ref().expect("resolved above");
-            for occurrence in completions {
-                let lineage = if history_on {
-                    let tel = self.telemetry.as_ref().expect("history implies telemetry");
-                    let id = tel.next_firing_id();
-                    match self.lineage_ctx {
-                        Some((parent, root, parent_depth)) => Lineage {
-                            id,
-                            parent: Some(parent),
-                            root,
-                            depth: parent_depth + 1,
-                        },
-                        None => Lineage {
-                            id,
-                            parent: None,
-                            root: occurrence.end,
-                            depth: 0,
-                        },
-                    }
+            let mut completions = slot.detector.process_resolved(registry, occ, sym);
+            let last = slot.members.len() - 1;
+            for (i, rid) in slot.members.iter().enumerate() {
+                let Some(rule) = rules.get_mut(rid) else {
+                    continue;
+                };
+                if !rule.enabled {
+                    continue;
+                }
+                rule.stats.notifications += 1;
+                if completions.is_empty() {
+                    continue;
+                }
+                // The last member takes the completions; the others copy.
+                if i == last {
+                    fanout.fire(rule, completions.drain(..), occ.oid, occ.at)?;
                 } else {
-                    Lineage::default()
-                };
-                let ready = ReadyFiring {
-                    priority: rule.def.priority,
-                    coupling: rule.def.coupling,
-                    condition: condition.clone(),
-                    action: action.clone(),
-                    firing: Firing {
-                        rule: rid,
-                        rule_name: rule.name.clone(),
-                        occurrence,
-                        lineage,
-                    },
-                    group: self
-                        .conflict_tags
-                        .as_ref()
-                        .and_then(|t| t.get(&rid).copied()),
-                };
-                route_ready(
-                    ready,
-                    &rule.name,
-                    occ.oid,
-                    occ.at,
-                    &mut immediate,
-                    &mut self.deferred,
-                    &mut self.detached,
-                    self.detached_cap,
-                    self.detached_policy,
-                    &self.stats,
-                    &self.telemetry,
-                );
+                    fanout.fire(rule, completions.iter().cloned(), occ.oid, occ.at)?;
+                }
             }
         }
+        let mut immediate = fanout.immediate;
         consumers.clear();
         self.scratch = consumers;
         self.resolver.order(&mut immediate);
@@ -860,7 +1172,8 @@ impl RuleEngine {
     /// firings in execution order (deferred/detached firings queue as
     /// usual). Each delivery consumes one sequence number from
     /// `next_seq`, so timer occurrences are totally ordered against
-    /// primitive occurrences.
+    /// primitive occurrences. Timer-bearing rules never share a
+    /// detector, so each fire reaches exactly one rule.
     pub fn drain_timers(
         &mut self,
         now: u64,
@@ -882,97 +1195,42 @@ impl RuleEngine {
             return Ok(Vec::new());
         }
         let n_fires = fires.len();
-        let bodies_version = self.bodies.version();
-        let history_on = self.telemetry.as_ref().is_some_and(|t| t.is_history());
-        let mut immediate = Vec::new();
-        for fire in fires {
-            let Some(&(rid, idx)) = self.timer_routes.get(&fire.id) else {
-                continue; // stale fire of a removed rule
-            };
-            if fire.period.is_none() {
-                self.timer_routes.remove(&fire.id);
-            }
-            let Some(rule) = self.rules.get_mut(&rid) else {
+        let routes = &mut self.timer_routes;
+        let routed: Vec<(RuleId, usize, u64)> = fires
+            .into_iter()
+            .filter_map(|fire| {
+                // A fire with no route is a stale fire of a removed rule.
+                let &(rid, idx) = routes.get(&fire.id)?;
+                if fire.period.is_none() {
+                    routes.remove(&fire.id);
+                }
+                Some((rid, idx, fire.due))
+            })
+            .collect();
+        let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
+        for (rid, idx, due) in routed {
+            let Some(rule) = rules.get_mut(&rid) else {
                 continue;
             };
             if !rule.enabled {
                 continue;
             }
-            EngineCounters::bump(&self.stats.notifications);
+            EngineCounters::bump(&fanout.stats.notifications);
             rule.stats.notifications += 1;
-            if let Some(cap) = self.capture.as_mut() {
-                if cap.insert(rid) {
-                    rule.detector.begin_txn();
+            let slot = arena.get_mut(rule.slot);
+            if let Some(touched) = touched.as_deref_mut() {
+                if !slot.detector.in_txn() {
+                    slot.detector.begin_txn();
+                    touched.push(rule.slot);
                 }
             }
-            let seq = next_seq();
-            let completions = rule.detector.process_timer(idx, fire.due, seq);
-            if completions.is_empty() {
-                continue;
-            }
-            rule.stats.triggered += completions.len() as u64;
-            if rule.bodies_version != bodies_version
-                || rule.cached_condition.is_none()
-                || rule.cached_action.is_none()
-            {
-                rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
-                rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
-                rule.bodies_version = bodies_version;
-            }
-            let condition = rule.cached_condition.as_ref().expect("resolved above");
-            let action = rule.cached_action.as_ref().expect("resolved above");
-            for occurrence in completions {
-                let lineage = if history_on {
-                    let tel = self.telemetry.as_ref().expect("history implies telemetry");
-                    let id = tel.next_firing_id();
-                    match self.lineage_ctx {
-                        Some((parent, root, parent_depth)) => Lineage {
-                            id,
-                            parent: Some(parent),
-                            root,
-                            depth: parent_depth + 1,
-                        },
-                        None => Lineage {
-                            id,
-                            parent: None,
-                            root: occurrence.end,
-                            depth: 0,
-                        },
-                    }
-                } else {
-                    Lineage::default()
-                };
-                let ready = ReadyFiring {
-                    priority: rule.def.priority,
-                    coupling: rule.def.coupling,
-                    condition: condition.clone(),
-                    action: action.clone(),
-                    firing: Firing {
-                        rule: rid,
-                        rule_name: rule.name.clone(),
-                        occurrence,
-                        lineage,
-                    },
-                    group: self
-                        .conflict_tags
-                        .as_ref()
-                        .and_then(|t| t.get(&rid).copied()),
-                };
-                route_ready(
-                    ready,
-                    &rule.name,
-                    rule.oid,
-                    fire.due,
-                    &mut immediate,
-                    &mut self.deferred,
-                    &mut self.detached,
-                    self.detached_cap,
-                    self.detached_policy,
-                    &self.stats,
-                    &self.telemetry,
-                );
+            let completions = slot.detector.process_timer(idx, due, next_seq());
+            if !completions.is_empty() {
+                let target = rule.oid;
+                fanout.fire(rule, completions.into_iter(), target, due)?;
             }
         }
+        let mut immediate = fanout.immediate;
         self.resolver.order(&mut immediate);
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::TimerDrain, now, drain_timer, || {
@@ -1504,6 +1762,35 @@ mod tests {
         assert_eq!(eng.rule(r).unwrap().stats.triggered, 2);
         // Nothing new due yet.
         assert!(eng.drain_timers(29, || 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn timer_rules_keep_private_detectors() {
+        // Each rule's wheel entries feed its own detector, so two
+        // identical timer-bearing rules never share one; two identical
+        // event-only rules do.
+        let reg = registry();
+        let mut eng = RuleEngine::new();
+        let windowed = EventExpr::primitive(PrimitiveEventSpec::end("Stock", "SetPrice"))
+            .then(EventExpr::every(10));
+        for name in ["t1", "t2"] {
+            let r = eng
+                .add_rule(
+                    RuleDef::new(name, windowed.clone(), ACTION_NOOP),
+                    Oid::NIL,
+                    &reg,
+                )
+                .unwrap();
+            eng.subscriptions.subscribe_object(Oid(1), r);
+        }
+        for name in ["p1", "p2"] {
+            let r = eng.add_rule(simple_rule(name), Oid::NIL, &reg).unwrap();
+            eng.subscriptions.subscribe_object(Oid(1), r);
+        }
+        eng.on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
+            .unwrap();
+        assert_eq!(eng.detector_count(), 3);
+        assert_eq!(eng.stats().notifications, 3);
     }
 
     #[test]

@@ -196,7 +196,8 @@ pub struct RuleStats {
     pub actions_run: u64,
 }
 
-/// A live rule: definition + runtime state + private event detector.
+/// A live rule: definition + runtime state. Its event detector lives in
+/// the engine's arena ([`RuleEngine::detector_of`](crate::RuleEngine::detector_of)).
 pub struct Rule {
     /// Engine-local identity.
     pub id: RuleId,
@@ -210,8 +211,6 @@ pub struct Rule {
     pub name: Arc<str>,
     /// Disabled rules receive no events and hold no detector state.
     pub enabled: bool,
-    /// The rule's private event detector (paper Figure 2).
-    pub detector: DetectorInstance,
     /// Firing counters.
     pub stats: RuleStats,
     /// The detector's primitive-event alphabet: the interned symbols that
@@ -222,6 +221,12 @@ pub struct Rule {
     /// Schema size the alphabet was computed against; a later `define`
     /// may add subclasses whose symbols belong in the alphabet.
     pub(crate) alphabet_schema_len: usize,
+    /// Caps the rule's detector was compiled with.
+    pub(crate) caps: DetectorCaps,
+    /// The engine arena slot holding the rule's event detector (paper
+    /// Figure 2) — shared with every rule whose detector would be
+    /// indistinguishable from it.
+    pub(crate) slot: usize,
     /// Resolved condition body, cached at registration so completions
     /// skip the name → body map lookup.
     pub(crate) cached_condition: Option<CondFn>,
@@ -240,7 +245,7 @@ impl fmt::Debug for Rule {
             .field("oid", &self.oid)
             .field("def", &self.def)
             .field("enabled", &self.enabled)
-            .field("detector", &self.detector)
+            .field("slot", &self.slot)
             .field("stats", &self.stats)
             .field("alphabet", &self.alphabet)
             .finish_non_exhaustive()
@@ -249,30 +254,34 @@ impl fmt::Debug for Rule {
 
 impl Rule {
     /// Instantiate a rule, compiling its detector against the schema.
+    /// The engine files the detector in its arena and points
+    /// [`slot`](Self::slot) at it.
     pub fn instantiate(
         id: RuleId,
         oid: Oid,
         def: RuleDef,
         registry: &ClassRegistry,
         caps: DetectorCaps,
-    ) -> Result<Self> {
+    ) -> Result<(Self, DetectorInstance)> {
         let detector = DetectorInstance::compile(&def.event, registry, def.context, caps)?;
         let name: Arc<str> = def.name.as_str().into();
         let alphabet = def.event.alphabet(registry);
-        Ok(Rule {
+        let rule = Rule {
             id,
             oid,
             def,
             name,
             enabled: true,
-            detector,
             stats: RuleStats::default(),
             alphabet,
             alphabet_schema_len: registry.len(),
+            caps,
+            slot: 0,
             cached_condition: None,
             cached_action: None,
             bodies_version: 0,
-        })
+        };
+        Ok((rule, detector))
     }
 
     /// Recompute the alphabet if classes were defined since it was last
@@ -328,7 +337,8 @@ mod tests {
             EventExpr::primitive(PrimitiveEventSpec::end("C", "m")),
             crate::body::ACTION_NOOP,
         );
-        let r = Rule::instantiate(RuleId(1), Oid::NIL, def, &reg, DetectorCaps::default()).unwrap();
+        let (r, _) =
+            Rule::instantiate(RuleId(1), Oid::NIL, def, &reg, DetectorCaps::default()).unwrap();
         assert!(r.enabled);
         assert_eq!(r.stats, RuleStats::default());
         // Unknown class in the event is rejected at instantiation.

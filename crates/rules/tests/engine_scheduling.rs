@@ -79,7 +79,12 @@ fn engine_stats_route_per_coupling_mode() {
     }
     let s = eng.stats();
     assert_eq!(s.occurrences, 3);
-    assert_eq!(s.notifications, 9);
+    // The three rules differ only in coupling: one shared detector.
+    assert_eq!(s.notifications, 3);
+    for name in ["i", "d", "x"] {
+        let id = eng.id_of(name).unwrap();
+        assert_eq!(eng.rule(id).unwrap().stats.notifications, 3);
+    }
     assert_eq!((s.immediate, s.deferred, s.detached), (3, 3, 3));
     eng.reset_stats();
     assert_eq!(eng.stats().occurrences, 0);
@@ -115,15 +120,15 @@ fn capture_lifecycle_commit_keeps_abort_restores() {
     // Abort path: buffered left restored (to nothing).
     eng.begin_capture();
     eng.on_occurrence(&reg, &occ(&reg, 1, 1)).unwrap();
-    assert_eq!(eng.rule(id).unwrap().detector.buffered(), 1);
+    assert_eq!(eng.detector_of(id).unwrap().buffered(), 1);
     eng.abort_capture();
-    assert_eq!(eng.rule(id).unwrap().detector.buffered(), 0);
+    assert_eq!(eng.detector_of(id).unwrap().buffered(), 0);
 
     // Commit path: buffered left survives.
     eng.begin_capture();
     eng.on_occurrence(&reg, &occ(&reg, 2, 1)).unwrap();
     eng.commit_capture();
-    assert_eq!(eng.rule(id).unwrap().detector.buffered(), 1);
+    assert_eq!(eng.detector_of(id).unwrap().buffered(), 1);
     // And the detector journal is closed: processing outside a capture
     // window still works.
     let fired = eng.on_occurrence(&reg, &occ(&reg, 3, 1)).unwrap();

@@ -47,16 +47,18 @@ pub fn prometheus_shard_text(loads: &[ShardLoad]) -> String {
 ///
 /// Layout:
 ///
-/// * `extra` pairs become plain counters: `sentinel_<name> <value>`;
+/// * `extra` `(name, help, value)` triples become plain counters:
+///   `sentinel_<name> <value>`, with `help` as their `# HELP` line;
 /// * per-stage counts: `sentinel_stage_total{stage="..."}`;
 /// * per-stage value distributions as native histograms with
 ///   cumulative power-of-two `le` bounds:
 ///   `sentinel_stage_value{stage="...",unit="..."}`;
 /// * per-rule body latencies:
 ///   `sentinel_rule_body_latency_ns{rule="...",body="condition|action"}`.
-pub fn prometheus_text(snapshot: &TelemetrySnapshot, extra: &[(&str, u64)]) -> String {
+pub fn prometheus_text(snapshot: &TelemetrySnapshot, extra: &[(&str, &str, u64)]) -> String {
     let mut out = String::new();
-    for (name, value) in extra {
+    for (name, help, value) in extra {
+        let _ = writeln!(out, "# HELP sentinel_{name} {help}");
         let _ = writeln!(out, "# TYPE sentinel_{name} counter");
         let _ = writeln!(out, "sentinel_{name} {value}");
     }
@@ -150,8 +152,9 @@ mod tests {
         t.observe(Stage::WalAppend, 0, 900, String::new);
         t.hit(Stage::MethodSend, 1, String::new);
         t.observe_rule("R", BodyKind::Condition, 50);
-        let text = prometheus_text(&t.snapshot(), &[("sends_total", 1)]);
+        let text = prometheus_text(&t.snapshot(), &[("sends_total", "Messages sent.", 1)]);
 
+        assert!(text.contains("# HELP sentinel_sends_total Messages sent."));
         assert!(text.contains("sentinel_sends_total 1"));
         assert!(text.contains("sentinel_stage_total{stage=\"method_send\"} 1"));
         assert!(text.contains("sentinel_stage_total{stage=\"wal_append\"} 2"));

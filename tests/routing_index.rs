@@ -117,7 +117,9 @@ fn remove_rule_invalidates_index() {
         .on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
         .unwrap();
     assert_eq!(fired.len(), 2);
-    assert_eq!(eng.stats().notifications, 2);
+    // Identical rules share one detector: one delivery serves both.
+    assert_eq!(eng.stats().notifications, 1);
+    assert_eq!(eng.detector_count(), 1);
 
     eng.remove_rule(a).unwrap();
     let fired = eng
@@ -125,7 +127,50 @@ fn remove_rule_invalidates_index() {
         .unwrap();
     assert_eq!(fired.len(), 1);
     assert_eq!(fired[0].firing.rule, b);
-    assert_eq!(eng.stats().notifications, 3);
+    assert_eq!(eng.stats().notifications, 2);
+}
+
+/// Rules with the same event but different subscriptions hear different
+/// occurrences, so they keep separate detectors — even while their
+/// states happen to be equal.
+#[test]
+fn same_event_different_subscriptions_stay_apart() {
+    let reg = registry();
+    let stock = reg.id_of("Stock").unwrap();
+    let mut eng = RuleEngine::new();
+    let pair = EventExpr::primitive(PrimitiveEventSpec::end("Stock", "SetPrice")).then(
+        EventExpr::primitive(PrimitiveEventSpec::end("Stock", "SetPrice")),
+    );
+    let ids: Vec<RuleId> = ["on1", "on2", "class"]
+        .into_iter()
+        .map(|n| {
+            eng.add_rule(RuleDef::new(n, pair.clone(), ACTION_NOOP), Oid::NIL, &reg)
+                .unwrap()
+        })
+        .collect();
+    eng.subscriptions.subscribe_object(Oid(1), ids[0]);
+    eng.subscriptions.subscribe_object(Oid(2), ids[1]);
+    eng.subscriptions.subscribe_class(stock, ids[2]);
+
+    eng.on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
+        .unwrap();
+    assert_eq!(eng.detector_count(), 3);
+    // Object 1's event reaches the `on1` and class detectors, one each.
+    assert_eq!(eng.stats().notifications, 2);
+    assert_eq!(eng.detector_of(ids[0]).unwrap().buffered(), 1);
+    assert_eq!(eng.detector_of(ids[1]).unwrap().buffered(), 0);
+    let fired = eng
+        .on_occurrence(&reg, &occ(&reg, 2, 2, "Stock", "SetPrice"))
+        .unwrap();
+    let fired: Vec<RuleId> = fired.iter().map(|f| f.firing.rule).collect();
+    assert_eq!(fired, vec![ids[2]], "only the class rule saw both events");
+
+    // Subscribing `on2` to object 1 as well does not make it `on1`'s
+    // twin either: object sets still differ.
+    eng.subscriptions.subscribe_object(Oid(1), ids[1]);
+    eng.on_occurrence(&reg, &occ(&reg, 3, 1, "Stock", "SetPrice"))
+        .unwrap();
+    assert_eq!(eng.detector_count(), 3);
 }
 
 /// Disabled rules drop out of the index; re-enabling re-admits them.
