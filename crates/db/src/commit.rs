@@ -17,7 +17,9 @@ use crate::database::{meta, Database};
 use crate::stats::SharedDbStats;
 use sentinel_object::{ObjectError, ObjectStore, Result};
 use sentinel_rules::{BackpressurePolicy, ReadyFiring};
-use sentinel_storage::{BatchAck, LogRecord, Snapshot, TxnId, TxnManager, UndoOp, Wal, WriteBatch};
+use sentinel_storage::{
+    BatchAck, LogRecord, Snapshot, TxnId, TxnManager, UndoOp, Wal, WalSyncer, WriteBatch,
+};
 use sentinel_telemetry::{BodyKind, ExecutionLane, FiringId, FiringOutcome, FiringRecord, Stage};
 
 /// The layered write path of one database: transaction ids, the WAL,
@@ -32,7 +34,10 @@ use sentinel_telemetry::{BodyKind, ExecutionLane, FiringId, FiringOutcome, Firin
 ///    `Commit`, reach the log in one `append_batch` call;
 /// 4. **apply/ack** — under `OnCommit` the commit record's fsync is the
 ///    ack; under `Grouped` the records stay staged in the WAL until the
-///    group fsync ([`Wal::sync_batch`]) acknowledges the whole batch.
+///    group fsync acknowledges the whole batch. A bare database runs
+///    that fsync inline, at `max_batch` or once `max_wait` has passed;
+///    behind a [`Sentinel`](crate::Sentinel) the worker runs it through
+///    a [`WalSyncer`], without the core lock, and a commit only stages.
 pub(crate) struct CommitPipeline {
     txn: TxnManager,
     wal: Option<Wal>,
@@ -104,10 +109,9 @@ impl CommitPipeline {
                 .push_record(LogRecord::ClockAdvance { at: clock_now });
             self.batch.push_record(LogRecord::Commit { txn: id });
             w.append_batch(&self.batch)?;
-            // Standalone databases have no background syncer; honour the
-            // group's max_wait bound here so a trickle of commits is not
-            // staged forever.
-            if w.sync_due() {
+            // Without a background syncer, honour the group's max_wait
+            // bound here so a trickle of commits is not staged forever.
+            if w.inline_sync() && w.sync_due() {
                 w.sync_batch()?;
             }
         }
@@ -131,6 +135,14 @@ impl CommitPipeline {
             Some(w) => w.sync_batch(),
             None => Ok(BatchAck::default()),
         }
+    }
+
+    /// Hand group syncs to a background thread (`inline == false`),
+    /// returning the handle it syncs through, or take them back.
+    pub(crate) fn set_inline_sync(&mut self, inline: bool) -> Option<WalSyncer> {
+        let w = self.wal.as_mut()?;
+        w.set_inline_sync(inline);
+        Some(w.syncer())
     }
 
     /// Committed transactions staged in the WAL but not yet fsynced.
@@ -216,6 +228,28 @@ impl Database {
             .detached_runs
             .load(std::sync::atomic::Ordering::Relaxed)
             - before)
+    }
+
+    /// Run at most `n` of the oldest queued detached firings, each in
+    /// its own transaction; returns how many were taken.
+    /// [`Sentinel`](crate::Sentinel)'s worker runs the queue in such
+    /// slices, one per hold of the core.
+    pub(crate) fn run_detached_slice(&mut self, n: usize) -> Result<usize> {
+        let batch = self.engine.take_detached_oldest(n);
+        let taken = batch.len();
+        if taken > 0 {
+            self.run_detached_batch(batch)?;
+        }
+        Ok(taken)
+    }
+
+    /// Hand background work to a worker thread (`true`), or take it
+    /// back: detached firings stop or resume running inline at commit,
+    /// and group fsyncs stop or resume running inline in commits. Returns
+    /// the handle the worker syncs the WAL through (`None` in memory).
+    pub(crate) fn set_background_worker(&mut self, worker: bool) -> Option<WalSyncer> {
+        self.inline_detached = !worker;
+        self.pipeline.set_inline_sync(!worker)
     }
 
     /// Abort the active transaction: undo object mutations and catalog
@@ -546,8 +580,8 @@ impl Database {
 
     /// Force the WAL's staged group-commit batch to disk now. Returns
     /// the batch durability receipt (zero under other sync policies or
-    /// in memory). [`Sentinel`](crate::Sentinel) calls this once per
-    /// worker wakeup, turning every mailbox drain into one fsync.
+    /// in memory); when a [`Sentinel`](crate::Sentinel) worker has a
+    /// group in flight, returns only once that group is durable too.
     pub fn sync_wal(&mut self) -> Result<BatchAck> {
         self.pipeline.sync()
     }

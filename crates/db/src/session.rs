@@ -24,13 +24,22 @@
 //! internally consistent — it happens under one shard read lock. The
 //! trade-off and the lock ordering rules are documented in DESIGN.md §11.
 //!
-//! The background worker doubles as the **group-commit syncer**: each
-//! wakeup drains queued detached firings and then forces the WAL's
-//! staged batch to disk with one [`Database::sync_wal`] call, so under
-//! `SyncPolicy::Grouped` a burst of producer commits shares a single
-//! fsync instead of paying one each. Producer commit latency stays free
-//! of both detached work and durability waits; [`drain`](Sentinel::drain)
-//! and [`shutdown`](Sentinel::shutdown) sync before returning.
+//! The background worker runs detached firings and doubles as the
+//! **group-commit syncer**. Each wakeup it runs the detached queue in
+//! slices of at most eight firings, taking the core lock once per
+//! slice, so a backlog never holds the producers off for more than one
+//! slice. Then it writes and fsyncs the WAL's staged group through a
+//! [`WalSyncer`] *without* the core lock: the syncer swaps the group out
+//! for a spare buffer, so producers keep committing into the next group
+//! while the fsync runs. Under `SyncPolicy::Grouped` a burst of producer
+//! commits shares one fsync, and no producer commit ever fsyncs: opening
+//! a `Sentinel` turns the WAL's inline syncs (at `max_batch`, and once
+//! `max_wait` has passed) off, and [`shutdown`](Sentinel::shutdown) turns
+//! them back on. Lock order: core → WAL file → staged group; the worker
+//! never takes the core while it holds the file lock.
+//! [`drain`](Sentinel::drain) runs what is left under the core lock and
+//! syncs before returning, waiting out any group the worker still has in
+//! flight.
 
 use crate::database::Database;
 use crate::index::AttrIndex;
@@ -41,6 +50,7 @@ use parking_lot::{Mutex, RwLock};
 use sentinel_events::TimeSource;
 use sentinel_object::{ClassRegistry, ObjectError, ObjectStore, Oid, Result, Value};
 use sentinel_rules::EngineCounters;
+use sentinel_storage::WalSyncer;
 use sentinel_telemetry::{ShardLoad, Telemetry};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -114,9 +124,10 @@ impl Sentinel {
     }
 
     /// Wrap an existing database. Detached firings stop running inline
-    /// on the committing thread; the spawned worker picks them up.
+    /// on the committing thread, and commits stop syncing the WAL; the
+    /// spawned worker picks up both.
     pub fn open(mut db: Database) -> Self {
-        db.set_inline_detached(false);
+        let syncer = db.set_background_worker(true);
         let reads = db.read_handles();
         let core = Arc::new(Mutex::new(db));
         let (tx, rx): (Sender<Signal>, Receiver<Signal>) = unbounded();
@@ -135,15 +146,12 @@ impl Sentinel {
                             shutdown = true;
                         }
                     }
-                    {
-                        let mut db = worker_core.lock();
-                        // Errors inside detached firings abort only their
-                        // own transaction; scheduling failures surface in
-                        // stats.
-                        let _ = db.run_pending_detached();
-                        // One group fsync covers every commit this wakeup
-                        // drained (and any the producers staged since).
-                        let _ = db.sync_wal();
+                    run_detached_in_slices(&worker_core, syncer.as_ref());
+                    // One group fsync, off the core lock, covers every
+                    // commit this wakeup ran (and any the producers
+                    // staged since).
+                    if let Some(syncer) = &syncer {
+                        let _ = syncer.sync_batch();
                     }
                     if shutdown {
                         break;
@@ -264,12 +272,49 @@ impl Sentinel {
         match Arc::try_unwrap(core) {
             Ok(m) => {
                 let mut db = m.into_inner();
-                db.set_inline_detached(true);
+                db.set_background_worker(false);
                 Ok(db)
             }
             Err(_) => Err(ObjectError::App(
                 "Sentinel::shutdown with a live detached worker".into(),
             )),
+        }
+    }
+}
+
+/// Detached firings the worker runs per hold of the core lock.
+const DETACHED_SLICE: usize = 8;
+
+/// Run the detached queue on the worker, one slice per hold of the core,
+/// until it is empty. Like [`Database::run_pending_detached`], one call
+/// makes at most `max_cascade_depth` passes over the queue (a pass runs
+/// the firings queued when it began), so a self-triggering detached rule
+/// cannot keep the worker busy forever; what it leaves waits for the
+/// next signal. Between slices a group that reached `max_batch` is
+/// synced, off the lock.
+fn run_detached_in_slices(core: &Mutex<Database>, syncer: Option<&WalSyncer>) {
+    let mut passes = 0;
+    // Firings of the current pass not yet run.
+    let mut left = 0;
+    loop {
+        {
+            let mut db = core.lock();
+            if left == 0 {
+                left = db.pending_detached();
+                passes += 1;
+                if left == 0 || passes > db.config.max_cascade_depth {
+                    return;
+                }
+            }
+            // Errors inside detached firings abort only their own
+            // transaction; scheduling failures surface in stats.
+            left = match db.run_detached_slice(left.min(DETACHED_SLICE)) {
+                Ok(taken) if taken > 0 => left.saturating_sub(taken),
+                _ => 0,
+            };
+        }
+        if let Some(syncer) = syncer.filter(|s| s.batch_full()) {
+            let _ = syncer.sync_batch();
         }
     }
 }

@@ -1289,6 +1289,14 @@ impl RuleEngine {
         self.drain_detached_front(n)
     }
 
+    /// Drain at most the `n` oldest firings, in execution order. A
+    /// background executor runs the queue in such slices so that it
+    /// gives the write core back between them.
+    pub fn take_detached_oldest(&mut self, n: usize) -> Vec<ReadyFiring> {
+        let n = n.min(self.detached.len());
+        self.drain_detached_front(n)
+    }
+
     fn drain_detached_front(&mut self, n: usize) -> Vec<ReadyFiring> {
         let mut out = Vec::with_capacity(n);
         for q in self.detached.drain(..n) {
@@ -1566,6 +1574,26 @@ mod tests {
         assert_eq!(over[0].firing.occurrence.end, 0);
         assert_eq!(eng.pending(), (0, 3));
         assert_eq!(eng.take_detached_over(3).len(), 0);
+    }
+
+    #[test]
+    fn take_detached_oldest_slices_the_queue_front_first() {
+        let reg = registry();
+        let mut eng = detached_engine(&reg);
+        for at in 0..5 {
+            eng.on_occurrence(&reg, &occ(&reg, at, 1, "Stock", "SetPrice"))
+                .unwrap();
+        }
+        let first = eng.take_detached_oldest(2);
+        let ends: Vec<u64> = first.iter().map(|f| f.firing.occurrence.end).collect();
+        assert_eq!(ends, [0, 1]);
+        assert_eq!(eng.pending(), (0, 3));
+        assert_eq!(
+            eng.take_detached_oldest(8).len(),
+            3,
+            "a short queue drains whole"
+        );
+        assert!(eng.take_detached_oldest(8).is_empty());
     }
 
     #[test]

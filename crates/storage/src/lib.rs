@@ -32,4 +32,4 @@ pub use records::{LogRecord, TxnId};
 pub use recovery::{committed_records, recover, recover_with, Recovered, META_CLASS_TAG};
 pub use snapshot::{ObjectSnapshot, Snapshot};
 pub use txn::{apply_undo, TxnManager, UndoOp};
-pub use wal::{BatchAck, SyncPolicy, Wal};
+pub use wal::{BatchAck, SyncPolicy, Wal, WalSyncer};

@@ -9,14 +9,32 @@
 //! # Group commit
 //!
 //! Under [`SyncPolicy::Grouped`] appended records are *staged* in memory
-//! rather than written through: nothing reaches the file until
-//! [`Wal::sync_batch`] runs, which writes every staged byte and covers
-//! the whole batch with a single fsync. A batch syncs automatically once
-//! it holds `max_batch` commit records; callers are expected to check
-//! [`Wal::sync_due`] (age of the oldest staged commit vs `max_wait`) or
-//! drive [`Wal::sync_batch`] themselves at a group boundary. Because
-//! staged bytes never touch the file before the fsync, a crash loses
-//! exactly the unacknowledged suffix — there are no torn half-batches.
+//! rather than written through: nothing reaches the file until a group
+//! sync runs, which writes every staged byte and covers the whole group
+//! with a single fsync. A transaction's records are staged under one
+//! lock acquisition, so a group always holds whole transactions.
+//!
+//! Who syncs depends on [`Wal::set_inline_sync`]. Inline (the default),
+//! an append that fills the group to `max_batch` commits syncs it on the
+//! spot, and callers are expected to check [`Wal::sync_due`] (age of the
+//! oldest staged commit vs `max_wait`) or call [`Wal::sync_batch`] at a
+//! group boundary. With inline syncs off, appends only stage, and a
+//! background thread drives [`WalSyncer::sync_batch`] instead.
+//!
+//! The state is split three ways behind one `Arc`, so a syncer never
+//! needs the lock that serialises the appending thread: the staged group
+//! sits behind a small mutex, the file writer behind a second one, and
+//! the durable frontier is an atomic published only after the fsync
+//! returns. The lock order is file → staged. A syncer holds the file
+//! lock for the whole write and fsync but the staged lock only to swap
+//! the group out for a spare buffer, so appends keep staging while it
+//! writes. [`Wal::sync_batch`], [`Wal::flush`] and [`Wal::truncate`]
+//! take the file lock even when nothing is staged, and so wait out a
+//! group another thread is still writing.
+//!
+//! Because staged bytes never touch the file before the sync, a crash
+//! loses exactly the unacknowledged suffix, plus at most a torn tail of
+//! the group being written, which recovery trims.
 
 use crate::batch::WriteBatch;
 use crate::records::LogRecord;
@@ -25,7 +43,8 @@ use sentinel_telemetry::{Stage, Telemetry, Timer};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// When appended records reach the disk.
@@ -54,6 +73,16 @@ pub enum SyncPolicy {
     },
 }
 
+impl SyncPolicy {
+    /// The group size that triggers a sync (`None` outside Grouped).
+    fn max_batch(self) -> Option<u64> {
+        match self {
+            SyncPolicy::Grouped { max_batch, .. } => Some(max_batch.max(1) as u64),
+            _ => None,
+        }
+    }
+}
+
 /// Receipt for one group-commit fsync: how much work it made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchAck {
@@ -63,24 +92,158 @@ pub struct BatchAck {
     pub records: u64,
 }
 
+/// The staged group (Grouped mode): encoded records not yet written.
+#[derive(Debug, Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    records: u64,
+    commits: u64,
+    /// When the oldest staged commit was appended.
+    oldest: Option<Instant>,
+}
+
+impl Staged {
+    /// The group's receipt; resets the counters, not the bytes.
+    fn take_ack(&mut self) -> BatchAck {
+        let ack = BatchAck {
+            commits: self.commits,
+            records: self.records,
+        };
+        self.records = 0;
+        self.commits = 0;
+        self.oldest = None;
+        ack
+    }
+}
+
+#[derive(Debug)]
+struct LogFile {
+    writer: BufWriter<File>,
+    /// What an off-lock sync swaps into the staged group, so appends
+    /// keep staging while the old group is written. Stays empty (no
+    /// allocation) when every sync runs inline.
+    spare: Vec<u8>,
+}
+
+/// What a [`Wal`] shares with its [`WalSyncer`]s. Lock order: `file`,
+/// then `staged`.
+#[derive(Debug)]
+struct Shared {
+    staged: Mutex<Staged>,
+    file: Mutex<LogFile>,
+    /// Commits covered by an fsync (or by a snapshot at truncation).
+    durable_commits: AtomicU64,
+}
+
+/// Locks here never poison the log: a panic elsewhere leaves the bytes
+/// and counters as consistent as the last completed step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Shared {
+    /// Write the staged group and cover it with one fsync.
+    ///
+    /// `off_lock` swaps the group out for the spare buffer and writes it
+    /// with the staged lock released; otherwise the group is written in
+    /// place, which is cheaper when no append can run concurrently.
+    /// `after_swap` runs between the swap and the write (a test seam).
+    fn sync_group(
+        &self,
+        off_lock: bool,
+        telemetry: Option<&Telemetry>,
+        after_swap: impl FnOnce(),
+    ) -> Result<BatchAck> {
+        // The file lock comes first even when nothing is staged: the
+        // caller waits out a group another thread is still writing.
+        let mut file = lock(&self.file);
+        let file = &mut *file;
+        let mut staged = lock(&self.staged);
+        if staged.bytes.is_empty() {
+            return Ok(BatchAck::default());
+        }
+        let ack = if off_lock {
+            let ack = staged.take_ack();
+            file.spare.clear();
+            std::mem::swap(&mut staged.bytes, &mut file.spare);
+            drop(staged);
+            after_swap();
+            file.writer.write_all(&file.spare).map_err(io_err)?;
+            ack
+        } else {
+            file.writer.write_all(&staged.bytes).map_err(io_err)?;
+            staged.bytes.clear();
+            staged.take_ack()
+        };
+        fsync(&mut file.writer, telemetry, "batch")?;
+        self.durable_commits
+            .fetch_add(ack.commits, Ordering::Release);
+        if let Some(tel) = telemetry {
+            tel.observe(Stage::WalBatch, 0, ack.commits, || {
+                format!("{} records", ack.records)
+            });
+        }
+        Ok(ack)
+    }
+}
+
+/// Flush buffered bytes and force them to disk, timing the wait.
+fn fsync(
+    writer: &mut BufWriter<File>,
+    telemetry: Option<&Telemetry>,
+    subject: &'static str,
+) -> Result<()> {
+    let timer = telemetry.map_or(Timer::off(), Telemetry::timer);
+    writer.flush().map_err(io_err)?;
+    writer.get_ref().sync_data().map_err(io_err)?;
+    if let Some(tel) = telemetry {
+        tel.observe_timer(Stage::WalFsync, 0, timer, || subject.to_string());
+    }
+    Ok(())
+}
+
 /// Append-only log writer.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    writer: BufWriter<File>,
+    shared: Arc<Shared>,
     policy: SyncPolicy,
+    /// Whether appends sync a full group themselves (see
+    /// [`set_inline_sync`](Self::set_inline_sync)).
+    inline_sync: bool,
     appended: u64,
-    /// Serialized-but-unwritten records (Grouped mode only).
-    staged: Vec<u8>,
     /// Reusable per-append serialization scratch (non-Grouped modes):
     /// cleared between appends, capacity retained, so steady-state
     /// appends allocate nothing for the encoded line.
     encode_buf: Vec<u8>,
-    staged_records: u64,
-    staged_commits: u64,
-    oldest_staged: Option<Instant>,
-    durable_commits: u64,
     telemetry: Option<Arc<Telemetry>>,
+}
+
+/// A cloneable handle that syncs a [`Wal`]'s staged group from another
+/// thread, without the lock that serialises the appending thread.
+#[derive(Debug, Clone)]
+pub struct WalSyncer {
+    shared: Arc<Shared>,
+    max_batch: Option<u64>,
+    telemetry: Option<Arc<Telemetry>>,
+}
+
+impl WalSyncer {
+    /// Swap the staged group out, write it and cover it with one fsync,
+    /// then publish it in [`Wal::durable_commits`]. Appends keep staging
+    /// into a spare buffer meanwhile. A zero ack when nothing is staged,
+    /// returned only once any group in flight is durable.
+    pub fn sync_batch(&self) -> Result<BatchAck> {
+        self.shared
+            .sync_group(true, self.telemetry.as_deref(), || {})
+    }
+
+    /// True once the staged group holds the policy's `max_batch`
+    /// commits. Always false outside Grouped mode.
+    pub fn batch_full(&self) -> bool {
+        self.max_batch
+            .is_some_and(|max| lock(&self.shared.staged).commits >= max)
+    }
 }
 
 fn io_err(e: std::io::Error) -> ObjectError {
@@ -111,22 +274,26 @@ impl Wal {
             .map_err(io_err)?;
         Ok(Wal {
             path,
-            writer: BufWriter::new(file),
+            shared: Arc::new(Shared {
+                staged: Mutex::default(),
+                file: Mutex::new(LogFile {
+                    writer: BufWriter::new(file),
+                    spare: Vec::new(),
+                }),
+                durable_commits: AtomicU64::new(0),
+            }),
             policy,
+            inline_sync: true,
             appended: 0,
-            staged: Vec::new(),
             encode_buf: Vec::new(),
-            staged_records: 0,
-            staged_commits: 0,
-            oldest_staged: None,
-            durable_commits: 0,
             telemetry: None,
         })
     }
 
     /// Attach an observability handle: appends and fsyncs are timed into
     /// the `wal_append` / `wal_fsync` stages, and group-commit batch
-    /// sizes are recorded under `wal_batch`.
+    /// sizes are recorded under `wal_batch`. Syncers made afterwards
+    /// report into it too.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
     }
@@ -136,139 +303,144 @@ impl Wal {
         self.policy
     }
 
+    /// Turn the group syncs that appends run themselves on (the default)
+    /// or off. Off, a full group stays staged until a [`WalSyncer`] (or
+    /// [`sync_batch`](Self::sync_batch)) writes it; the owner of the
+    /// syncer takes on the `max_batch` and `max_wait` bounds.
+    pub fn set_inline_sync(&mut self, inline: bool) {
+        self.inline_sync = inline;
+    }
+
+    /// Whether appends sync a full group themselves.
+    pub fn inline_sync(&self) -> bool {
+        self.inline_sync
+    }
+
+    /// A handle that syncs this log's staged group from another thread.
+    pub fn syncer(&self) -> WalSyncer {
+        WalSyncer {
+            shared: Arc::clone(&self.shared),
+            max_batch: self.policy.max_batch(),
+            telemetry: self.telemetry.clone(),
+        }
+    }
+
     /// Append one record, honouring the sync policy.
     pub fn append(&mut self, record: &LogRecord) -> Result<()> {
-        let timer = match &self.telemetry {
-            Some(t) => t.timer(),
-            None => Timer::off(),
-        };
-        let is_commit = matches!(record, LogRecord::Commit { .. });
-        match self.policy {
-            SyncPolicy::Grouped { .. } => {
-                // Encode straight into the staging buffer: no
-                // intermediate String, no per-record allocation once
-                // the buffer has grown to its working size.
-                record.encode_into(&mut self.staged);
-                self.staged.push(b'\n');
-                self.staged_records += 1;
-                if is_commit {
-                    self.staged_commits += 1;
-                    self.oldest_staged.get_or_insert_with(Instant::now);
-                }
-            }
-            _ => {
-                self.encode_buf.clear();
-                record.encode_into(&mut self.encode_buf);
-                self.encode_buf.push(b'\n');
-                self.writer.write_all(&self.encode_buf).map_err(io_err)?;
-            }
-        }
-        self.appended += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.observe_timer(Stage::WalAppend, 0, timer, || record.kind().to_string());
-        }
-        match self.policy {
-            SyncPolicy::Always => self.fsync(record.kind())?,
-            SyncPolicy::OnCommit => {
-                if is_commit {
-                    self.fsync(record.kind())?;
-                    self.durable_commits += 1;
-                }
-            }
-            SyncPolicy::Never => {}
-            SyncPolicy::Grouped { max_batch, .. } => {
-                if self.staged_commits as usize >= max_batch.max(1) {
-                    self.sync_batch()?;
-                }
-            }
-        }
-        Ok(())
+        self.append_records(std::slice::from_ref(record))
     }
 
     /// Append every record of a transaction's [`WriteBatch`] as one unit.
     ///
     /// Under [`SyncPolicy::Grouped`] the whole batch is staged for the
-    /// next group fsync; under the per-record policies each record is
-    /// handled as if appended individually.
+    /// next group fsync under one lock acquisition, so no group splits
+    /// it; under the per-record policies each record is handled as if
+    /// appended individually.
     pub fn append_batch(&mut self, batch: &WriteBatch) -> Result<()> {
-        for record in batch.records() {
-            self.append(record)?;
+        self.append_records(batch.records())
+    }
+
+    fn append_records(&mut self, records: &[LogRecord]) -> Result<()> {
+        let telemetry = self.telemetry.as_deref();
+        let timer = || telemetry.map_or(Timer::off(), Telemetry::timer);
+        let observe = |timer: Timer, record: &LogRecord| {
+            if let Some(tel) = telemetry {
+                tel.observe_timer(Stage::WalAppend, 0, timer, || record.kind().to_string());
+            }
+        };
+        if let Some(max_batch) = self.policy.max_batch() {
+            let staged_commits = {
+                let mut staged = lock(&self.shared.staged);
+                for record in records {
+                    let t = timer();
+                    // Encode straight into the staging buffer: no
+                    // intermediate String, no per-record allocation once
+                    // the buffer has grown to its working size.
+                    record.encode_into(&mut staged.bytes);
+                    staged.bytes.push(b'\n');
+                    staged.records += 1;
+                    if matches!(record, LogRecord::Commit { .. }) {
+                        staged.commits += 1;
+                        staged.oldest.get_or_insert_with(Instant::now);
+                    }
+                    observe(t, record);
+                }
+                staged.commits
+            };
+            self.appended += records.len() as u64;
+            if self.inline_sync && staged_commits >= max_batch {
+                self.sync_batch()?;
+            }
+            return Ok(());
+        }
+        let mut file = lock(&self.shared.file);
+        for record in records {
+            let t = timer();
+            self.encode_buf.clear();
+            record.encode_into(&mut self.encode_buf);
+            self.encode_buf.push(b'\n');
+            file.writer.write_all(&self.encode_buf).map_err(io_err)?;
+            self.appended += 1;
+            observe(t, record);
+            match self.policy {
+                SyncPolicy::Always => fsync(&mut file.writer, telemetry, record.kind())?,
+                SyncPolicy::OnCommit if matches!(record, LogRecord::Commit { .. }) => {
+                    fsync(&mut file.writer, telemetry, record.kind())?;
+                    self.shared.durable_commits.fetch_add(1, Ordering::Release);
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
 
     /// Write all staged records, cover them with a single fsync, and
-    /// acknowledge the batch. A no-op (zero ack) when nothing is staged.
+    /// acknowledge the batch. The group is written in place: only the
+    /// appending thread stages, and it is busy here. A zero ack when
+    /// nothing is staged, returned only once a group a [`WalSyncer`]
+    /// has in flight is durable.
     pub fn sync_batch(&mut self) -> Result<BatchAck> {
-        if self.staged.is_empty() && self.staged_commits == 0 {
-            return Ok(BatchAck::default());
-        }
-        let ack = BatchAck {
-            commits: self.staged_commits,
-            records: self.staged_records,
-        };
-        self.writer.write_all(&self.staged).map_err(io_err)?;
-        self.staged.clear();
-        self.staged_records = 0;
-        self.staged_commits = 0;
-        self.oldest_staged = None;
-        self.fsync("batch")?;
-        self.durable_commits += ack.commits;
-        if let Some(tel) = &self.telemetry {
-            tel.observe(Stage::WalBatch, 0, ack.commits, || {
-                format!("{} records", ack.records)
-            });
-        }
-        Ok(ack)
+        self.shared
+            .sync_group(false, self.telemetry.as_deref(), || {})
     }
 
     /// True when a staged batch has aged past the policy's `max_wait`
     /// (the caller should run [`Wal::sync_batch`]). Always false outside
     /// Grouped mode.
     pub fn sync_due(&self) -> bool {
-        match (self.policy, self.oldest_staged) {
-            (SyncPolicy::Grouped { max_wait, .. }, Some(oldest)) => oldest.elapsed() >= max_wait,
+        match self.policy {
+            SyncPolicy::Grouped { max_wait, .. } => lock(&self.shared.staged)
+                .oldest
+                .is_some_and(|oldest| oldest.elapsed() >= max_wait),
             _ => false,
         }
     }
 
     /// Commit records staged but not yet covered by an fsync.
     pub fn staged_commits(&self) -> u64 {
-        self.staged_commits
+        lock(&self.shared.staged).commits
     }
 
     /// Commit records acknowledged as durable (fsynced, or captured by a
-    /// snapshot at truncation) through this handle.
+    /// snapshot at truncation) through this handle or its syncers.
     pub fn durable_commits(&self) -> u64 {
-        self.durable_commits
-    }
-
-    /// Flush buffered bytes and force them to disk, timing the wait.
-    fn fsync(&mut self, subject: &'static str) -> Result<()> {
-        let timer = match &self.telemetry {
-            Some(t) => t.timer(),
-            None => Timer::off(),
-        };
-        self.writer.flush().map_err(io_err)?;
-        self.writer.get_ref().sync_data().map_err(io_err)?;
-        if let Some(tel) = &self.telemetry {
-            tel.observe_timer(Stage::WalFsync, 0, timer, || subject.to_string());
-        }
-        Ok(())
+        self.shared.durable_commits.load(Ordering::Acquire)
     }
 
     /// Flush buffered records (including any staged batch) to the OS,
     /// without forcing them to disk.
     pub fn flush(&mut self) -> Result<()> {
-        if !self.staged.is_empty() {
-            self.writer.write_all(&self.staged).map_err(io_err)?;
-            self.staged.clear();
-            self.durable_commits += self.staged_commits;
-            self.staged_records = 0;
-            self.staged_commits = 0;
-            self.oldest_staged = None;
+        let mut file = lock(&self.shared.file);
+        let mut staged = lock(&self.shared.staged);
+        if !staged.bytes.is_empty() {
+            file.writer.write_all(&staged.bytes).map_err(io_err)?;
+            staged.bytes.clear();
+            let ack = staged.take_ack();
+            self.shared
+                .durable_commits
+                .fetch_add(ack.commits, Ordering::Release);
         }
-        self.writer.flush().map_err(io_err)
+        file.writer.flush().map_err(io_err)
     }
 
     /// Number of records appended through this handle.
@@ -285,24 +457,26 @@ impl Wal {
     /// Staged records are dropped — the snapshot already made their
     /// transactions durable, so they count as acknowledged.
     pub fn truncate(&mut self) -> Result<()> {
-        self.durable_commits += self.staged_commits;
-        self.staged.clear();
-        self.staged_records = 0;
-        self.staged_commits = 0;
-        self.oldest_staged = None;
-        self.writer.flush().map_err(io_err)?;
-        let file = OpenOptions::new()
+        let mut file = lock(&self.shared.file);
+        let mut staged = lock(&self.shared.staged);
+        staged.bytes.clear();
+        let ack = staged.take_ack();
+        self.shared
+            .durable_commits
+            .fetch_add(ack.commits, Ordering::Release);
+        file.writer.flush().map_err(io_err)?;
+        let truncated = OpenOptions::new()
             .write(true)
             .truncate(true)
             .open(&self.path)
             .map_err(io_err)?;
-        self.writer = BufWriter::new(
+        file.writer = BufWriter::new(
             OpenOptions::new()
                 .append(true)
                 .open(&self.path)
                 .map_err(io_err)?,
         );
-        drop(file);
+        drop(truncated);
         Ok(())
     }
 
@@ -598,5 +772,113 @@ mod tests {
         assert_eq!(wal.staged_commits(), 0);
         assert_eq!(wal.durable_commits(), 1, "snapshot made the commit durable");
         assert_eq!(Wal::read_all(&p).unwrap().len(), 0);
+    }
+
+    fn txn_batch(batch: &mut WriteBatch, txn: u64) {
+        batch.begin(txn);
+        batch.push_record(LogRecord::Begin { txn });
+        batch.push_record(sample(txn));
+        batch.push_record(sample(txn + 1));
+        batch.push_record(LogRecord::Commit { txn });
+    }
+
+    #[test]
+    fn without_inline_syncs_a_full_group_waits_for_the_syncer() {
+        let p = tmpdir().join("grouped-background.wal");
+        let _ = std::fs::remove_file(&p);
+        let mut wal = Wal::open(&p, grouped(2)).unwrap();
+        wal.set_inline_sync(false);
+        let syncer = wal.syncer();
+        for txn in 1..=3u64 {
+            wal.append(&LogRecord::Commit { txn }).unwrap();
+        }
+        assert_eq!(wal.staged_commits(), 3, "appends only stage");
+        assert!(syncer.batch_full());
+        let ack = syncer.sync_batch().unwrap();
+        assert_eq!(ack.commits, 3);
+        assert_eq!(wal.durable_commits(), 3);
+        assert!(!syncer.batch_full());
+        assert_eq!(Wal::read_all(&p).unwrap().len(), 3);
+        // The spare buffer took the group's place: staging goes on.
+        wal.append(&LogRecord::Commit { txn: 4 }).unwrap();
+        assert_eq!(syncer.sync_batch().unwrap().commits, 1);
+        assert_eq!(Wal::read_all(&p).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn an_empty_sync_waits_out_a_group_in_flight() {
+        let p = tmpdir().join("grouped-in-flight.wal");
+        let _ = std::fs::remove_file(&p);
+        let mut wal = Wal::open(&p, grouped(100)).unwrap();
+        wal.set_inline_sync(false);
+        let mut batch = WriteBatch::new();
+        for txn in 1..=3u64 {
+            txn_batch(&mut batch, txn);
+            wal.append_batch(&batch).unwrap();
+        }
+        let syncer = wal.syncer();
+        let (swapped_tx, swapped_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            syncer
+                .shared
+                .sync_group(true, None, || {
+                    swapped_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    // Let the other thread reach the file lock before
+                    // this group is written.
+                    std::thread::sleep(Duration::from_millis(30));
+                })
+                .unwrap()
+        });
+        swapped_rx.recv().unwrap();
+        assert_eq!(wal.staged_commits(), 0, "the group left the staged buffer");
+        assert_eq!(wal.durable_commits(), 0, "but is not durable yet");
+        go_tx.send(()).unwrap();
+        assert_eq!(wal.sync_batch().unwrap(), BatchAck::default());
+        assert_eq!(wal.durable_commits(), 3, "the empty sync waited for it");
+        assert_eq!(worker.join().unwrap().commits, 3);
+        assert_eq!(Wal::read_all(&p).unwrap().len(), 12);
+    }
+
+    #[test]
+    fn no_group_splits_a_transaction() {
+        let p = tmpdir().join("grouped-whole-txns.wal");
+        let _ = std::fs::remove_file(&p);
+        let mut wal = Wal::open(&p, grouped(4)).unwrap();
+        wal.set_inline_sync(false);
+        let syncer = wal.syncer();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let worker = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut acks = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    acks.push(syncer.sync_batch().unwrap());
+                }
+                acks.push(syncer.sync_batch().unwrap());
+                acks
+            })
+        };
+        let mut batch = WriteBatch::new();
+        for txn in 1..=400u64 {
+            txn_batch(&mut batch, txn);
+            wal.append_batch(&batch).unwrap();
+            batch.commit();
+        }
+        stop.store(true, Ordering::Release);
+        let acks = worker.join().unwrap();
+        for ack in &acks {
+            assert_eq!(ack.records, 4 * ack.commits, "a group split a txn: {ack:?}");
+        }
+        assert_eq!(acks.iter().map(|a| a.commits).sum::<u64>(), 400);
+        assert_eq!(wal.durable_commits(), 400);
+        let records = Wal::read_all(&p).unwrap();
+        assert_eq!(records.len(), 1600);
+        for (i, txn) in records.chunks(4).enumerate() {
+            let id = i as u64 + 1;
+            assert_eq!(txn[0], LogRecord::Begin { txn: id });
+            assert_eq!(txn[3], LogRecord::Commit { txn: id });
+        }
     }
 }
