@@ -16,7 +16,7 @@
 //!   tables of every class in the receiver's linearization. There is no
 //!   per-object consumer list, so the per-message cost grows with the
 //!   number of rules attached to the class, not with the number of
-//!   rules relevant to the receiving instance (experiment E3).
+//!   rules relevant to the receiving instance (§3.5, advantage 1).
 //! * No composite events: a rule triggered by updates to two classes
 //!   needs two rule objects (Figure 13).
 
@@ -174,7 +174,8 @@ impl AdamEngine {
 
     /// ADAM's `disabled-for` list: exempt an instance from a class rule.
     /// Restricting a rule to ONE instance of a large class means calling
-    /// this for every other instance — the cost E10 demonstrates.
+    /// this for every other instance — the "cumbersome" association
+    /// §1 issue 2 objects to.
     pub fn disable_for(&mut self, name: &str, oid: Oid) -> Result<()> {
         let idx = self.rule_idx(name)?;
         self.rules[idx]

@@ -2,7 +2,7 @@
 
 /// What an engine's rule architecture can express — the rows of the
 /// paper's back-of-the-envelope comparison (§6), probed programmatically
-/// by experiment E1.
+/// by the root `paper_claims` test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Can a new rule be added without redefining/recompiling classes?
@@ -28,7 +28,7 @@ pub struct Capabilities {
     pub coupling_modes: &'static [&'static str],
 }
 
-/// Counters every engine reports so experiment tables are comparable.
+/// Counters every engine reports, comparable across engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Rule-dispatch work: how many rules were *considered* per the
@@ -45,7 +45,7 @@ pub struct EngineCounters {
 
 /// The comparison surface of an active-rule engine.
 pub trait ActiveEngine {
-    /// Engine name for experiment tables.
+    /// Engine name.
     fn engine_name(&self) -> &'static str;
 
     /// Expressiveness probes.
@@ -54,7 +54,7 @@ pub trait ActiveEngine {
     /// Uniform counters.
     fn counters(&self) -> EngineCounters;
 
-    /// Zero the counters (between experiment phases).
+    /// Zero the counters (between a scenario's setup and its workload).
     fn reset_counters(&mut self);
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Both baselines run on the same object substrate as Sentinel —
 //! schema, store, native methods, transactional undo — so the
-//! comparative experiments measure only the difference in *rule
-//! architecture*, not in object-model implementation quality.
+//! comparisons in the root `paper_claims` test see only the difference
+//! in *rule architecture*, not in object-model implementation quality.
 
 use sentinel_object::{
     ClassDecl, ClassId, ClassRegistry, MethodTable, ObjectError, ObjectStore, Oid, Result, Value,

@@ -18,7 +18,7 @@
 //! | Sentinel | at runtime, as objects | exactly the subscribed objects/classes | yes |
 //!
 //! The [`ActiveEngine`] trait exposes capability probes and uniform
-//! counters so the E1/E3/E5/E7 experiments can drive all three engines
+//! counters so the root `paper_claims` test can drive all three engines
 //! with the same workloads.
 
 pub mod adam;

@@ -8,7 +8,7 @@
 //!   "recompiling" — modelled by
 //!   [`OdeEngine::recompile_with_constraint`], which rebuilds the class's
 //!   rule table and revalidates every stored instance (the cost the
-//!   paper's extensibility critique is about, measured in E7).
+//!   paper's extensibility critique is about).
 //! * Every public method invocation on an instance checks **all**
 //!   constraints of its class (inherited ones included): there is no
 //!   subscription filtering. Hard-constraint violations abort the
@@ -204,7 +204,8 @@ impl OdeEngine {
     /// Simulate adding a constraint after instances exist: Ode requires
     /// changing the class definition and recompiling; stored instances
     /// of the changed class must be revalidated. The revalidation sweep
-    /// over the extent is the O(instances) cost experiment E7 measures.
+    /// over the extent is the O(instances) cost §1 objects to. Returns
+    /// the number of instances revalidated.
     pub fn recompile_with_constraint<P>(
         &mut self,
         class: &str,

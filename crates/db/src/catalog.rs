@@ -276,7 +276,7 @@ impl Database {
         Ok(self.engine.rule(id)?.stats)
     }
 
-    /// Occurrences buffered by a rule's detector (experiment E12).
+    /// Occurrences buffered by a rule's detector.
     pub fn rule_detector_buffered(&self, name: &str) -> Result<usize> {
         let id = self.engine.id_of(name)?;
         Ok(self.engine.detector_of(id)?.buffered())

@@ -20,7 +20,7 @@ use sentinel_object::{
     ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectStore, Oid,
     Reactivity, Result, TypeTag, Value, World,
 };
-use sentinel_rules::{ActionDef, ConflictResolver, EngineStats, Firing, Lineage, RuleEngine};
+use sentinel_rules::{ActionDef, EngineStats, Firing, Lineage, RuleEngine};
 use sentinel_storage::{LogRecord, UndoOp, Wal};
 use sentinel_telemetry::{FiringRecord, Stage, Telemetry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -461,11 +461,6 @@ impl Database {
     /// of an already-registered action.
     pub fn register(&mut self, action: ActionDef) -> Result<()> {
         self.engine.bodies.register_def(action)
-    }
-
-    /// Install a different conflict-resolution strategy.
-    pub fn set_conflict_resolver(&mut self, r: Box<dyn ConflictResolver>) {
-        self.engine.set_resolver(r);
     }
 
     // ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Database-level counters used by the experiments.
+//! Database-level counters (the root `paper_claims` test asserts the
+//! paper's claims on them).
 //!
 //! [`DbStats`] is the serializable point-in-time snapshot; the live
 //! counters are [`SharedDbStats`] — relaxed atomics shared (via `Arc`)
@@ -99,8 +100,8 @@ pub(crate) fn prometheus_counters(
 ///
 /// Counters are relaxed — they are monotonic tallies, not
 /// synchronisation points — and a [`snapshot`](Self::snapshot) is
-/// therefore only per-field consistent, which is what the experiments
-/// have always assumed.
+/// therefore only per-field consistent, which is all the counter
+/// assertions in the tests need.
 #[derive(Debug, Default)]
 pub struct SharedDbStats {
     /// Messages dispatched (externally initiated and nested).

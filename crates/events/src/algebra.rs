@@ -9,7 +9,7 @@
 //!
 //! The crate also implements three operators from the Snoop lineage that
 //! the paper's group published subsequently; they are flagged as
-//! *extensions* and exercised only by the ablation experiments:
+//! *extensions*:
 //!
 //! * `any(m, [E...])` — m distinct members of the list have occurred;
 //! * `not(W) in (S, E)` — `E` occurs after `S` with no `W` in between;
@@ -440,8 +440,7 @@ impl EventExpr {
         }
     }
 
-    /// Depth of the operator tree (a primitive has depth 1). Used by the
-    /// event-management-cost experiment (E2) to sweep expression depth.
+    /// Depth of the operator tree (a primitive has depth 1).
     pub fn depth(&self) -> usize {
         match self {
             EventExpr::Primitive(_) => 1,

@@ -9,7 +9,8 @@
 //! constituent occurrences is a detection, and nothing is discarded.
 //! That policy has unbounded state and combinatorial output; the
 //! restricted contexts later formalised by the same group (Snoop) bound
-//! both. They are implemented here as an ablation (experiment E12):
+//! both. They are implemented here as an ablation (compared by the
+//! root `paper_claims` test):
 //!
 //! * **Unrestricted** — all combinations; buffers grow without bound
 //!   (subject to [`DetectorCaps`](crate::detector::DetectorCaps)).
@@ -44,7 +45,7 @@ pub enum ParamContext {
 }
 
 impl ParamContext {
-    /// All contexts, for sweep experiments.
+    /// All contexts, in declaration order.
     pub const ALL: [ParamContext; 5] = [
         ParamContext::Unrestricted,
         ParamContext::Recent,
@@ -53,7 +54,7 @@ impl ParamContext {
         ParamContext::Cumulative,
     ];
 
-    /// Short name used in experiment tables.
+    /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
             ParamContext::Unrestricted => "unrestricted",

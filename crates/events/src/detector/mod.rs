@@ -85,7 +85,7 @@ impl Default for DetectorCaps {
     }
 }
 
-/// Counters exposed for the event-management-cost experiments (E2, E12).
+/// Per-detector counters (event-management cost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorStats {
     /// Occurrences offered to the detector.
@@ -336,7 +336,8 @@ impl DetectorInstance {
     }
 
     /// Total occurrences currently buffered across all operator nodes —
-    /// the detector-state metric of experiment E12.
+    /// the detector-state metric the `paper_claims` test compares
+    /// across parameter contexts.
     pub fn buffered(&self) -> usize {
         self.root.buffered()
     }

@@ -21,7 +21,7 @@
 //! * [`ParamContext`] selects the occurrence-buffering policy. The paper
 //!   leaves this implicit (all combinations); the contexts named after
 //!   the Snoop work (`Recent`, `Chronicle`, `Cumulative`) bound detector
-//!   state and are compared in experiment E12.
+//!   state and are compared by the root `paper_claims` test.
 
 pub mod algebra;
 pub mod clock;

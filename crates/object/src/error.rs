@@ -70,8 +70,8 @@ pub enum ObjectError {
     UnknownEvent(String),
     /// Malformed event-signature string (paper §4.6 syntax).
     EventParse(String),
-    /// The engine does not support the requested capability. Used by the
-    /// baseline engines for the E1 capability matrix.
+    /// The engine does not support the requested capability (the baseline
+    /// engines' missing features).
     Unsupported(String),
     /// Storage-layer failure (I/O, corrupt record, ...).
     Storage(String),

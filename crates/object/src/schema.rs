@@ -616,8 +616,7 @@ impl ClassRegistry {
         &self.syms[sym.0 as usize]
     }
 
-    /// Total number of potential primitive events declared on a class
-    /// (used by the event-management-cost experiment E2).
+    /// Total number of potential primitive events declared on a class.
     pub fn declared_event_count(&self, class: ClassId) -> usize {
         let c = self.get(class);
         c.method_index

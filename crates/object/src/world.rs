@@ -11,7 +11,7 @@
 //!
 //! Both the Sentinel engine and the Ode/ADAM baseline engines implement
 //! `World`, so one set of method bodies drives all three in the
-//! comparative experiments.
+//! comparisons of the root `paper_claims` test.
 
 use crate::error::Result;
 use crate::oid::Oid;

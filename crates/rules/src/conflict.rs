@@ -11,7 +11,7 @@ use crate::engine::ReadyFiring;
 
 /// Orders a batch of simultaneous firings.
 pub trait ConflictResolver: Send + Sync {
-    /// Strategy name (for experiment tables).
+    /// Strategy name.
     fn name(&self) -> &'static str;
 
     /// Reorder `firings` in place into execution order.

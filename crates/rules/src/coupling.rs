@@ -26,7 +26,7 @@ pub enum CouplingMode {
 }
 
 impl CouplingMode {
-    /// Short name used in experiment tables.
+    /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
             CouplingMode::Immediate => "immediate",

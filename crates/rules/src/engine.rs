@@ -86,7 +86,7 @@ pub enum BackpressurePolicy {
     Shed,
 }
 
-/// Engine-wide counters (experiments E3, E5, E6).
+/// Engine-wide counters (the root `paper_claims` test asserts on them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Primitive occurrences offered to the engine.

@@ -181,7 +181,8 @@ impl From<RuleBuilder> for RuleDef {
     }
 }
 
-/// Per-rule counters, surfaced by the comparison experiments (E3, E5).
+/// Per-rule counters; the root `paper_claims` test asserts the paper's
+/// comparative claims on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuleStats {
     /// Primitive occurrences delivered to this rule's detector.

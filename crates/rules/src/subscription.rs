@@ -7,7 +7,7 @@
 //! implementation detail; the *semantics* are per-object lists, and
 //! lookup cost is proportional to the subscribers of the generating
 //! object, not to the number of rules in the system (the paper's first
-//! claimed advantage, benchmarked in E3).
+//! claimed advantage, asserted by the root `paper_claims` test).
 //!
 //! Two granularities:
 //!
@@ -16,7 +16,7 @@
 //! * **class subscriptions** — the rule hears events from every instance
 //!   of a class, subclass instances included. This implements class-level
 //!   rules (Figure 9) with O(1) association cost per rule instead of
-//!   O(instances) (experiment E10).
+//!   O(instances) (paper §1 issue 2).
 
 use crate::rule::RuleId;
 use sentinel_object::{ClassId, ClassRegistry, Oid};
@@ -189,7 +189,7 @@ impl SubscriptionManager {
         self.classes_of.get(&rule).map(HashSet::len).unwrap_or(0)
     }
 
-    /// Total subscription edges (memory metric for E4/E10).
+    /// Total subscription edges.
     pub fn edge_count(&self) -> usize {
         self.objects_of.values().map(HashSet::len).sum::<usize>()
             + self.classes_of.values().map(HashSet::len).sum::<usize>()

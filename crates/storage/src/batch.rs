@@ -122,11 +122,11 @@ mod tests {
         for v in [10, 20] {
             let old = store.set_attr(&reg, a, "balance", Value::Int(v)).unwrap();
             b.push_undo(UndoOp::SetSlot { oid: a, slot, old });
-            b.push_record(LogRecord::SetAttr {
+            b.push_record(LogRecord::SetSlot {
                 txn: 1,
                 oid: a,
-                attr: "balance".into(),
-                old: Value::Int(0),
+                class: acct,
+                slot: slot as u32,
                 new: Value::Int(v),
             });
         }

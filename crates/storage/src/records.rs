@@ -11,21 +11,14 @@ pub type TxnId = u64;
 /// Records are *redo* records: recovery replays the mutations of
 /// committed transactions in log order.
 ///
-/// Two generations of mutation record coexist:
+/// Mutation records (`CreateSlots` / `SetSlot`) are slot-interned:
+/// class by [`ClassId`], attribute by slot index, no old value (undo
+/// lives in memory; the log is redo-only). `ClassId`s and slot indices
+/// are stable across recovery because snapshots restore classes in
+/// definition order and schema meta-records replay in log order, both
+/// reproducing registry ids exactly.
 ///
-/// * **v1** (`Create` / `SetAttr`) name the class and attribute as
-///   strings and carry the displaced old value, so the log doubles as
-///   a human-readable audit trail.
-/// * **v2** (`CreateSlots` / `SetSlot`) are the compact slot-interned
-///   encoding the live write path emits: class by [`ClassId`],
-///   attribute by slot index, no old value (undo lives in memory; the
-///   log is redo-only). `ClassId`s and slot indices are stable across
-///   recovery because snapshots restore classes in definition order
-///   and schema meta-records replay in log order, both reproducing
-///   registry ids exactly.
-///
-/// The log is line-delimited externally-tagged JSON, so v1 and v2
-/// records parse from the same file and recovery replays mixed logs.
+/// The log is line-delimited externally-tagged JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // record fields are named and self-describing
 pub enum LogRecord {
@@ -35,30 +28,16 @@ pub enum LogRecord {
     Commit { txn: TxnId },
     /// Transaction abort — its earlier records must be ignored.
     Abort { txn: TxnId },
-    /// Object creation, with the initial slot values (v1, string-keyed).
-    Create {
-        txn: TxnId,
-        oid: Oid,
-        class: String,
-        slots: Vec<Value>,
-    },
-    /// Attribute update (v1, string-keyed, carries the old value).
-    SetAttr {
-        txn: TxnId,
-        oid: Oid,
-        attr: String,
-        old: Value,
-        new: Value,
-    },
-    /// Object creation, class by registry id (v2, slot-interned).
+    /// Object creation, class by registry id, with the initial slot
+    /// values.
     CreateSlots {
         txn: TxnId,
         oid: Oid,
         class: ClassId,
         slots: Vec<Value>,
     },
-    /// Attribute update by slot index (v2, slot-interned, redo-only:
-    /// the displaced old value stays in the in-memory undo list).
+    /// Attribute update by slot index (redo-only: the displaced old
+    /// value stays in the in-memory undo list).
     SetSlot {
         txn: TxnId,
         oid: Oid,
@@ -93,8 +72,6 @@ impl LogRecord {
             LogRecord::Begin { txn }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
-            | LogRecord::Create { txn, .. }
-            | LogRecord::SetAttr { txn, .. }
             | LogRecord::CreateSlots { txn, .. }
             | LogRecord::SetSlot { txn, .. }
             | LogRecord::Delete { txn, .. }
@@ -110,8 +87,6 @@ impl LogRecord {
             LogRecord::Begin { .. } => "begin",
             LogRecord::Commit { .. } => "commit",
             LogRecord::Abort { .. } => "abort",
-            LogRecord::Create { .. } => "create",
-            LogRecord::SetAttr { .. } => "set_attr",
             LogRecord::CreateSlots { .. } => "create_slots",
             LogRecord::SetSlot { .. } => "set_slot",
             LogRecord::Delete { .. } => "delete",
@@ -142,41 +117,6 @@ impl LogRecord {
             }
             LogRecord::Abort { txn } => {
                 let _ = write!(out, "{{\"Abort\":{{\"txn\":{txn}}}}}");
-            }
-            LogRecord::Create {
-                txn,
-                oid,
-                class,
-                slots,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"Create\":{{\"txn\":{txn},\"oid\":{},\"class\":",
-                    oid.0
-                );
-                push_json_str(out, class);
-                out.extend_from_slice(b",\"slots\":");
-                push_value_list(out, slots);
-                out.extend_from_slice(b"}}");
-            }
-            LogRecord::SetAttr {
-                txn,
-                oid,
-                attr,
-                old,
-                new,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"SetAttr\":{{\"txn\":{txn},\"oid\":{},\"attr\":",
-                    oid.0
-                );
-                push_json_str(out, attr);
-                out.extend_from_slice(b",\"old\":");
-                push_value(out, old);
-                out.extend_from_slice(b",\"new\":");
-                push_value(out, new);
-                out.extend_from_slice(b"}}");
             }
             LogRecord::CreateSlots {
                 txn,
@@ -342,17 +282,17 @@ mod tests {
     fn serde_round_trip() {
         let records = vec![
             LogRecord::Begin { txn: 1 },
-            LogRecord::Create {
+            LogRecord::CreateSlots {
                 txn: 1,
                 oid: Oid(7),
-                class: "Employee".into(),
+                class: ClassId(2),
                 slots: vec![Value::Float(10.0), Value::Str("Fred".into())],
             },
-            LogRecord::SetAttr {
+            LogRecord::SetSlot {
                 txn: 1,
                 oid: Oid(7),
-                attr: "salary".into(),
-                old: Value::Float(10.0),
+                class: ClassId(2),
+                slot: 0,
                 new: Value::Float(20.0),
             },
             LogRecord::CreateSlots {
@@ -387,10 +327,10 @@ mod tests {
             LogRecord::Begin { txn: u64::MAX },
             LogRecord::Commit { txn: 0 },
             LogRecord::Abort { txn: 7 },
-            LogRecord::Create {
+            LogRecord::CreateSlots {
                 txn: 1,
                 oid: Oid(7),
-                class: "Emp\"loyee\\".into(),
+                class: ClassId(2),
                 slots: vec![
                     Value::Float(10.0),
                     Value::Str("Fred\t\u{1}\u{1F600}".into()),
@@ -399,11 +339,18 @@ mod tests {
                     Value::Float(f64::NAN),
                 ],
             },
-            LogRecord::SetAttr {
+            LogRecord::SetSlot {
                 txn: 1,
                 oid: Oid(7),
-                attr: "salary".into(),
-                old: Value::Map(map),
+                class: ClassId(2),
+                slot: 1,
+                new: Value::Map(map),
+            },
+            LogRecord::SetSlot {
+                txn: 1,
+                oid: Oid(7),
+                class: ClassId(2),
+                slot: 2,
                 new: Value::List(vec![Value::Oid(Oid(3)), Value::Int(i64::MIN)]),
             },
             LogRecord::CreateSlots {
@@ -422,7 +369,7 @@ mod tests {
             LogRecord::Delete {
                 txn: 3,
                 oid: Oid(9),
-                class: "E".into(),
+                class: "Emp\"loyee\\".into(),
                 slots: vec![Value::Bool(false)],
             },
             LogRecord::ClockAdvance { at: 42 },

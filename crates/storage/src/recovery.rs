@@ -21,7 +21,10 @@ pub struct Recovered {
     pub clock: u64,
     /// The snapshot's opaque payload (rule/event catalog).
     pub extra: String,
-    /// Committed non-schema `Meta` records, in log order.
+    /// Committed non-schema `Meta` records as `(txn, tag, payload)`, in
+    /// log order. The layers above log their own catalog changes here
+    /// (the database facade: rule additions and removals) and replay
+    /// them to rebuild what the snapshot's payload does not yet hold.
     pub meta: Vec<(TxnId, String, String)>,
     /// Highest transaction id seen anywhere in the log (committed or
     /// not); the reopened transaction manager must allocate above it so
@@ -55,12 +58,7 @@ pub fn committed_records(log: &[LogRecord]) -> Vec<&LogRecord> {
         .collect()
 }
 
-/// Recover a database image from `snapshot_path` + `wal_path`.
-///
-/// Replay is idempotent: re-running recovery over the same inputs yields
-/// the same state (property-tested in `tests/`).
-/// WAL `Meta` tag carrying a serialized [`ClassDecl`]: schema changes
-/// made after the last snapshot replay through the log.
+/// WAL `Meta` tag of a serialized [`ClassDecl`] (a post-snapshot schema change).
 pub const META_CLASS_TAG: &str = "schema.class";
 
 /// Recover a database image from `snapshot_path` + `wal_path`.
@@ -98,29 +96,10 @@ pub fn recover_with(
     for record in committed_records(&log) {
         replayed += 1;
         match record {
-            LogRecord::Create {
-                oid, class, slots, ..
-            } => {
-                let cid = registry.id_of(class)?;
-                store.insert_raw(
-                    *oid,
-                    ObjectState {
-                        class: cid,
-                        slots: slots.clone(),
-                    },
-                );
-            }
-            LogRecord::SetAttr { oid, attr, new, .. } => {
-                // The object may have been deleted later in the log; a
-                // missing object here is not an error.
-                if store.exists(*oid) {
-                    store.set_attr(&registry, *oid, attr, new.clone())?;
-                }
-            }
             LogRecord::CreateSlots {
                 oid, class, slots, ..
             } => {
-                // v2 creates name the class by registry id; ids are
+                // Creates name the class by registry id; ids are
                 // reproduced exactly by snapshot restore + schema-meta
                 // replay, so an out-of-range id means a foreign log.
                 if (class.0 as usize) >= registry.len() {
@@ -138,6 +117,8 @@ pub fn recover_with(
                 );
             }
             LogRecord::SetSlot { oid, slot, new, .. } => {
+                // The object may have been deleted later in the log; a
+                // missing object here is not an error.
                 if store.exists(*oid) {
                     store.set_slot(&registry, *oid, *slot as usize, new.clone())?;
                 }
@@ -190,7 +171,7 @@ pub fn recover_with(
 mod tests {
     use super::*;
     use crate::wal::SyncPolicy;
-    use sentinel_object::{ClassDecl, Oid, TypeTag, Value};
+    use sentinel_object::{ClassDecl, ClassId, Oid, TypeTag, Value};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("sentinel-rec-{}", std::process::id()));
@@ -205,41 +186,35 @@ mod tests {
         reg
     }
 
+    /// A `balance` write on `oid` (slot 0 of `Account`).
+    fn set_balance(txn: TxnId, class: ClassId, oid: Oid, v: f64) -> LogRecord {
+        LogRecord::SetSlot {
+            txn,
+            oid,
+            class,
+            slot: 0,
+            new: Value::Float(v),
+        }
+    }
+
     #[test]
     fn committed_filter_drops_uncommitted_and_aborted() {
+        let acct = registry().id_of("Account").unwrap();
         let log = vec![
             LogRecord::Begin { txn: 1 },
-            LogRecord::SetAttr {
-                txn: 1,
-                oid: Oid(1),
-                attr: "balance".into(),
-                old: Value::Float(0.0),
-                new: Value::Float(1.0),
-            },
+            set_balance(1, acct, Oid(1), 1.0),
             LogRecord::Commit { txn: 1 },
             LogRecord::Begin { txn: 2 },
-            LogRecord::SetAttr {
-                txn: 2,
-                oid: Oid(1),
-                attr: "balance".into(),
-                old: Value::Float(1.0),
-                new: Value::Float(2.0),
-            },
+            set_balance(2, acct, Oid(1), 2.0),
             LogRecord::Abort { txn: 2 },
             LogRecord::Begin { txn: 3 },
-            LogRecord::SetAttr {
-                txn: 3,
-                oid: Oid(1),
-                attr: "balance".into(),
-                old: Value::Float(1.0),
-                new: Value::Float(3.0),
-            },
+            set_balance(3, acct, Oid(1), 3.0),
             // txn 3 never commits (crash).
             LogRecord::ClockAdvance { at: 9 },
         ];
         let kept = committed_records(&log);
-        assert_eq!(kept.len(), 2); // txn 1's SetAttr + ClockAdvance
-        assert!(matches!(kept[0], LogRecord::SetAttr { txn: 1, .. }));
+        assert_eq!(kept.len(), 2); // txn 1's SetSlot + ClockAdvance
+        assert!(matches!(kept[0], LogRecord::SetSlot { txn: 1, .. }));
         assert!(matches!(kept[1], LogRecord::ClockAdvance { at: 9 }));
     }
 
@@ -266,18 +241,11 @@ mod tests {
         // create of a second account, then an uncommitted update to 999.
         let mut wal = Wal::open(&wal_p, SyncPolicy::Always).unwrap();
         wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        wal.append(&LogRecord::SetAttr {
-            txn: 1,
-            oid: a,
-            attr: "balance".into(),
-            old: Value::Float(100.0),
-            new: Value::Float(150.0),
-        })
-        .unwrap();
-        wal.append(&LogRecord::Create {
+        wal.append(&set_balance(1, acct, a, 150.0)).unwrap();
+        wal.append(&LogRecord::CreateSlots {
             txn: 1,
             oid: Oid(999),
-            class: "Account".into(),
+            class: acct,
             slots: vec![Value::Float(7.0)],
         })
         .unwrap();
@@ -290,14 +258,7 @@ mod tests {
         wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
         wal.append(&LogRecord::ClockAdvance { at: 42 }).unwrap();
         wal.append(&LogRecord::Begin { txn: 2 }).unwrap();
-        wal.append(&LogRecord::SetAttr {
-            txn: 2,
-            oid: a,
-            attr: "balance".into(),
-            old: Value::Float(150.0),
-            new: Value::Float(999.0),
-        })
-        .unwrap();
+        wal.append(&set_balance(2, acct, a, 999.0)).unwrap();
         wal.flush().unwrap();
         drop(wal); // crash before txn 2 commits
 
@@ -336,14 +297,15 @@ mod tests {
         let _ = std::fs::remove_file(&snap_p);
         let _ = std::fs::remove_file(&wal_p);
         let reg = registry();
+        let acct = reg.id_of("Account").unwrap();
         Snapshot::capture(&reg, &ObjectStore::new(), 0, String::new())
             .write(&snap_p)
             .unwrap();
         let mut wal = Wal::open(&wal_p, SyncPolicy::Always).unwrap();
-        wal.append(&LogRecord::Create {
+        wal.append(&LogRecord::CreateSlots {
             txn: 1,
             oid: Oid(5),
-            class: "Account".into(),
+            class: acct,
             slots: vec![Value::Float(0.0)],
         })
         .unwrap();
@@ -354,14 +316,7 @@ mod tests {
             slots: vec![Value::Float(0.0)],
         })
         .unwrap();
-        wal.append(&LogRecord::SetAttr {
-            txn: 1,
-            oid: Oid(5),
-            attr: "balance".into(),
-            old: Value::Float(0.0),
-            new: Value::Float(1.0),
-        })
-        .unwrap();
+        wal.append(&set_balance(1, acct, Oid(5), 1.0)).unwrap();
         wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
         drop(wal);
         let rec = recover(&snap_p, &wal_p).unwrap();

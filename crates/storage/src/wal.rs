@@ -557,7 +557,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_object::{Oid, Value};
+    use sentinel_object::{ClassId, Oid, Value};
 
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -570,11 +570,11 @@ mod tests {
     }
 
     fn sample(n: u64) -> LogRecord {
-        LogRecord::SetAttr {
+        LogRecord::SetSlot {
             txn: n,
             oid: Oid(n),
-            attr: "x".into(),
-            old: Value::Int(0),
+            class: ClassId(0),
+            slot: 0,
             new: Value::Int(n as i64),
         }
     }
@@ -618,7 +618,7 @@ mod tests {
         drop(wal);
         // Simulate a crash mid-append: half a record at the tail.
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
-        f.write_all(b"{\"SetAttr\":{\"txn\":3,\"oi").unwrap();
+        f.write_all(b"{\"SetSlot\":{\"txn\":3,\"oi").unwrap();
         drop(f);
         let records = Wal::read_all(&p).unwrap();
         assert_eq!(records.len(), 2);
@@ -633,7 +633,7 @@ mod tests {
         wal.append(&sample(2)).unwrap();
         drop(wal);
         let clean_len = std::fs::metadata(&p).unwrap().len();
-        let garbage: &[u8] = b"{\"SetAttr\":{\"txn\":3,\"oi";
+        let garbage: &[u8] = b"{\"SetSlot\":{\"txn\":3,\"oi";
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
         f.write_all(garbage).unwrap();
         drop(f);

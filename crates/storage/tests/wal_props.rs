@@ -43,19 +43,6 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
         (1u64..8).prop_map(|txn| LogRecord::Begin { txn }),
         (1u64..8).prop_map(|txn| LogRecord::Commit { txn }),
         (1u64..8).prop_map(|txn| LogRecord::Abort { txn }),
-        (1u64..8, 1u64..50, any::<i64>()).prop_map(|(txn, oid, v)| LogRecord::SetAttr {
-            txn,
-            oid: Oid(oid),
-            attr: "x".into(),
-            old: Value::Null,
-            new: Value::Int(v),
-        }),
-        (1u64..8, 1u64..50).prop_map(|(txn, oid)| LogRecord::Create {
-            txn,
-            oid: Oid(oid),
-            class: "C".into(),
-            slots: vec![Value::Int(0)],
-        }),
         (1u64..8, 1u64..50).prop_map(|(txn, oid)| LogRecord::Delete {
             txn,
             oid: Oid(oid),
@@ -164,8 +151,8 @@ proptest! {
 
     /// The hand-rolled compact encoder behind `Wal::append` produces
     /// exactly the bytes `serde_json` would, for every record shape
-    /// and attribute value — so v2 logs stay readable by the generic
-    /// deserializer and mixed-version logs need no format negotiation.
+    /// and attribute value — so logs stay readable by the generic
+    /// deserializer recovery uses.
     #[test]
     fn compact_encoder_matches_serde(records in prop::collection::vec(arb_record(), 1..40)) {
         for record in &records {

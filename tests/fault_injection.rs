@@ -35,7 +35,7 @@ fn torn_wal_tail_recovers_committed_prefix() {
     // Simulate a crash mid-append: garbage half-record at the tail.
     let wal = dir.join("wal.log");
     let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-    f.write_all(b"{\"SetAttr\":{\"txn\":99,\"oi").unwrap();
+    f.write_all(b"{\"SetSlot\":{\"txn\":99,\"oi").unwrap();
     drop(f);
 
     let db = Database::recover(DbConfig::durable(&dir)).unwrap();

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use sentinel::prelude::*;
-use sentinel_storage::LogRecord;
 use std::time::Duration;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -87,16 +86,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// WAL v2 (slot-interned records) format properties.
-//
-// The live write path emits the compact v2 records (`CreateSlots` /
-// `SetSlot`); v1 logs (`Create` / `SetAttr`, string-keyed) written by
-// earlier releases must keep recovering, including logs where a v1
-// prefix is continued by a v2 tail after an upgrade.
+// Slot-interned records (`CreateSlots` / `SetSlot`) replay a history.
 // ---------------------------------------------------------------------
 
-/// Write a random object history through the durable write path (which
-/// logs v2 records) and return the per-oid expected final values.
+/// Write a random object history through the durable write path and
+/// return the per-oid expected final values.
 fn write_history(dir: &std::path::Path, values: &[i64]) -> Vec<(Oid, i64)> {
     let mut db = Database::with_config(DbConfig::durable(dir)).unwrap();
     db.define_class(
@@ -123,60 +117,6 @@ fn write_history(dir: &std::path::Path, values: &[i64]) -> Vec<(Oid, i64)> {
     expect
 }
 
-/// Translate one v2 log record into its v1 (string-keyed) equivalent
-/// using the recovered schema; v1 records and markers pass through.
-/// The v1 `old` field is audit-only (replay ignores it), so `Null`
-/// stands in for the displaced value the v2 record no longer carries.
-fn to_v1(rec: LogRecord, reg: &ClassRegistry) -> LogRecord {
-    match rec {
-        LogRecord::CreateSlots {
-            txn,
-            oid,
-            class,
-            slots,
-        } => LogRecord::Create {
-            txn,
-            oid,
-            class: reg.get(class).name.clone(),
-            slots,
-        },
-        LogRecord::SetSlot {
-            txn,
-            oid,
-            class,
-            slot,
-            new,
-        } => LogRecord::SetAttr {
-            txn,
-            oid,
-            attr: reg.get(class).layout[slot as usize].attr.name.clone(),
-            old: Value::Null,
-            new,
-        },
-        other => other,
-    }
-}
-
-/// Rewrite `src`'s WAL into `dst`'s, translating v2 records to v1 for
-/// the record indices `translate` selects.
-fn rewrite_wal(
-    src: &std::path::Path,
-    dst: &std::path::Path,
-    reg: &ClassRegistry,
-    translate: impl Fn(usize) -> bool,
-) {
-    let text = std::fs::read_to_string(src.join("wal.log")).unwrap();
-    let mut out = String::new();
-    for (i, line) in text.lines().enumerate() {
-        let rec: LogRecord = serde_json::from_str(line).unwrap();
-        let rec = if translate(i) { to_v1(rec, reg) } else { rec };
-        out.push_str(&serde_json::to_string(&rec).unwrap());
-        out.push('\n');
-    }
-    std::fs::create_dir_all(dst).unwrap();
-    std::fs::write(dst.join("wal.log"), out).unwrap();
-}
-
 fn assert_state(db: &Database, expect: &[(Oid, i64)]) {
     let extent = db.extent("X").unwrap();
     assert_eq!(extent.len(), expect.len());
@@ -188,59 +128,25 @@ fn assert_state(db: &Database, expect: &[(Oid, i64)]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A v1 log obtained by translating every v2 record recovers to
-    /// exactly the same state as the v2 original.
+    /// Recovering the log of a random history restores every object's
+    /// final values, the second slot included.
     #[test]
-    fn v1_translation_of_a_v2_log_recovers_identically(
+    fn logged_history_recovers_exactly(
         values in prop::collection::vec(-1000i64..1000, 1..16),
     ) {
-        let dir = tmpdir("v1eq");
-        let dir1 = dir.join("v2");
-        let dir2 = dir.join("v1");
-        let expect = write_history(&dir1, &values);
-
-        let v2 = Database::recover(DbConfig::durable(&dir1)).unwrap();
-        rewrite_wal(&dir1, &dir2, v2.registry(), |_| true);
-        let v1 = Database::recover(DbConfig::durable(&dir2)).unwrap();
-
-        assert_state(&v2, &expect);
-        assert_state(&v1, &expect);
-        for (o, _) in &expect {
-            prop_assert_eq!(
-                v1.get_attr(*o, "w").unwrap(),
-                v2.get_attr(*o, "w").unwrap()
-            );
+        let dir = tmpdir("history");
+        let expect = write_history(&dir, &values);
+        let rec = Database::recover(DbConfig::durable(&dir)).unwrap();
+        assert_state(&rec, &expect);
+        for (i, (o, _)) in expect.iter().enumerate() {
+            let w = if i % 2 == 1 { -values[i] } else { 0 };
+            prop_assert_eq!(rec.get_attr(*o, "w").unwrap(), Value::Int(w));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A log whose prefix is v1 and whose tail is v2 — the shape an
-    /// upgraded installation leaves behind — recovers the full state.
-    #[test]
-    fn mixed_v1_prefix_v2_tail_log_recovers(
-        values in prop::collection::vec(-1000i64..1000, 2..16),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let dir = tmpdir("mixed");
-        let dir1 = dir.join("v2");
-        let dir2 = dir.join("mixed");
-        let expect = write_history(&dir1, &values);
-
-        let v2 = Database::recover(DbConfig::durable(&dir1)).unwrap();
-        let lines = std::fs::read_to_string(dir1.join("wal.log"))
-            .unwrap()
-            .lines()
-            .count();
-        let split = (lines as f64 * split_frac) as usize;
-        rewrite_wal(&dir1, &dir2, v2.registry(), |i| i < split);
-        let mixed = Database::recover(DbConfig::durable(&dir2)).unwrap();
-
-        assert_state(&mixed, &expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// A torn v2 tail — the final commit's bytes cut mid-record by a crash
+/// A torn tail — the final commit's bytes cut mid-record by a crash
 /// — is trimmed, and exactly the preceding transactions recover.
 #[test]
 fn torn_v2_tail_recovers_the_prefix() {
@@ -249,7 +155,7 @@ fn torn_v2_tail_recovers_the_prefix() {
     let expect = write_history(&dir, &values);
 
     // Cut into the final line (the last transaction's Commit record):
-    // the transaction loses its commit marker, so its v2 records must
+    // the transaction loses its commit marker, so its records must
     // not replay.
     let wal = dir.join("wal.log");
     let len = std::fs::metadata(&wal).unwrap().len();
