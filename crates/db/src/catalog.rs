@@ -1,54 +1,28 @@
 //! The event/rule catalog and its persistence forms.
 //!
 //! Events and rules are first-class objects, and the object store is the
-//! catalog: an `Event` object's `name`/`expr` slots *are* the event, and
-//! a `Rule` object's `enabled` and `subscriptions` slots *are* the
-//! rule's flag and its Figure 4 consumer relation. Those slots change
-//! through the ordinary slot-write path, so ordinary undo, redo, and
-//! snapshots cover them; the engine's flags and subscription sets are a
-//! cache rebuilt from the slots by [`Database::sync_rule`].
-//!
-//! Only rule *definitions* (event expression, coupling, bodies' names)
-//! still travel beside the store, as [`MetaOp`] records in the WAL and
-//! [`CatalogSnapshot::rules`] in snapshots. Bodies (conditions, actions,
-//! method implementations) are code and are re-registered by the
-//! application after recovery, keyed by name — the same contract a
-//! recompiled C++ application had with Zeitgeist.
+//! catalog. An `Event` object's `name`/`expr` slots *are* the event. A
+//! `Rule` object's slots *are* the rule (Figure 7): `name`, `event` (the
+//! expression as JSON text, like an event's `expr`), `condition`,
+//! `action`, `coupling`, `priority`, `context`, `enabled`, and
+//! `subscriptions`, the rule's Figure 4 consumer relation. Creating,
+//! deleting and updating a rule are creating, deleting and writing its
+//! object, so ordinary undo, redo and snapshots cover them. The engine's
+//! rules are a cache rebuilt from the slots by [`Database::sync_rule`].
+//! Bodies (conditions, actions, method implementations) are code and
+//! are re-registered by the application after recovery, keyed by name —
+//! the same contract a recompiled C++ application had with Zeitgeist.
 
 use crate::database::{meta, Database, Target};
 use sentinel_events::{DetectorState, EventExpr, ParamContext};
-use sentinel_object::{ObjectError, Oid, Result, Value};
-use sentinel_rules::{Firing, RuleDef, RuleStats};
+use sentinel_object::{ObjectError, ObjectState, Oid, Result, Value};
+use sentinel_rules::{CouplingMode, Firing, RuleDef, RuleId, RuleStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
-/// A rule definition bound to its rule object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RuleRecord {
-    /// The rule object's identity in the store.
-    pub oid: Oid,
-    /// The serializable rule definition (Figure 7's attributes).
-    pub def: RuleDef,
-}
-
-/// Rule-definition changes, logged as WAL `Meta` records (tag
-/// `"catalog"`) so recovery can rebuild the engine's rules created or
-/// deleted after the last snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field names are self-describing records
-pub enum MetaOp {
-    /// A rule object was created.
-    AddRule(RuleRecord),
-    /// A rule object was deleted.
-    RemoveRule { name: String },
-}
-
-/// Rule definitions and detector state embedded in a snapshot's `extra`
-/// payload (everything else is in the snapshot's objects).
+/// Detector state embedded in a snapshot's `extra` payload (everything
+/// else, rule definitions included, is in the snapshot's objects).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CatalogSnapshot {
-    /// Every rule definition.
-    pub rules: Vec<RuleRecord>,
     /// Partial composite-detection state per rule name, captured at
     /// checkpoint so a half-detected sequence/window survives a restart.
     /// Rules with nothing buffered are omitted.
@@ -59,16 +33,10 @@ pub struct CatalogSnapshot {
     pub instant: u64,
 }
 
-/// In-memory inverse of a rule-definition change, replayed (in reverse)
-/// when the surrounding transaction aborts. The rule object itself is
-/// restored by the store's undo; this restores the engine's definition.
-#[derive(Debug, Clone)]
-#[allow(missing_docs)] // field names are self-describing records
-pub enum CatalogUndo {
-    /// Undo an `add_rule`: remove the rule from the engine.
-    RuleAdded { name: String },
-    /// Undo a `remove_rule`: re-create the rule from its definition.
-    RuleRemoved { record: Box<RuleRecord> },
+/// The variant of `all` whose display name is `text`.
+fn by_name<T: Copy>(all: &[T], name: fn(T) -> &'static str, text: &str) -> Result<T> {
+    let found = all.iter().copied().find(|&v| name(v) == text);
+    found.ok_or_else(|| ObjectError::App(format!("rule slot: unknown value `{text}`")))
 }
 
 impl Database {
@@ -139,49 +107,64 @@ impl Database {
     /// Create a rule object. Its condition/action bodies must already be
     /// registered. Returns the rule object's oid.
     pub fn add_rule(&mut self, def: impl Into<RuleDef>) -> Result<Oid> {
-        let mut def = def.into();
+        self.create_rule(def.into(), Vec::new())
+    }
+
+    /// Declare a class-level rule (paper Figure 9): the rule is created
+    /// subscribed to the whole class, so it applies to every present and
+    /// future instance (and instances of subclasses).
+    pub fn add_class_rule(&mut self, class: &str, def: impl Into<RuleDef>) -> Result<Oid> {
+        let entry = self.subscription_entry(Target::Class(class))?;
+        self.create_rule(def.into(), vec![entry])
+    }
+
+    /// Create a rule object with every slot written, then instantiate its
+    /// engine rule once.
+    fn create_rule(&mut self, mut def: RuleDef, subscriptions: Vec<Value>) -> Result<Oid> {
         if def.context == ParamContext::default() {
             def.context = self.config.default_context;
         }
-        let rule_class = self.rule_class;
+        // Serializing is most of the cost of creating a rule, and rules
+        // often come in runs over one expression: reuse the last text.
+        let event = match &self.last_event_json {
+            Some((expr, json)) if *expr == def.event => json.clone(),
+            _ => {
+                let json = serde_json::to_string(&def.event)
+                    .map_err(|e| ObjectError::Storage(format!("serialize rule event: {e}")))?;
+                self.last_event_json = Some((def.event.clone(), json.clone()));
+                json
+            }
+        };
+        let class = self.registry.get(self.rule_class);
+        let mut state = ObjectState::new(class);
+        for (attr, value) in [
+            ("name", Value::Str(def.name.clone())),
+            ("event", Value::Str(event)),
+            ("condition", Value::Str(def.condition.clone())),
+            ("action", Value::Str(def.action.clone())),
+            ("coupling", Value::Str(def.coupling.name().into())),
+            ("priority", Value::Int(def.priority.into())),
+            ("context", Value::Str(def.context.name().into())),
+            ("subscriptions", Value::List(subscriptions)),
+        ] {
+            state.set_slot(class, class.slot_of(attr).expect("Rule slot"), value)?;
+        }
         self.with_auto_txn(move |db| {
-            let oid = db.create_internal(rule_class)?;
-            db.set_attr_internal(oid, "name", Value::Str(def.name.clone()))?;
-            db.set_attr_internal(oid, "coupling", Value::Str(def.coupling.name().into()))?;
-            db.set_attr_internal(oid, "priority", Value::Int(def.priority as i64))?;
-            db.engine.add_rule(def.clone(), oid, &db.registry)?;
-            db.catalog_undo.push(CatalogUndo::RuleAdded {
-                name: def.name.clone(),
-            });
-            db.log_meta(MetaOp::AddRule(RuleRecord { oid, def }))?;
+            // The engine vets the definition before the object exists,
+            // so a rejected rule leaves nothing behind.
+            let oid = db.store.allocate_oid();
+            let id = db.engine.add_rule(def, oid, &db.registry)?;
+            db.txn_rules.push(oid);
+            db.insert_internal(oid, state)?;
+            db.sync_rule_flags(id, oid)?;
             Ok(oid)
         })
     }
 
-    /// Declare a class-level rule (paper Figure 9): the rule is created
-    /// and subscribed to the whole class, so it applies to every present
-    /// and future instance (and instances of subclasses).
-    pub fn add_class_rule(&mut self, class: &str, def: impl Into<RuleDef>) -> Result<Oid> {
-        let def = def.into();
-        let name = def.name.clone();
-        let oid = self.add_rule(def)?;
-        self.subscribe(class, &name)?;
-        Ok(oid)
-    }
-
-    /// Delete a rule and its rule object.
+    /// Delete a rule: delete its rule object.
     pub fn remove_rule(&mut self, name: &str) -> Result<()> {
-        let id = self.engine.id_of(name)?;
-        let oid = self.engine.rule(id)?.oid;
-        let name = name.to_string();
-        self.with_auto_txn(move |db| {
-            let def = db.engine.remove_rule(id)?;
-            db.delete_internal(oid)?;
-            db.catalog_undo.push(CatalogUndo::RuleRemoved {
-                record: Box::new(RuleRecord { oid, def }),
-            });
-            db.log_meta(MetaOp::RemoveRule { name })
-        })
+        let oid = self.rule_oid(name)?;
+        self.with_auto_txn(move |db| db.delete_internal(oid))
     }
 
     /// Enable a rule by name: a write of its `enabled` slot. Sending
@@ -199,16 +182,57 @@ impl Database {
         self.set_attr(oid, "enabled", Value::Bool(false))
     }
 
-    /// Reconcile the engine's cached view of one rule — its enabled flag
-    /// and its subscription edges — with the rule object's `enabled` and
-    /// `subscriptions` slots. Called after every slot write to a `Rule`
-    /// object, for each rule object a rolled-back transaction wrote, and
-    /// for every rule object at recovery. A no-op for an object with no
-    /// engine rule behind it (a rule mid-creation or already removed).
+    /// Reconcile the engine's rule behind rule object `oid` with the
+    /// object's slots: remove it when the object is gone, instantiate it
+    /// when the engine has none, re-instantiate it (fresh detector, as
+    /// after `disable`) when a definition slot differs, then bring its
+    /// flag and subscription edges in line. Bodies are not checked here:
+    /// recovery runs before the application registers them. A definition
+    /// the engine rejects (a taken name, an event over an unknown class)
+    /// is an error.
+    /// Called after every write or delete of a `Rule` object, for each
+    /// rule object a rolled-back transaction touched, and for every rule
+    /// object at recovery.
     pub(crate) fn sync_rule(&mut self, oid: Oid) -> Result<()> {
-        let Some(id) = self.engine.id_of_oid(oid) else {
+        let current = self.engine.id_of_oid(oid);
+        if !self.store.exists(oid) {
+            if let Some(id) = current {
+                self.engine.remove_rule(id)?;
+            }
             return Ok(());
+        }
+        let def = self.rule_def(oid)?;
+        let id = match current {
+            None => self.engine.add_rule_unchecked(def, oid, &self.registry)?,
+            Some(id) if self.engine.rule(id)?.def == def => id,
+            Some(id) => {
+                self.engine.remove_rule(id)?;
+                self.engine.add_rule_unchecked(def, oid, &self.registry)?
+            }
         };
+        self.sync_rule_flags(id, oid)
+    }
+
+    /// The definition held by rule object `oid`'s slots.
+    fn rule_def(&self, oid: Oid) -> Result<RuleDef> {
+        let slot = |attr| self.store.get_attr(&self.registry, oid, attr);
+        let text = |attr| -> Result<String> { Ok(slot(attr)?.as_str()?.to_owned()) };
+        let bad = |what: String| ObjectError::App(format!("rule object {oid}: {what}"));
+        let priority = slot("priority")?.as_int()?;
+        Ok(RuleDef {
+            name: text("name")?,
+            event: serde_json::from_str(&text("event")?).map_err(|e| bad(e.to_string()))?,
+            condition: text("condition")?,
+            action: text("action")?,
+            coupling: by_name(&CouplingMode::ALL, CouplingMode::name, &text("coupling")?)?,
+            priority: i32::try_from(priority).map_err(|e| bad(e.to_string()))?,
+            context: by_name(&ParamContext::ALL, ParamContext::name, &text("context")?)?,
+        })
+    }
+
+    /// Bring rule `id`'s enabled flag and subscription edges in line
+    /// with rule object `oid`'s `enabled` and `subscriptions` slots.
+    pub(crate) fn sync_rule_flags(&mut self, id: RuleId, oid: Oid) -> Result<()> {
         let enabled = self
             .store
             .get_attr(&self.registry, oid, "enabled")?
@@ -235,20 +259,10 @@ impl Database {
                 }
             }
         }
+        // Fan-out order does not depend on the consumer lists' order, so
+        // the edges are simply rebuilt.
         let subs = &mut self.engine.subscriptions;
-        let wanted: HashSet<Oid> = objects.iter().copied().collect();
-        for o in subs.objects_of(id) {
-            if !wanted.contains(&o) {
-                subs.unsubscribe_object(o, id);
-            }
-        }
-        for c in subs.classes_of(id) {
-            if !classes.contains(&c) {
-                subs.unsubscribe_class(c, id);
-            }
-        }
-        // Subscribing is idempotent; walking the slot in order keeps the
-        // consumer lists in subscription order.
+        subs.remove_rule(id);
         for o in objects {
             subs.subscribe_object(o, id);
         }
@@ -288,12 +302,11 @@ impl Database {
         self.engine.detector_count()
     }
 
-    /// Names of all rules.
+    /// Names of all rules, in creation (rule-object oid) order.
     pub fn rule_names(&self) -> Vec<String> {
-        self.engine
-            .iter_rules()
-            .map(|r| r.def.name.clone())
-            .collect()
+        let mut rules: Vec<_> = self.engine.iter_rules().collect();
+        rules.sort_unstable_by_key(|r| r.oid);
+        rules.into_iter().map(|r| r.def.name.clone()).collect()
     }
 
     // ------------------------------------------------------------------
@@ -307,7 +320,20 @@ impl Database {
     /// `subscriptions` slot (an oid or a class name), so it commits,
     /// aborts, and recovers with that slot.
     pub fn subscribe<'a>(&mut self, target: impl Into<Target<'a>>, rule: &str) -> Result<()> {
-        let target = target.into();
+        let entry = self.subscription_entry(target.into())?;
+        let oid = self.rule_oid(rule)?;
+        self.with_auto_txn(|db| {
+            db.edit_subscriptions(oid, |list| {
+                if !list.contains(&entry) {
+                    list.push(entry);
+                }
+            })
+        })
+    }
+
+    /// The `subscriptions` slot entry for `target`, which must be a
+    /// reactive object or class.
+    fn subscription_entry(&self, target: Target<'_>) -> Result<Value> {
         let (class, entry) = match target {
             Target::Object(object) => (self.store.class_of(object)?, Value::Oid(object)),
             Target::Class(class) => (self.registry.id_of(class)?, Value::Str(class.into())),
@@ -324,14 +350,7 @@ impl Database {
                 }
             }));
         }
-        let oid = self.rule_oid(rule)?;
-        self.with_auto_txn(|db| {
-            db.edit_subscriptions(oid, |list| {
-                if !list.contains(&entry) {
-                    list.push(entry);
-                }
-            })
-        })
+        Ok(entry)
     }
 
     /// Reverse of [`subscribe`](Self::subscribe), for either target kind.
@@ -401,34 +420,10 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_events::PrimitiveEventSpec;
-
-    fn record(oid: u64) -> RuleRecord {
-        RuleRecord {
-            oid: Oid(oid),
-            def: RuleDef::new(
-                "r",
-                EventExpr::primitive(PrimitiveEventSpec::begin("C", "m")),
-                "noop",
-            ),
-        }
-    }
-
-    #[test]
-    fn meta_op_serde_round_trip() {
-        for op in [
-            MetaOp::AddRule(record(4)),
-            MetaOp::RemoveRule { name: "r".into() },
-        ] {
-            let s = serde_json::to_string(&op).unwrap();
-            assert_eq!(serde_json::from_str::<MetaOp>(&s).unwrap(), op);
-        }
-    }
 
     #[test]
     fn catalog_snapshot_serde() {
         let snap = CatalogSnapshot {
-            rules: vec![record(9)],
             detector_state: vec![],
             instant: 42,
         };

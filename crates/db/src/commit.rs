@@ -11,7 +11,7 @@
 //! `Database` (begin/commit/abort, detached execution, checkpoint and
 //! recovery). The rollback half lives in [`crate::undo`].
 
-use crate::catalog::{CatalogSnapshot, MetaOp, RuleRecord};
+use crate::catalog::CatalogSnapshot;
 use crate::config::DbConfig;
 use crate::database::{meta, Database};
 use crate::stats::SharedDbStats;
@@ -331,7 +331,6 @@ impl Database {
         }
         let id = self.pipeline.commit(self.clock.now())?;
         self.engine.commit_capture();
-        self.catalog_undo.clear();
         self.txn_rules.clear();
         self.txn_touched.clear();
         // The transaction is durable: its firings' fates are sealed.
@@ -609,31 +608,9 @@ impl Database {
         Ok(())
     }
 
-    pub(crate) fn log_meta(&mut self, op: MetaOp) -> Result<()> {
-        if !self.pipeline.is_durable() {
-            return Ok(());
-        }
-        let txn = self
-            .pipeline
-            .current()
-            .ok_or(ObjectError::NoActiveTransaction)?;
-        let payload = serde_json::to_string(&op)
-            .map_err(|e| ObjectError::Storage(format!("serialize meta op: {e}")))?;
-        self.log(LogRecord::Meta {
-            txn,
-            tag: "catalog".into(),
-            payload,
-        })
-    }
-
     pub(crate) fn catalog_snapshot(&self) -> CatalogSnapshot {
-        let mut rules: Vec<RuleRecord> = Vec::new();
         let mut detector_state = Vec::new();
         for r in self.engine.iter_rules() {
-            rules.push(RuleRecord {
-                oid: r.oid,
-                def: r.def.clone(),
-            });
             // Partial detections survive the checkpoint: a half-matched
             // sequence or an open window resumes after recovery instead
             // of silently restarting from scratch.
@@ -646,10 +623,8 @@ impl Database {
                 detector_state.push((r.def.name.clone(), state));
             }
         }
-        rules.sort_by(|a, b| a.def.name.cmp(&b.def.name));
         detector_state.sort_by(|a, b| a.0.cmp(&b.0));
         CatalogSnapshot {
-            rules,
             detector_state,
             instant: self.clock.instant_now(),
         }
@@ -697,38 +672,20 @@ impl Database {
             db.event_class = db.registry.id_of(meta::EVENT)?;
             db.register_rule_methods();
         }
-        // Rule definitions: snapshot first, then committed meta records
-        // in order. The rule objects themselves (flags, subscriptions)
-        // came back with the store; sync each one into the engine.
+        // The rule objects came back with the store; instantiate each
+        // one from its slots, in oid order so co-triggered rules keep
+        // their fan-out order.
+        let mut rules = db.store.extent(&db.registry, db.rule_class);
+        rules.sort_unstable();
+        for oid in rules {
+            db.sync_rule(oid)?;
+        }
         let snap: CatalogSnapshot = if rec.extra.is_empty() {
             CatalogSnapshot::default()
         } else {
             serde_json::from_str(&rec.extra)
                 .map_err(|e| ObjectError::Storage(format!("parse catalog snapshot: {e}")))?
         };
-        for r in snap.rules {
-            db.engine.add_rule_unchecked(r.def, r.oid, &db.registry)?;
-        }
-        for (_txn, tag, payload) in &rec.meta {
-            if tag != "catalog" {
-                continue;
-            }
-            let op: MetaOp = serde_json::from_str(payload)
-                .map_err(|e| ObjectError::Storage(format!("parse meta op: {e}")))?;
-            match op {
-                MetaOp::AddRule(r) => {
-                    db.engine.add_rule_unchecked(r.def, r.oid, &db.registry)?;
-                }
-                MetaOp::RemoveRule { name } => {
-                    if let Ok(id) = db.engine.id_of(&name) {
-                        db.engine.remove_rule(id)?;
-                    }
-                }
-            }
-        }
-        for oid in db.store.extent(&db.registry, db.rule_class) {
-            db.sync_rule(oid)?;
-        }
         // Restore partial detections captured at checkpoint, now that
         // the rules' enabled flags are known. Import is shape-checked: a
         // rule whose event expression changed between checkpoint and

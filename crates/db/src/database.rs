@@ -8,17 +8,16 @@
 //! [`crate::index`]; all of them extend `Database` with further `impl`
 //! blocks.
 
-use crate::catalog::CatalogUndo;
 use crate::commit::CommitPipeline;
 use crate::config::DbConfig;
 use crate::index::AttrIndex;
 use crate::stats::{DbStats, FullStats, SharedDbStats};
 use parking_lot::RwLock;
 use sentinel_analyze::{diff_effects, AnalysisReport, ObservedEffects, RuleAnalyzer};
-use sentinel_events::{EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
+use sentinel_events::{EventExpr, EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
 use sentinel_object::{
-    ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectStore, Oid,
-    Reactivity, Result, TypeTag, Value, World,
+    ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectState,
+    ObjectStore, Oid, Reactivity, Result, TypeTag, Value, World,
 };
 use sentinel_rules::{ActionDef, EngineStats, Firing, Lineage, RuleEngine};
 use sentinel_storage::{LogRecord, UndoOp, Wal};
@@ -107,10 +106,12 @@ pub struct Database {
     pub(crate) has_indexes: bool,
     /// Objects mutated by the active transaction, re-indexed on abort.
     pub(crate) txn_touched: Vec<Oid>,
-    pub(crate) catalog_undo: Vec<CatalogUndo>,
-    /// Rule objects the active transaction wrote; rollback re-syncs the
-    /// engine from each one's restored slots.
+    /// Rule objects the active transaction created, wrote or deleted;
+    /// rollback re-syncs the engine from each one's restored slots.
     pub(crate) txn_rules: Vec<Oid>,
+    /// The last event expression a rule was created with, and its JSON
+    /// text for the rule object's `event` slot.
+    pub(crate) last_event_json: Option<(EventExpr, String)>,
     pub(crate) rule_class: ClassId,
     pub(crate) event_class: ClassId,
     /// Shared pipeline observability handle; clones live in the engine,
@@ -285,8 +286,8 @@ impl Database {
             indexes: Arc::new(RwLock::new(Vec::new())),
             has_indexes: false,
             txn_touched: Vec::new(),
-            catalog_undo: Vec::new(),
             txn_rules: Vec::new(),
+            last_event_json: None,
             rule_class: ClassId(0),
             event_class: ClassId(0),
             telemetry,
@@ -321,16 +322,22 @@ impl Database {
         }
         // Rule is notifiable (it consumes events) *and* reactive: its
         // Enable/Disable operations are themselves event generators, so
-        // rules can be monitored by other rules. `subscriptions` is the
-        // Figure 4 consumer relation stored at the rule's end: oids of
-        // monitored objects and names of monitored classes.
+        // rules can be monitored by other rules. Its slots are the whole
+        // definition (Figure 7); `event` is the expression as JSON text,
+        // and `subscriptions` is the Figure 4 consumer relation stored
+        // at the rule's end: oids of monitored objects and names of
+        // monitored classes.
         self.rule_class = self.define_class(
             ClassDecl::reactive(meta::RULE)
                 .parent(meta::NOTIFIABLE)
                 .attr("name", TypeTag::Str)
-                .attr_with_default("enabled", TypeTag::Bool, Value::Bool(true))
+                .attr("event", TypeTag::Str)
+                .attr("condition", TypeTag::Str)
+                .attr("action", TypeTag::Str)
                 .attr("coupling", TypeTag::Str)
                 .attr("priority", TypeTag::Int)
+                .attr("context", TypeTag::Str)
+                .attr_with_default("enabled", TypeTag::Bool, Value::Bool(true))
                 .attr_with_default("subscriptions", TypeTag::List, Value::List(Vec::new()))
                 .event_method("Enable", &[], EventSpec::End)
                 .event_method("Disable", &[], EventSpec::End),
@@ -521,17 +528,27 @@ impl Database {
     }
 
     pub(crate) fn create_internal(&mut self, class: ClassId) -> Result<Oid> {
+        let state = ObjectState::new(self.registry.get(class));
+        self.insert_internal(self.store.allocate_oid(), state)
+    }
+
+    /// Insert object `oid` with slot row `state` inside the active
+    /// transaction, staging its undo and redo.
+    pub(crate) fn insert_internal(&mut self, oid: Oid, state: ObjectState) -> Result<Oid> {
         if !self.pipeline.in_txn() {
             return Err(ObjectError::NoActiveTransaction);
         }
-        let oid = self.store.create(&self.registry, class);
+        // The slot row is cloned once for the redo record, and only when
+        // a WAL is attached; the in-memory path logs nothing and clones
+        // nothing. The record is the slot-interned v2 form
+        // (`CreateSlots`): it carries the class id, not the name.
+        let logged = self
+            .pipeline
+            .is_durable()
+            .then(|| (state.class, state.slots.clone()));
+        self.store.insert_raw(oid, state);
         self.pipeline.stage_undo(UndoOp::Create { oid })?;
-        // The default slot row is materialised once for the redo record,
-        // and only when a WAL is attached; the in-memory path logs
-        // nothing and clones nothing. The record is the slot-interned v2
-        // form (`CreateSlots`): it carries the class id, not the name.
-        if self.pipeline.is_durable() {
-            let slots = self.store.with_state(oid, |st| st.slots.clone())?;
+        if let Some((class, slots)) = logged {
             let txn = self.pipeline.current().expect("in txn");
             self.log(LogRecord::CreateSlots {
                 txn,
@@ -586,11 +603,23 @@ impl Database {
         Ok(())
     }
 
-    /// A slot of rule object `oid` changed: remember it for rollback and
-    /// bring the engine's cache up to date.
+    /// A slot of rule object `oid` changed: remember the object for
+    /// rollback and bring the engine's rule up to date. A write that
+    /// re-instantiates the rule must name registered bodies. A write the
+    /// engine cannot follow aborts the transaction, whose rollback
+    /// restores the rule.
     pub(crate) fn rule_written(&mut self, oid: Oid) -> Result<()> {
         self.txn_rules.push(oid);
-        self.sync_rule(oid)
+        let before = self.engine.id_of_oid(oid);
+        let synced = self
+            .sync_rule(oid)
+            .and_then(|()| match self.engine.id_of_oid(oid) {
+                Some(id) if Some(id) != before => {
+                    self.engine.check_bodies(&self.engine.rule(id)?.def)
+                }
+                _ => Ok(()),
+            });
+        synced.map_err(|e| ObjectError::abort(format!("rule object {oid}: {e}")))
     }
 
     pub(crate) fn delete_internal(&mut self, oid: Oid) -> Result<()> {
@@ -598,6 +627,7 @@ impl Database {
             return Err(ObjectError::NoActiveTransaction);
         }
         let state = self.store.delete(oid)?;
+        let class = state.class;
         // Deletes are cold: they keep the v1 string-keyed record, but
         // the name/slots clones are skipped entirely in memory.
         let logged = self.pipeline.is_durable().then(|| {
@@ -627,6 +657,10 @@ impl Database {
             idx.remove(oid);
         }
         self.txn_touched.push(oid);
+        if class == self.rule_class {
+            self.txn_rules.push(oid);
+            self.sync_rule(oid)?;
+        }
         Ok(())
     }
 

@@ -1,33 +1,30 @@
 //! Rollback: the abort half of the commit pipeline.
 //!
-//! Abort undoes three kinds of state the transaction touched eagerly:
+//! Abort undoes two kinds of state the transaction touched eagerly:
 //! store mutations (the [`WriteBatch`](sentinel_storage::WriteBatch)'s
 //! staged undo ops, replayed in reverse — rule and event objects
-//! included), rule definitions (the in-memory [`CatalogUndo`] journal),
-//! and rule-detection state (the engine's capture/restore mechanism plus
-//! a clock-based prune). The engine's per-rule flags and subscription
-//! edges are then re-synced from every rule object the transaction
-//! wrote. The staged redo records are discarded unwritten — an aborted
-//! transaction leaves no trace in the log.
+//! included) and rule-detection state (the engine's capture/restore
+//! mechanism plus a clock-based prune). The engine's rules are then
+//! re-synced from every rule object the transaction created, wrote or
+//! deleted. The staged redo records are discarded unwritten — an
+//! aborted transaction leaves no trace in the log.
 
-use crate::catalog::{CatalogUndo, RuleRecord};
 use crate::database::Database;
 use crate::stats::SharedDbStats;
 use sentinel_telemetry::Stage;
 
 impl Database {
-    /// Undo everything the active transaction did (store + catalog),
-    /// discard pending firings, and drop its staged log records.
+    /// Undo everything the active transaction did (store, and with it
+    /// the catalog), discard pending firings, and drop its staged log
+    /// records.
     pub(crate) fn rollback(&mut self) {
         self.pipeline.rollback(&self.store);
-        for u in std::mem::take(&mut self.catalog_undo).into_iter().rev() {
-            self.apply_catalog_undo(u);
-        }
         // The store holds the pre-transaction rule objects again; make
-        // the engine's cache agree with them. The list keeps its
-        // capacity for the next transaction.
+        // the engine agree with them. Rules whose objects are gone go
+        // first, so a restored rule can take back a name a rolled-back
+        // one held. The list keeps its capacity for the next transaction.
         let mut rules = std::mem::take(&mut self.txn_rules);
-        rules.sort_unstable();
+        rules.sort_unstable_by_key(|&oid| (self.store.exists(oid), oid));
         rules.dedup();
         for &oid in &rules {
             let _ = self.sync_rule(oid);
@@ -61,27 +58,5 @@ impl Database {
         self.telemetry.hit(Stage::TxnAbort, self.clock.now(), || {
             String::from("rollback")
         });
-    }
-
-    fn apply_catalog_undo(&mut self, u: CatalogUndo) {
-        match u {
-            CatalogUndo::RuleAdded { name } => {
-                if let Ok(id) = self.engine.id_of(&name) {
-                    let _ = self.engine.remove_rule(id);
-                }
-            }
-            CatalogUndo::RuleRemoved { record } => {
-                let RuleRecord { oid, def } = *record;
-                if self
-                    .engine
-                    .add_rule_unchecked(def, oid, &self.registry)
-                    .is_ok()
-                {
-                    // Its restored object carries the flag and the
-                    // subscriptions; the re-sync below applies them.
-                    self.txn_rules.push(oid);
-                }
-            }
-        }
     }
 }

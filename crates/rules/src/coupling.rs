@@ -26,6 +26,13 @@ pub enum CouplingMode {
 }
 
 impl CouplingMode {
+    /// All modes, in declaration order.
+    pub const ALL: [CouplingMode; 3] = [
+        CouplingMode::Immediate,
+        CouplingMode::Deferred,
+        CouplingMode::Detached,
+    ];
+
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -59,11 +66,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        for m in [
-            CouplingMode::Immediate,
-            CouplingMode::Deferred,
-            CouplingMode::Detached,
-        ] {
+        for m in CouplingMode::ALL {
             let s = serde_json::to_string(&m).unwrap();
             assert_eq!(serde_json::from_str::<CouplingMode>(&s).unwrap(), m);
         }

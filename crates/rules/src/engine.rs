@@ -161,8 +161,17 @@ type SlotId = usize;
 /// the same state had it kept a private detector.
 struct Slot {
     detector: DetectorInstance,
-    /// Member rules in id order — the order a detection fans out in.
+    /// Member rules in [`fan_out_key`] order — the order a detection
+    /// fans out in.
     members: Vec<RuleId>,
+}
+
+/// Where a rule fires among co-triggered rules: by its rule object's
+/// oid, so the order is a function of persistent state and a rule
+/// re-instantiated under a fresh [`RuleId`] keeps its place. Storeless
+/// rules all carry [`Oid::NIL`]; for them insertion order decides.
+fn fan_out_key(rule: &Rule) -> (Oid, RuleId) {
+    (rule.oid, rule.id)
 }
 
 /// The detector arena: slots addressed by index, freed indices reused.
@@ -279,6 +288,10 @@ struct RoutingIndex {
     /// Class subscriptions of unbounded slots, looked up along the
     /// occurrence's class linearization (only when non-empty).
     broad_by_class: HashMap<ClassId, Vec<SlotId>>,
+    /// Fan-out position of each live slot, by its first member's
+    /// [`fan_out_key`]. Every list above is sorted by it, so an
+    /// occurrence reached through one list needs no sort.
+    rank: Vec<u32>,
 }
 
 impl RoutingIndex {
@@ -648,19 +661,25 @@ impl RuleEngine {
     /// enabled but fires only once subscriptions connect it to event
     /// producers.
     pub fn add_rule(&mut self, def: RuleDef, oid: Oid, registry: &ClassRegistry) -> Result<RuleId> {
+        self.check_bodies(&def)?;
+        self.add_rule_unchecked(def, oid, registry)
+    }
+
+    /// Fail unless `def`'s condition and action bodies are registered.
+    pub fn check_bodies(&self, def: &RuleDef) -> Result<()> {
         if !self.bodies.has_condition(&def.condition) {
             return Err(ObjectError::BodyNotRegistered {
                 kind: "condition",
-                name: def.condition,
+                name: def.condition.clone(),
             });
         }
         if !self.bodies.has_action(&def.action) {
             return Err(ObjectError::BodyNotRegistered {
                 kind: "action",
-                name: def.action,
+                name: def.action.clone(),
             });
         }
-        self.add_rule_unchecked(def, oid, registry)
+        Ok(())
     }
 
     /// Create a rule without validating that its condition/action bodies
@@ -966,6 +985,27 @@ impl RuleEngine {
                 }
             }
         }
+        let mut order: Vec<_> = self
+            .arena
+            .live()
+            .map(|(sid, slot)| (fan_out_key(&self.rules[&slot.members[0]]), sid))
+            .collect();
+        order.sort_unstable();
+        idx.rank.clear();
+        idx.rank.resize(self.arena.slots.len(), 0);
+        for (pos, &(_, sid)) in order.iter().enumerate() {
+            idx.rank[sid] = pos as u32;
+        }
+        let rank = &idx.rank;
+        for list in idx
+            .by_object
+            .values_mut()
+            .chain(idx.broad_by_object.values_mut())
+            .chain(idx.by_class_sym.values_mut())
+            .chain(idx.broad_by_class.values_mut())
+        {
+            list.sort_unstable_by_key(|&sid| rank[sid]);
+        }
         self.routing = Some(idx);
     }
 
@@ -1046,7 +1086,7 @@ impl RuleEngine {
                     moved.extend(absorbed.iter().map(|&rid| (rid, bucket[i])));
                     let survivor = &mut self.arena.get_mut(bucket[i]).members;
                     survivor.extend(absorbed);
-                    survivor.sort_unstable();
+                    survivor.sort_unstable_by_key(|rid| fan_out_key(&self.rules[rid]));
                 }
             }
         }
@@ -1096,6 +1136,8 @@ impl RuleEngine {
     /// which hear everything. A symbol-less occurrence (a method outside
     /// the declared schema) reaches only the broad ones. Each detector
     /// runs once; its completions fan out to every rule it serves.
+    /// Detectors run, and their members fire, in rule-object oid order
+    /// (insertion order among storeless rules).
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
@@ -1122,6 +1164,11 @@ impl RuleEngine {
             for &c in &registry.get(occ.class).linearization {
                 push_unique(&mut consumers, idx.broad_by_class.get(&c));
             }
+        }
+        // Only an occurrence reached through more than one list can
+        // arrive out of order.
+        if !consumers.is_sorted_by_key(|&sid| idx.rank[sid]) {
+            consumers.sort_unstable_by_key(|&sid| idx.rank[sid]);
         }
 
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();

@@ -37,7 +37,11 @@ pub struct RuleDef {
     pub action: String,
     /// When the rule executes relative to its triggering transaction.
     pub coupling: CouplingMode,
-    /// Larger fires earlier under the priority resolver.
+    /// Rank among co-triggered rules, larger first. The analyzer's
+    /// confluence and `shadowed-by-abort` diagnostics read it, and so
+    /// does a bare [`RuleEngine`](crate::RuleEngine) running
+    /// [`PriorityResolver`](crate::PriorityResolver). A `Database` fires
+    /// co-triggered rules in trigger order whatever their priority.
     pub priority: i32,
     /// Parameter context for this rule's private detector.
     pub context: ParamContext,
@@ -70,8 +74,9 @@ impl RuleDef {
         self
     }
 
-    /// Set the priority (larger fires earlier under the priority
-    /// resolver).
+    /// Set the priority (see [`RuleDef::priority`]: the analyzer and
+    /// the priority resolver read it; a `Database` does not reorder by
+    /// it).
     pub fn priority(mut self, p: i32) -> Self {
         self.priority = p;
         self
@@ -150,8 +155,9 @@ impl RuleBuilder {
         self
     }
 
-    /// Set the priority (larger fires earlier under the priority
-    /// resolver; default 0).
+    /// Set the priority (default 0; see [`RuleDef::priority`]: the
+    /// analyzer and the priority resolver read it; a `Database` does
+    /// not reorder by it).
     pub fn priority(mut self, p: i32) -> Self {
         self.def.priority = p;
         self

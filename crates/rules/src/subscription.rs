@@ -89,12 +89,16 @@ impl SubscriptionManager {
         }
     }
 
-    /// Drop every subscription of a rule (rule deletion).
+    /// Drop every subscription of a rule (rule deletion, or before
+    /// re-subscribing it from its rule object).
     pub fn remove_rule(&mut self, rule: RuleId) {
         if let Some(objects) = self.objects_of.remove(&rule) {
             for o in objects {
                 if let Some(v) = self.by_object.get_mut(&o) {
                     v.retain(|&r| r != rule);
+                    if v.is_empty() {
+                        self.by_object.remove(&o);
+                    }
                 }
                 self.generation += 1;
             }

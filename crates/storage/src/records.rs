@@ -55,9 +55,9 @@ pub enum LogRecord {
     /// Logical-clock watermark, so recovery resumes timestamps above
     /// anything already issued.
     ClockAdvance { at: u64 },
-    /// Extension point for layers above (the database facade logs rule
-    /// and event registrations here so recovery can rebuild the rule
-    /// manager).
+    /// A tagged payload outside the object store. Schema changes
+    /// ([`META_CLASS_TAG`](crate::META_CLASS_TAG)) are the only kind
+    /// recovery reads.
     Meta {
         txn: TxnId,
         tag: String,

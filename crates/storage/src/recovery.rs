@@ -9,9 +9,7 @@ use std::collections::HashSet;
 use std::path::Path;
 
 /// The outcome of recovery: a rebuilt registry/store pair, the restored
-/// clock watermark, the snapshot's opaque payload, and the `Meta` records
-/// of committed transactions (the database facade rebuilds its rule and
-/// event catalog from these).
+/// clock watermark, and the snapshot's opaque payload.
 pub struct Recovered {
     /// The rebuilt schema.
     pub registry: ClassRegistry,
@@ -19,13 +17,9 @@ pub struct Recovered {
     pub store: ObjectStore,
     /// Logical-clock watermark to resume from.
     pub clock: u64,
-    /// The snapshot's opaque payload (rule/event catalog).
+    /// The snapshot's opaque payload (the database facade's detector
+    /// state).
     pub extra: String,
-    /// Committed non-schema `Meta` records as `(txn, tag, payload)`, in
-    /// log order. The layers above log their own catalog changes here
-    /// (the database facade: rule additions and removals) and replay
-    /// them to rebuild what the snapshot's payload does not yet hold.
-    pub meta: Vec<(TxnId, String, String)>,
     /// Highest transaction id seen anywhere in the log (committed or
     /// not); the reopened transaction manager must allocate above it so
     /// a later recovery cannot confuse old and new records.
@@ -81,7 +75,6 @@ pub fn recover_with(
     let snapshot = Snapshot::load(snapshot_path)?;
     let (mut registry, store) = snapshot.restore()?;
     let mut clock = snapshot.clock;
-    let mut meta = Vec::new();
     let mut replayed = 0u64;
 
     let (log, tail_trimmed) = Wal::read_all_repair(wal_path)?;
@@ -129,7 +122,9 @@ pub fn recover_with(
             LogRecord::ClockAdvance { at } => {
                 clock = clock.max(*at);
             }
-            LogRecord::Meta { txn, tag, payload } => {
+            LogRecord::Meta { tag, payload, .. } => {
+                // Schema changes are the only `Meta` records; other tags
+                // are skipped.
                 if tag == META_CLASS_TAG {
                     let decl: ClassDecl = serde_json::from_str(payload).map_err(|e| {
                         ObjectError::Storage(format!("parse logged class decl: {e}"))
@@ -139,8 +134,6 @@ pub fn recover_with(
                     if registry.id_of(&decl.name).is_err() {
                         registry.define(decl)?;
                     }
-                } else {
-                    meta.push((*txn, tag.clone(), payload.clone()));
                 }
             }
             LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
@@ -160,7 +153,6 @@ pub fn recover_with(
         store,
         clock,
         extra: snapshot.extra,
-        meta,
         max_txn,
         replayed,
         tail_trimmed,
@@ -277,10 +269,6 @@ mod tests {
         );
         assert_eq!(rec.clock, 42);
         assert_eq!(rec.extra, "x");
-        assert_eq!(
-            rec.meta,
-            vec![(1, "rule".to_string(), "{\"name\":\"R\"}".to_string())]
-        );
     }
 
     #[test]

@@ -82,8 +82,10 @@ fn main() -> Result<()> {
     let spend = event("end Card::Spend(int amount)")?;
     db.add_class_rule(
         "Card",
-        // Priority separates this from LargeOutflow: both write
-        // `flagged`, and a fixed order keeps the pair confluent.
+        // This and LargeOutflow both run `flag`, so their order cannot
+        // change the outcome. The distinct priority tells the
+        // analyzer's confluence lint so; a `Database` fires co-triggered
+        // rules in trigger order whatever their priority.
         RuleDef::new(
             "TestThenSpend",
             probe.then(spend.clone()).sliding_window(20),

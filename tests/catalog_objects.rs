@@ -1,10 +1,11 @@
-//! Rule and event objects are the catalog. A rule's `enabled` flag and
-//! its `subscriptions` (the Figure 4 consumer relation, stored at the
-//! rule's end) are slots of the rule object, so they commit, abort, and
-//! recover exactly like any other attribute, and the engine's flags and
-//! subscription sets are only a cache rebuilt from them.
+//! Rule and event objects are the catalog. A rule's definition, its
+//! `enabled` flag and its `subscriptions` (the Figure 4 consumer
+//! relation, stored at the rule's end) are slots of the rule object, so
+//! they commit, abort, and recover exactly like any other attribute, and
+//! the engine's rules are only a cache rebuilt from them.
 
 use sentinel::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Schema of the paper's running examples: Employee/Manager with an
 /// income method in the event interface.
@@ -127,6 +128,7 @@ fn catalog_survives_crash(checkpoint: bool) {
     let mut db = Database::recover(DbConfig::durable(&dir)).unwrap();
     assert_eq!(db.meta_subscriptions(), subs);
     assert_eq!(db.meta_rules(), flags);
+    assert_eq!(db.rule_names(), ["Watch", "Managers", "Off"]);
     assert_eq!(subs.len(), 3, "{subs:?}");
     assert!(!db.rule_enabled("Off").unwrap());
     assert!(db.rule_enabled("Watch").unwrap());
@@ -263,4 +265,239 @@ fn rules_on_rules_meta_monitoring() {
     // Enable does not match the Watcher's event.
     db.send(target_oid, "Enable", &[]).unwrap();
     assert_eq!(db.get_attr(audit, "count").unwrap(), Value::Int(1));
+}
+
+// ---------------------------------------------------------------------
+// Firing order is a function of the rule objects, and every definition
+// slot reaches the engine.
+// ---------------------------------------------------------------------
+
+/// Rule names in the order their actions ran.
+type Fired = Arc<Mutex<Vec<String>>>;
+
+/// Register `log` (and `log2`, which tags its entries) so tests can see
+/// which rules ran, in which order, with which action.
+fn register_log(db: &mut Database, fired: &Fired) {
+    for (action, tag) in [("log", ""), ("log2", "+")] {
+        let fired = Arc::clone(fired);
+        db.register_action(action, move |_, f| {
+            fired.lock().unwrap().push(format!("{}{tag}", f.rule_name));
+            Ok(())
+        });
+    }
+}
+
+/// One income change on `fred`; returns the rules that fired, in order.
+fn probe(db: &mut Database, fired: &Fired, fred: Oid) -> Vec<String> {
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    std::mem::take(&mut *fired.lock().unwrap())
+}
+
+fn logged_rule(name: &str) -> RuleDef {
+    RuleDef::new(
+        name,
+        event("end Employee::Change-Income(float x)").unwrap(),
+        "log",
+    )
+}
+
+#[test]
+fn aborted_remove_rule_keeps_the_firing_order() {
+    let fired = Fired::default();
+    let mut db = payroll_db(DbConfig::in_memory());
+    register_log(&mut db, &fired);
+    for name in ["Zed", "Amy", "Mid"] {
+        db.add_class_rule("Employee", logged_rule(name)).unwrap();
+    }
+    let fred = db.create("Employee").unwrap();
+    let before = probe(&mut db, &fired, fred);
+    assert_eq!(before, ["Zed", "Amy", "Mid"]);
+
+    db.begin().unwrap();
+    db.remove_rule("Zed").unwrap();
+    assert_eq!(probe(&mut db, &fired, fred), ["Amy", "Mid"]);
+    db.abort().unwrap();
+
+    assert_eq!(probe(&mut db, &fired, fred), before);
+    assert_eq!(db.rule_names(), ["Zed", "Amy", "Mid"]);
+}
+
+/// `Zed` and `Mid` share a detector; `Amy`'s context keeps hers
+/// private. A crash, replayed from the WAL or loaded from a checkpoint,
+/// must not change the order in which the three fire.
+fn firing_order_survives_crash(checkpoint: bool) {
+    let dir = data_dir(if checkpoint {
+        "order-ckpt"
+    } else {
+        "order-wal"
+    });
+    let fired = Fired::default();
+    let (fred, before);
+    {
+        let mut db = payroll_db(DbConfig::durable(&dir));
+        register_log(&mut db, &fired);
+        db.add_class_rule("Employee", logged_rule("Zed")).unwrap();
+        db.add_class_rule("Employee", logged_rule("Amy").context(ParamContext::Recent))
+            .unwrap();
+        db.add_class_rule("Employee", logged_rule("Mid")).unwrap();
+        fred = db.create("Employee").unwrap();
+        before = probe(&mut db, &fired, fred);
+        assert_eq!(db.detector_count(), 2, "Zed and Mid share, Amy does not");
+        if checkpoint {
+            db.checkpoint().unwrap();
+        }
+    } // drop = crash
+
+    let mut db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    register_code(&mut db);
+    register_log(&mut db, &fired);
+    assert_eq!(probe(&mut db, &fired, fred), before);
+    assert_eq!(db.detector_count(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn firing_order_survives_crash_from_the_wal_and_a_checkpoint() {
+    firing_order_survives_crash(false);
+    firing_order_survives_crash(true);
+}
+
+/// Column `column` of rule `name`'s `meta_rules` row.
+fn meta_cell(db: &Database, name: &str, column: &str) -> Value {
+    let rel = db.meta_rules();
+    let col = rel.columns().iter().position(|c| c == column).unwrap();
+    let row = rel
+        .rows()
+        .iter()
+        .find(|r| r[0] == Value::Str(name.into()))
+        .unwrap();
+    row[col].clone()
+}
+
+#[test]
+fn coupling_and_action_slot_writes_change_what_runs() {
+    let dir = data_dir("slots");
+    let fired = Fired::default();
+    let (fred, rule, rules);
+    {
+        let mut db = payroll_db(DbConfig::durable(&dir));
+        register_log(&mut db, &fired);
+        rule = db.add_class_rule("Employee", logged_rule("R")).unwrap();
+        fred = db.create("Employee").unwrap();
+
+        // An aborted write changes nothing.
+        db.begin().unwrap();
+        db.set_attr(rule, "coupling", Value::Str("deferred".into()))
+            .unwrap();
+        db.set_attr(rule, "action", Value::Str("log2".into()))
+            .unwrap();
+        db.abort().unwrap();
+        assert_eq!(
+            meta_cell(&db, "R", "coupling"),
+            Value::Str("immediate".into())
+        );
+        assert_eq!(probe(&mut db, &fired, fred), ["R"]);
+
+        // Deferred: the firing waits for the commit.
+        db.set_attr(rule, "coupling", Value::Str("deferred".into()))
+            .unwrap();
+        db.begin().unwrap();
+        db.send(fred, "Change-Income", &[Value::Float(2.0)])
+            .unwrap();
+        assert!(fired.lock().unwrap().is_empty(), "ran before commit");
+        db.commit().unwrap();
+        assert_eq!(std::mem::take(&mut *fired.lock().unwrap()), ["R"]);
+
+        // A new action body runs instead of the old one.
+        db.set_attr(rule, "action", Value::Str("log2".into()))
+            .unwrap();
+        assert_eq!(probe(&mut db, &fired, fred), ["R+"]);
+
+        // An unregistered body is rejected: the write aborts its
+        // transaction, explicit or not, and the rule is unchanged.
+        for explicit in [false, true] {
+            if explicit {
+                db.begin().unwrap();
+            }
+            let err = db
+                .set_attr(rule, "action", Value::Str("missing".into()))
+                .unwrap_err();
+            assert!(
+                err.is_abort() && err.to_string().contains("missing"),
+                "{err}"
+            );
+            assert!(db.commit().is_err(), "the transaction is gone");
+            assert_eq!(
+                db.get_attr(rule, "action").unwrap(),
+                Value::Str("log2".into())
+            );
+            assert_eq!(meta_cell(&db, "R", "action"), Value::Str("log2".into()));
+            assert_eq!(probe(&mut db, &fired, fred), ["R+"]);
+        }
+        rules = db.meta_rules();
+    } // drop = crash
+
+    let mut db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    assert_eq!(db.meta_rules(), rules);
+    register_code(&mut db);
+    register_log(&mut db, &fired);
+    db.begin().unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(3.0)])
+        .unwrap();
+    assert!(
+        fired.lock().unwrap().is_empty(),
+        "recovered rule is not deferred"
+    );
+    db.commit().unwrap();
+    assert_eq!(std::mem::take(&mut *fired.lock().unwrap()), ["R+"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn priority_slot_write_reaches_the_analyzer() {
+    let dir = data_dir("priority");
+    let non_confluent = |db: &Database| {
+        db.analyze()
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::NonConfluent)
+    };
+    let (rule, rules);
+    {
+        let mut db = payroll_db(DbConfig::durable(&dir));
+        db.register(
+            ActionDef::new("raise")
+                .writes(("Employee", "salary"))
+                .body(|_, _| Ok(())),
+        )
+        .unwrap();
+        for name in ["A", "B"] {
+            let def = RuleDef::new(
+                name,
+                event("end Employee::Change-Income(float x)").unwrap(),
+                "raise",
+            );
+            db.add_class_rule("Employee", def).unwrap();
+        }
+        rule = db.rule_oid("B").unwrap();
+        assert!(non_confluent(&db), "equal priorities, same write");
+
+        db.begin().unwrap();
+        db.set_attr(rule, "priority", Value::Int(5)).unwrap();
+        assert_eq!(meta_cell(&db, "B", "priority"), Value::Int(5));
+        assert!(!non_confluent(&db));
+        db.abort().unwrap();
+        assert_eq!(meta_cell(&db, "B", "priority"), Value::Int(0));
+        assert!(non_confluent(&db));
+
+        db.set_attr(rule, "priority", Value::Int(5)).unwrap();
+        assert!(!non_confluent(&db));
+        rules = db.meta_rules();
+    } // drop = crash
+
+    let db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    assert_eq!(db.meta_rules(), rules);
+    assert_eq!(meta_cell(&db, "B", "priority"), Value::Int(5));
+    let _ = std::fs::remove_dir_all(&dir);
 }
