@@ -124,17 +124,8 @@ impl Database {
         if def.context == ParamContext::default() {
             def.context = self.config.default_context;
         }
-        // Serializing is most of the cost of creating a rule, and rules
-        // often come in runs over one expression: reuse the last text.
-        let event = match &self.last_event_json {
-            Some((expr, json)) if *expr == def.event => json.clone(),
-            _ => {
-                let json = serde_json::to_string(&def.event)
-                    .map_err(|e| ObjectError::Storage(format!("serialize rule event: {e}")))?;
-                self.last_event_json = Some((def.event.clone(), json.clone()));
-                json
-            }
-        };
+        let event = serde_json::to_string(&def.event)
+            .map_err(|e| ObjectError::Storage(format!("serialize rule event: {e}")))?;
         let class = self.registry.get(self.rule_class);
         let mut state = ObjectState::new(class);
         for (attr, value) in [
@@ -184,10 +175,12 @@ impl Database {
 
     /// Reconcile the engine's rule behind rule object `oid` with the
     /// object's slots: remove it when the object is gone, instantiate it
-    /// when the engine has none, re-instantiate it (fresh detector, as
-    /// after `disable`) when a definition slot differs, then bring its
-    /// flag and subscription edges in line. Bodies are not checked here:
-    /// recovery runs before the application registers them. A definition
+    /// when the engine has none, redefine it in place when a definition
+    /// slot differs (a new event or context also gets a fresh detector,
+    /// see [`RuleEngine::redefine`](sentinel_rules::RuleEngine::redefine)),
+    /// then bring its flag and subscription edges in line. Bodies are
+    /// not checked here: recovery runs before the application registers
+    /// them. A definition
     /// the engine rejects (a taken name, an event over an unknown class)
     /// is an error.
     /// Called after every write or delete of a `Rule` object, for each
@@ -204,10 +197,11 @@ impl Database {
         let def = self.rule_def(oid)?;
         let id = match current {
             None => self.engine.add_rule_unchecked(def, oid, &self.registry)?,
-            Some(id) if self.engine.rule(id)?.def == def => id,
             Some(id) => {
-                self.engine.remove_rule(id)?;
-                self.engine.add_rule_unchecked(def, oid, &self.registry)?
+                if self.engine.rule(id)?.def != def {
+                    self.engine.redefine(id, def, &self.registry)?;
+                }
+                id
             }
         };
         self.sync_rule_flags(id, oid)

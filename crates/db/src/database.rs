@@ -14,7 +14,7 @@ use crate::index::AttrIndex;
 use crate::stats::{DbStats, FullStats, SharedDbStats};
 use parking_lot::RwLock;
 use sentinel_analyze::{diff_effects, AnalysisReport, ObservedEffects, RuleAnalyzer};
-use sentinel_events::{EventExpr, EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
+use sentinel_events::{EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
 use sentinel_object::{
     ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectState,
     ObjectStore, Oid, Reactivity, Result, TypeTag, Value, World,
@@ -109,9 +109,6 @@ pub struct Database {
     /// Rule objects the active transaction created, wrote or deleted;
     /// rollback re-syncs the engine from each one's restored slots.
     pub(crate) txn_rules: Vec<Oid>,
-    /// The last event expression a rule was created with, and its JSON
-    /// text for the rule object's `event` slot.
-    pub(crate) last_event_json: Option<(EventExpr, String)>,
     pub(crate) rule_class: ClassId,
     pub(crate) event_class: ClassId,
     /// Shared pipeline observability handle; clones live in the engine,
@@ -287,7 +284,6 @@ impl Database {
             has_indexes: false,
             txn_touched: Vec::new(),
             txn_rules: Vec::new(),
-            last_event_json: None,
             rule_class: ClassId(0),
             event_class: ClassId(0),
             telemetry,
@@ -598,27 +594,30 @@ impl Database {
             self.txn_touched.push(oid);
         }
         if class == self.rule_class {
-            self.rule_written(oid)?;
+            self.rule_written(oid, attr)?;
         }
         Ok(())
     }
 
-    /// A slot of rule object `oid` changed: remember the object for
-    /// rollback and bring the engine's rule up to date. A write that
-    /// re-instantiates the rule must name registered bodies. A write the
-    /// engine cannot follow aborts the transaction, whose rollback
-    /// restores the rule.
-    pub(crate) fn rule_written(&mut self, oid: Oid) -> Result<()> {
+    /// Slot `attr` of rule object `oid` changed: remember the object for
+    /// rollback and bring the engine's rule up to date. An `enabled` or
+    /// `subscriptions` write only re-syncs the flag and edges; a rule
+    /// instantiated or given new bodies by the write must name registered
+    /// ones. A write the engine cannot follow aborts the transaction,
+    /// whose rollback restores the rule.
+    pub(crate) fn rule_written(&mut self, oid: Oid, attr: &str) -> Result<()> {
         self.txn_rules.push(oid);
-        let before = self.engine.id_of_oid(oid);
-        let synced = self
-            .sync_rule(oid)
-            .and_then(|()| match self.engine.id_of_oid(oid) {
-                Some(id) if Some(id) != before => {
-                    self.engine.check_bodies(&self.engine.rule(id)?.def)
-                }
-                _ => Ok(()),
-            });
+        let synced = match (attr, self.engine.id_of_oid(oid)) {
+            ("enabled" | "subscriptions", Some(id)) => self.sync_rule_flags(id, oid),
+            (_, before) => self
+                .sync_rule(oid)
+                .and_then(|()| match self.engine.id_of_oid(oid) {
+                    Some(id) if before.is_none() || matches!(attr, "condition" | "action") => {
+                        self.engine.check_bodies(&self.engine.rule(id)?.def)
+                    }
+                    _ => Ok(()),
+                }),
+        };
         synced.map_err(|e| ObjectError::abort(format!("rule object {oid}: {e}")))
     }
 

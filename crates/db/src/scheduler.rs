@@ -753,7 +753,8 @@ impl Database {
                 })?;
             }
             if w.class == self.rule_class {
-                self.rule_written(w.oid)?;
+                let attr = self.registry.get(w.class).layout[w.slot].attr.name.clone();
+                self.rule_written(w.oid, &attr)?;
             }
         }
         if self.has_indexes {

@@ -167,9 +167,11 @@ struct Slot {
 }
 
 /// Where a rule fires among co-triggered rules: by its rule object's
-/// oid, so the order is a function of persistent state and a rule
-/// re-instantiated under a fresh [`RuleId`] keeps its place. Storeless
-/// rules all carry [`Oid::NIL`]; for them insertion order decides.
+/// oid, so a rule re-instantiated under a fresh [`RuleId`] keeps its
+/// place. Slots are ranked by their first member's key and members by
+/// theirs within a slot, so rules sharing a detector fire together.
+/// Storeless rules all carry [`Oid::NIL`]; for them insertion order
+/// decides.
 fn fan_out_key(rule: &Rule) -> (Oid, RuleId) {
     (rule.oid, rule.id)
 }
@@ -219,6 +221,19 @@ impl Arena {
     fn live_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
         self.slots.iter_mut().flatten()
     }
+}
+
+/// A detector a rule lost inside the capture in flight, to
+/// [`remove_rule`](RuleEngine::remove_rule) or to a new event in
+/// [`redefine`](RuleEngine::redefine). A rollback that brings rule
+/// object `oid` back to `event` and `context` takes it back, open
+/// journal and all, so the abort restores its partial detections.
+struct Retired {
+    oid: Oid,
+    event: EventExpr,
+    context: ParamContext,
+    detector: DetectorInstance,
+    stats: RuleStats,
 }
 
 /// What two rules must agree on to share a detector. Rules with equal
@@ -496,6 +511,9 @@ pub struct RuleEngine {
     /// Slots whose detectors have a journal open for the transaction in
     /// flight (kept across transactions for its capacity).
     touched: Vec<SlotId>,
+    /// Detectors that rules of stored rule objects lost during the
+    /// capture in flight; emptied when it ends.
+    retired: Vec<Retired>,
     telemetry: Option<Arc<Telemetry>>,
     /// Causal context for firings scheduled by the next occurrence:
     /// `(parent firing id, root occurrence, parent depth)`. Set by the
@@ -559,6 +577,7 @@ impl RuleEngine {
             epoch: 0,
             capturing: false,
             touched: Vec::new(),
+            retired: Vec::new(),
             telemetry: None,
             lineage_ctx: None,
             conflict_tags: None,
@@ -636,9 +655,11 @@ impl RuleEngine {
 
     fn end_capture(&mut self, close: fn(&mut DetectorInstance)) {
         self.capturing = false;
+        self.retired.clear();
         for sid in self.touched.drain(..) {
-            // A slot freed (or freed and reused) since it was touched has
-            // no journal of this transaction left; closing is a no-op.
+            // A slot freed since it was touched has no journal of this
+            // transaction left; a slot reused by a reclaimed detector
+            // closes that detector's journal.
             if let Some(slot) = self.arena.slots[sid].as_mut() {
                 close(&mut slot.detector);
             }
@@ -699,6 +720,10 @@ impl RuleEngine {
         let id = RuleId(self.next_rule);
         let name = def.name.clone();
         let (mut rule, mut detector) = Rule::instantiate(id, oid, def, registry, self.caps)?;
+        if let Some(retired) = self.reclaim(oid, &rule.def) {
+            detector = retired.detector;
+            rule.stats = retired.stats;
+        }
         // Resolve the body handles now so the first completion doesn't
         // pay the name lookup. Unregistered bodies (the recovery path)
         // stay `None` and resolve — or error — at fire time.
@@ -712,7 +737,11 @@ impl RuleEngine {
             detector.set_time_source(time.clone());
         }
         // Private until the next routing rebuild finds it a group.
+        let journaled = detector.in_txn();
         rule.slot = self.arena.insert(detector, vec![id]);
+        if journaled {
+            self.touched.push(rule.slot);
+        }
         self.rules.insert(id, rule);
         self.by_name.insert(name, id);
         if !oid.is_nil() {
@@ -777,16 +806,30 @@ impl RuleEngine {
     }
 
     /// Delete a rule and all its subscriptions. The rules it shared a
-    /// detector with keep it.
+    /// detector with keep it. Inside a capture, a stored rule's detector
+    /// is kept for a rollback that adds the rule back.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<RuleDef> {
         let rule = self
             .rules
             .remove(&id)
             .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
+        let keep = self.will_retire(rule.oid);
         let slot = self.arena.get_mut(rule.slot);
         slot.members.retain(|&m| m != id);
-        if slot.members.is_empty() {
-            self.arena.remove(rule.slot);
+        let detector = if slot.members.is_empty() {
+            let detector = self.arena.remove(rule.slot).detector;
+            keep.then_some(detector)
+        } else {
+            keep.then(|| slot.detector.clone())
+        };
+        if let Some(detector) = detector {
+            self.retire(
+                rule.oid,
+                rule.def.event.clone(),
+                rule.def.context,
+                detector,
+                rule.stats,
+            );
         }
         self.by_name.remove(&rule.def.name);
         if !rule.oid.is_nil() {
@@ -796,6 +839,106 @@ impl RuleEngine {
         self.cancel_rule_timers(id);
         self.epoch += 1;
         Ok(rule.def)
+    }
+
+    /// Give rule `id` a new definition under the same [`RuleId`]. A new
+    /// event or parameter context compiles a fresh detector: partial
+    /// detections are discarded, as by [`disable`](Self::disable), and
+    /// an abort brings them back. Any other change (name, bodies,
+    /// coupling, priority) keeps the detector, its open journal, the
+    /// rule's stats and its timers. Bodies are not checked.
+    pub fn redefine(&mut self, id: RuleId, def: RuleDef, registry: &ClassRegistry) -> Result<()> {
+        let rule = self.rule(id)?;
+        if def.name != rule.def.name && self.by_name.contains_key(&def.name) {
+            return Err(ObjectError::DuplicateRule(def.name));
+        }
+        let detector = if def.event != rule.def.event || def.context != rule.def.context {
+            let oid = rule.oid;
+            let detector = match self.reclaim(oid, &def) {
+                Some(retired) => retired.detector,
+                None => DetectorInstance::compile(&def.event, registry, def.context, self.caps)?,
+            };
+            self.cancel_rule_timers(id);
+            let sid = self.split_off(id)?;
+            Some((sid, detector))
+        } else {
+            None
+        };
+        let caps = self.caps;
+        let rule = self.rules.get_mut(&id).expect("checked above");
+        if def.name != rule.def.name {
+            self.by_name.remove(&rule.def.name);
+            self.by_name.insert(def.name.clone(), id);
+            rule.name = def.name.as_str().into();
+        }
+        let mut retired = None;
+        if let Some((sid, mut detector)) = detector {
+            if let Some(tel) = &self.telemetry {
+                detector.set_telemetry(tel.clone(), rule.name.clone());
+            }
+            if let Some(time) = &self.time {
+                detector.set_time_source(time.clone());
+            }
+            if detector.in_txn() {
+                self.touched.push(sid);
+            }
+            let old = std::mem::replace(&mut self.arena.get_mut(sid).detector, detector);
+            rule.alphabet = def.event.alphabet(registry);
+            rule.alphabet_schema_len = registry.len();
+            rule.caps = caps;
+            retired = Some(old);
+        }
+        rule.cached_condition = self.bodies.condition(&def.condition).ok();
+        rule.cached_action = self.bodies.action(&def.action).ok();
+        rule.bodies_version = self.bodies.version();
+        let old = std::mem::replace(&mut rule.def, def);
+        let (oid, stats, enabled) = (rule.oid, rule.stats, rule.enabled);
+        if let Some(detector) = retired {
+            self.retire(oid, old.event, old.context, detector, stats);
+            if enabled {
+                self.schedule_rule_timers(id);
+            }
+        }
+        // Routing, sharing and any conflict matrix built over the old
+        // definition are stale.
+        self.epoch += 1;
+        Ok(())
+    }
+
+    /// Does a detector rule object `oid` loses now go to `retired`?
+    fn will_retire(&self, oid: Oid) -> bool {
+        self.capturing && !oid.is_nil()
+    }
+
+    /// Keep a detector rule object `oid` lost while it had `event` and
+    /// `context`, for a rollback to reclaim.
+    fn retire(
+        &mut self,
+        oid: Oid,
+        event: EventExpr,
+        context: ParamContext,
+        detector: DetectorInstance,
+        stats: RuleStats,
+    ) {
+        if self.will_retire(oid) {
+            self.retired.push(Retired {
+                oid,
+                event,
+                context,
+                detector,
+                stats,
+            });
+        }
+    }
+
+    /// Take back the latest detector rule object `oid` lost while it
+    /// had `def`'s event and context.
+    fn reclaim(&mut self, oid: Oid, def: &RuleDef) -> Option<Retired> {
+        let at = self
+            .retired
+            .iter()
+            .rposition(|r| r.oid == oid && r.event == def.event && r.context == def.context)?;
+        Some(self.retired.swap_remove(at))
     }
 
     /// Resolve a rule by name.
@@ -1136,8 +1279,10 @@ impl RuleEngine {
     /// which hear everything. A symbol-less occurrence (a method outside
     /// the declared schema) reaches only the broad ones. Each detector
     /// runs once; its completions fan out to every rule it serves.
-    /// Detectors run, and their members fire, in rule-object oid order
-    /// (insertion order among storeless rules).
+    /// Detectors run in the rule-object oid order of their first member,
+    /// and each one's members fire together, in oid order (insertion
+    /// order among storeless rules). Order among rules that share a
+    /// detector follows the grouping, which merges and splits can change.
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
@@ -1690,6 +1835,40 @@ mod tests {
             .unwrap();
         assert!(fired.is_empty());
         assert_eq!(eng.rule(r).unwrap().stats.notifications, 2);
+    }
+
+    #[test]
+    fn redefine_keeps_the_detector_unless_the_event_changes() {
+        let reg = registry();
+        let mut eng = RuleEngine::new();
+        let e = EventExpr::primitive(PrimitiveEventSpec::end("Stock", "SetPrice")).and(
+            EventExpr::primitive(PrimitiveEventSpec::end("Index", "SetValue")),
+        );
+        let def = RuleDef::new("r", e, ACTION_NOOP);
+        let r = eng.add_rule(def.clone(), Oid::NIL, &reg).unwrap();
+        eng.subscriptions.subscribe_object(Oid(1), r);
+        eng.on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
+            .unwrap();
+
+        // Rename and reprioritise: same id, same half-detected state.
+        eng.redefine(r, def.clone().priority(3), &reg).unwrap();
+        let mut renamed = def.clone().priority(3);
+        renamed.name = "s".into();
+        eng.redefine(r, renamed.clone(), &reg).unwrap();
+        assert_eq!(eng.id_of("s").unwrap(), r);
+        assert!(eng.id_of("r").is_err());
+        assert_eq!(eng.detector_of(r).unwrap().buffered(), 1);
+        assert_eq!(eng.rule(r).unwrap().stats.notifications, 1);
+
+        // A new event starts from nothing; a taken name is refused.
+        let other = eng.add_rule(simple_rule("t"), Oid::NIL, &reg).unwrap();
+        renamed.event = EventExpr::primitive(PrimitiveEventSpec::end("Index", "SetValue"));
+        eng.redefine(r, renamed.clone(), &reg).unwrap();
+        assert_eq!(eng.detector_of(r).unwrap().buffered(), 0);
+        renamed.name = "t".into();
+        assert!(eng.redefine(r, renamed, &reg).is_err());
+        assert_eq!(eng.id_of("t").unwrap(), other);
+        assert_eq!(eng.id_of("s").unwrap(), r);
     }
 
     #[test]

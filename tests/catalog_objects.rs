@@ -501,3 +501,73 @@ fn priority_slot_write_reaches_the_analyzer() {
     assert_eq!(meta_cell(&db, "B", "priority"), Value::Int(5));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A write to a slot the detector does not read (priority, coupling)
+/// keeps the rule's detector, with its half-detected sequence, and its
+/// counters, whether the write commits or aborts.
+#[test]
+fn non_event_slot_writes_keep_partial_detections() {
+    for (attr, value, commit) in [
+        ("priority", Value::Int(7), false),
+        ("coupling", Value::Str("deferred".into()), false),
+        ("priority", Value::Int(7), true),
+    ] {
+        let fired = Fired::default();
+        let mut db = payroll_db(DbConfig::in_memory());
+        register_log(&mut db, &fired);
+        let income = || event("end Employee::Change-Income(float x)").unwrap();
+        let def = RuleDef::new("Twice", income().then(income()), "log");
+        let rule = db.add_class_rule("Employee", def).unwrap();
+        let fred = db.create("Employee").unwrap();
+        assert!(probe(&mut db, &fired, fred).is_empty(), "half a sequence");
+        assert_eq!(db.rule_detector_buffered("Twice").unwrap(), 1);
+
+        db.begin().unwrap();
+        db.set_attr(rule, attr, value).unwrap();
+        if commit {
+            db.commit().unwrap();
+        } else {
+            db.abort().unwrap();
+        }
+        assert_eq!(db.rule_detector_buffered("Twice").unwrap(), 1, "{attr}");
+        assert_eq!(db.rule_stats("Twice").unwrap().notifications, 1, "{attr}");
+        assert_eq!(probe(&mut db, &fired, fred), ["Twice"], "{attr}");
+    }
+}
+
+/// A new event, like a removal, discards the rule's partial detection;
+/// an abort brings it back, counters included. `Twice` shares its
+/// detector with `Pair`, which keeps its own half-detected sequence.
+#[test]
+fn aborted_event_write_and_removal_restore_partial_detections() {
+    for removal in [false, true] {
+        let fired = Fired::default();
+        let mut db = payroll_db(DbConfig::in_memory());
+        register_log(&mut db, &fired);
+        let income = || event("end Employee::Change-Income(float x)").unwrap();
+        let mut rules = Vec::new();
+        for name in ["Twice", "Pair"] {
+            let def = RuleDef::new(name, income().then(income()), "log");
+            rules.push(db.add_class_rule("Employee", def).unwrap());
+        }
+        let once = db.add_rule(logged_rule("Once")).unwrap();
+        let fred = db.create("Employee").unwrap();
+        assert!(probe(&mut db, &fired, fred).is_empty(), "half a sequence");
+        assert_eq!(db.detector_count(), 2, "Twice and Pair share");
+
+        db.begin().unwrap();
+        if removal {
+            db.remove_rule("Twice").unwrap();
+        } else {
+            let single = db.get_attr(once, "event").unwrap();
+            db.set_attr(rules[0], "event", single).unwrap();
+            assert_eq!(db.rule_detector_buffered("Twice").unwrap(), 0);
+        }
+        assert_eq!(db.rule_detector_buffered("Pair").unwrap(), 1);
+        db.abort().unwrap();
+
+        assert_eq!(db.rule_detector_buffered("Twice").unwrap(), 1);
+        assert_eq!(db.rule_stats("Twice").unwrap().notifications, 1);
+        assert_eq!(probe(&mut db, &fired, fred), ["Twice", "Pair"]);
+    }
+}
