@@ -15,7 +15,7 @@
 
 use crate::database::{meta, Database, Target};
 use sentinel_events::{DetectorState, EventExpr, ParamContext};
-use sentinel_object::{ObjectError, ObjectState, Oid, Result, Value};
+use sentinel_object::{FastSet, ObjectError, ObjectState, Oid, Result, Value};
 use sentinel_rules::{CouplingMode, Firing, RuleDef, RuleId, RuleStats};
 use serde::{Deserialize, Serialize};
 
@@ -239,12 +239,16 @@ impl Database {
             }
         }
         let targets = self.store.get_attr(&self.registry, oid, "subscriptions")?;
-        let mut objects = Vec::new();
-        let mut classes = Vec::new();
+        let mut objects = FastSet::default();
+        let mut classes = FastSet::default();
         for t in targets.as_list()? {
             match t {
-                Value::Oid(o) => objects.push(*o),
-                Value::Str(c) => classes.push(self.registry.id_of(c)?),
+                Value::Oid(o) => {
+                    objects.insert(*o);
+                }
+                Value::Str(c) => {
+                    classes.insert(self.registry.id_of(c)?);
+                }
                 other => {
                     return Err(ObjectError::App(format!(
                         "rule object {oid}: subscription target must be an oid or a \
@@ -253,10 +257,19 @@ impl Database {
                 }
             }
         }
-        // Fan-out order does not depend on the consumer lists' order, so
-        // the edges are simply rebuilt.
+        // Apply the difference: drop the edges the slot lost, and add
+        // the rest — subscribing an existing edge changes nothing.
         let subs = &mut self.engine.subscriptions;
-        subs.remove_rule(id);
+        for o in subs.objects_of(id) {
+            if !objects.contains(&o) {
+                subs.unsubscribe_object(o, id);
+            }
+        }
+        for c in subs.classes_of(id) {
+            if !classes.contains(&c) {
+                subs.unsubscribe_class(c, id);
+            }
+        }
         for o in objects {
             subs.subscribe_object(o, id);
         }
@@ -423,5 +436,33 @@ mod tests {
         };
         let s = serde_json::to_string(&snap).unwrap();
         assert_eq!(serde_json::from_str::<CatalogSnapshot>(&s).unwrap(), snap);
+    }
+
+    /// A `subscriptions` write touches only the edges it changes, and an
+    /// `enabled` write touches none.
+    #[test]
+    fn slot_writes_apply_only_the_edge_difference() {
+        use sentinel_object::ClassDecl;
+        let mut db = Database::with_config(crate::DbConfig::in_memory()).unwrap();
+        db.define_class(ClassDecl::reactive("X").method("Ping", &[]))
+            .unwrap();
+        let expr = crate::dsl::event("end X::Ping()").unwrap();
+        let rule = db
+            .add_rule(RuleDef::new("R", expr, sentinel_rules::ACTION_NOOP))
+            .unwrap();
+        let generation = |db: &Database| db.engine.subscriptions.generation();
+        for _ in 0..8 {
+            let object = db.create("X").unwrap();
+            let before = generation(&db);
+            db.subscribe(object, "R").unwrap();
+            assert_eq!(generation(&db), before + 1);
+        }
+        for enabled in [false, true] {
+            let before = generation(&db);
+            db.set_attr(rule, "enabled", Value::Bool(enabled)).unwrap();
+            assert_eq!(generation(&db), before);
+        }
+        let id = db.engine.id_of("R").unwrap();
+        assert_eq!(db.engine.subscriptions.object_subscription_count(id), 8);
     }
 }

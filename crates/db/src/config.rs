@@ -9,7 +9,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Every firing runs on the committing (or draining) thread, in
-    /// conflict-resolver order. The paper's semantics, and the default.
+    /// firing order. The paper's semantics, and the default.
     #[default]
     Serial,
     /// Provably independent firings run concurrently on a worker pool;

@@ -36,7 +36,6 @@ pub mod query;
 pub mod scheduler;
 pub mod session;
 pub mod stats;
-pub mod typed;
 pub(crate) mod undo;
 
 pub use catalog::CatalogSnapshot;
@@ -49,7 +48,6 @@ pub use query::{attr, ObjectView, Predicate, Query};
 pub use scheduler::SchedulerStats;
 pub use session::{Sentinel, Session};
 pub use stats::{DbStats, FullStats};
-pub use typed::{FieldValue, NativeClass};
 
 pub use sentinel_analyze::{
     AnalysisReport, ConflictMatrix, DiagCode, Diagnostic, Lane, ObservedEdge, ObservedEffects,
@@ -69,7 +67,6 @@ pub mod prelude {
     pub use crate::scheduler::SchedulerStats;
     pub use crate::session::{Sentinel, Session};
     pub use crate::stats::{DbStats, FullStats};
-    pub use crate::typed::{FieldValue, NativeClass};
     pub use sentinel_analyze::{
         AnalysisReport, ConflictMatrix, DiagCode, Diagnostic, Lane, ObservedEdge,
         ReconciliationReport, SerialReason, Severity,

@@ -1,7 +1,7 @@
 //! Effect-aware parallel execution of deferred and detached firings.
 //!
 //! The serial semantics of the paper — deferred firings run at commit
-//! in conflict-resolver order, detached firings each in their own
+//! in firing order, detached firings each in their own
 //! follow-on transaction — stay the observable contract. This module
 //! adds a fast path underneath it: when a whole batch of ready firings
 //! is *provably independent*, the firings execute concurrently on a
@@ -19,7 +19,7 @@
 //! *every* firing carries a conflict-group tag that matches the fresh
 //! matrix. Within the batch, firings are partitioned into groups keyed
 //! by `(conflict component, target oid)`: same key → same group,
-//! executed in original resolver order on one worker; different keys →
+//! executed in original firing order on one worker; different keys →
 //! declared footprints disjoint (or instance-local to different
 //! targets), so the groups run concurrently.
 //!
@@ -282,7 +282,7 @@ pub(crate) enum GroupResult {
 }
 
 /// One `(conflict component, target oid)` shard of a ready batch: its
-/// firings in resolver order, each tagged with its original batch
+/// firings in batch order, each tagged with its original batch
 /// index.
 pub(crate) struct ConflictGroup {
     /// The target oid every firing in the group fired on — the only
@@ -416,7 +416,7 @@ fn run_group(
     GroupResult::Completed(dones)
 }
 
-/// Run a group's firings in resolver order; `None` as soon as a body
+/// Run a group's firings in firing order; `None` as soon as a body
 /// errors or leaves its declared footprint.
 fn run_firings(
     batch: &Batch,
@@ -568,11 +568,11 @@ impl Drop for Scheduler {
 
 /// How a ready batch will execute.
 pub(crate) enum Plan {
-    /// On the committing/draining thread, in resolver order (the only
+    /// On the committing/draining thread, in firing order (the only
     /// plan under `ExecutionMode::Serial`).
     Serial(Vec<ReadyFiring>),
     /// Partitioned into ≥ 2 independent conflict groups; each group
-    /// keeps `(original batch index, firing)` in resolver order.
+    /// keeps `(original batch index, firing)` in firing order.
     Parallel(Vec<ConflictGroup>),
 }
 

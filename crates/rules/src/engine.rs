@@ -15,7 +15,6 @@
 //! consume it (events as first-class notifiable objects, Figures 5–6).
 
 use crate::body::{ActionFn, CondFn, Firing, Lineage, RuleBodyRegistry};
-use crate::conflict::{ConflictResolver, FifoResolver};
 use crate::coupling::CouplingMode;
 use crate::rule::{Rule, RuleDef, RuleId, RuleStats};
 use crate::subscription::SubscriptionManager;
@@ -23,11 +22,12 @@ use sentinel_events::{
     CompositeOccurrence, DetectorCaps, DetectorInstance, EventExpr, ParamContext,
     PrimitiveOccurrence, TimeSource, TimerId, TimerRow, TimerWheel,
 };
-use sentinel_object::{ClassId, ClassRegistry, EventSym, ObjectError, Oid, Result};
+use sentinel_object::{ClassId, ClassRegistry, EventSym, FastMap, ObjectError, Oid, Result};
 use sentinel_telemetry::{
     FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
 };
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,8 +35,6 @@ use std::sync::Arc;
 /// A triggered rule whose bodies are resolved and which is ready to run.
 #[derive(Clone)]
 pub struct ReadyFiring {
-    /// The rule's priority (consumed by conflict resolvers).
-    pub priority: i32,
     /// The coupling mode the firing was scheduled under (recorded into
     /// its lineage record by the executor).
     pub coupling: CouplingMode,
@@ -58,7 +56,6 @@ impl std::fmt::Debug for ReadyFiring {
         f.debug_struct("ReadyFiring")
             .field("rule", &self.firing.rule)
             .field("name", &self.firing.rule_name)
-            .field("priority", &self.priority)
             .field("group", &self.group)
             .finish()
     }
@@ -161,19 +158,18 @@ type SlotId = usize;
 /// the same state had it kept a private detector.
 struct Slot {
     detector: DetectorInstance,
-    /// Member rules in [`fan_out_key`] order — the order a detection
-    /// fans out in.
+    /// Member rules in firing order.
     members: Vec<RuleId>,
+    /// Each member's firing rank, as of the last routing rebuild.
+    ranks: Vec<u32>,
 }
 
-/// Where a rule fires among co-triggered rules: by its rule object's
-/// oid, so a rule re-instantiated under a fresh [`RuleId`] keeps its
-/// place. Slots are ranked by their first member's key and members by
-/// theirs within a slot, so rules sharing a detector fire together.
-/// Storeless rules all carry [`Oid::NIL`]; for them insertion order
-/// decides.
-fn fan_out_key(rule: &Rule) -> (Oid, RuleId) {
-    (rule.oid, rule.id)
+/// Where a rule fires among co-triggered rules: higher priority first,
+/// then lower rule-object oid (so a rule re-instantiated under a fresh
+/// [`RuleId`] keeps its place), then lower `RuleId` — insertion order
+/// among storeless rules, which all carry [`Oid::NIL`].
+fn firing_key(rule: &Rule) -> (Reverse<i32>, Oid, RuleId) {
+    (Reverse(rule.def.priority), rule.oid, rule.id)
 }
 
 /// The detector arena: slots addressed by index, freed indices reused.
@@ -185,7 +181,11 @@ struct Arena {
 
 impl Arena {
     fn insert(&mut self, detector: DetectorInstance, members: Vec<RuleId>) -> SlotId {
-        let slot = Some(Slot { detector, members });
+        let slot = Some(Slot {
+            detector,
+            members,
+            ranks: Vec::new(),
+        });
         match self.free.pop() {
             Some(sid) => {
                 self.slots[sid] = slot;
@@ -303,10 +303,6 @@ struct RoutingIndex {
     /// Class subscriptions of unbounded slots, looked up along the
     /// occurrence's class linearization (only when non-empty).
     broad_by_class: HashMap<ClassId, Vec<SlotId>>,
-    /// Fan-out position of each live slot, by its first member's
-    /// [`fan_out_key`]. Every list above is sorted by it, so an
-    /// occurrence reached through one list needs no sort.
-    rank: Vec<u32>,
 }
 
 impl RoutingIndex {
@@ -396,7 +392,6 @@ impl Fanout<'_> {
                 Lineage::default()
             };
             let ready = ReadyFiring {
-                priority: rule.def.priority,
                 coupling: rule.def.coupling,
                 condition: condition.clone(),
                 action: action.clone(),
@@ -473,7 +468,7 @@ impl Fanout<'_> {
 
 /// Detection and scheduling for a set of first-class rules.
 pub struct RuleEngine {
-    rules: HashMap<RuleId, Rule>,
+    rules: FastMap<RuleId, Rule>,
     by_name: HashMap<String, RuleId>,
     by_oid: HashMap<Oid, RuleId>,
     /// Every rule's event detector, shared between rules whose detectors
@@ -483,7 +478,6 @@ pub struct RuleEngine {
     pub bodies: RuleBodyRegistry,
     /// The consumer lists connecting rules to reactive objects.
     pub subscriptions: SubscriptionManager,
-    resolver: Box<dyn ConflictResolver>,
     caps: DetectorCaps,
     next_rule: u64,
     deferred: Vec<ReadyFiring>,
@@ -497,7 +491,11 @@ pub struct RuleEngine {
     /// firings earlier committed transactions already queued.
     detached_floor: usize,
     stats: Arc<EngineCounters>,
+    /// Reused by [`on_occurrence`](Self::on_occurrence): the slots an
+    /// occurrence reaches, and the ones that completed, each with its
+    /// completions and the index of its next member to fire.
     scratch: Vec<SlotId>,
+    completed: Vec<(SlotId, Vec<CompositeOccurrence>, usize)>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
     /// first occurrence.
     routing: Option<RoutingIndex>,
@@ -541,7 +539,6 @@ impl std::fmt::Debug for RuleEngine {
         f.debug_struct("RuleEngine")
             .field("rules", &self.rules.len())
             .field("detectors", &self.detector_count())
-            .field("resolver", &self.resolver.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -554,16 +551,15 @@ impl Default for RuleEngine {
 }
 
 impl RuleEngine {
-    /// An empty engine with the built-in bodies and FIFO resolution.
+    /// An empty engine with the built-in bodies.
     pub fn new() -> Self {
         RuleEngine {
-            rules: HashMap::new(),
+            rules: FastMap::default(),
             by_name: HashMap::new(),
             by_oid: HashMap::new(),
             arena: Arena::default(),
             bodies: RuleBodyRegistry::new(),
             subscriptions: SubscriptionManager::new(),
-            resolver: Box::new(FifoResolver),
             caps: DetectorCaps::default(),
             next_rule: 0,
             deferred: Vec::new(),
@@ -573,6 +569,7 @@ impl RuleEngine {
             detached_floor: 0,
             stats: Arc::new(EngineCounters::default()),
             scratch: Vec::new(),
+            completed: Vec::new(),
             routing: None,
             epoch: 0,
             capturing: false,
@@ -664,12 +661,6 @@ impl RuleEngine {
                 close(&mut slot.detector);
             }
         }
-    }
-
-    /// Install a different conflict-resolution strategy (no application
-    /// code changes — paper §3).
-    pub fn set_resolver(&mut self, resolver: Box<dyn ConflictResolver>) {
-        self.resolver = resolver;
     }
 
     /// Detector caps applied to rules added from now on.
@@ -1128,28 +1119,25 @@ impl RuleEngine {
                 }
             }
         }
-        let mut order: Vec<_> = self
-            .arena
-            .live()
-            .map(|(sid, slot)| (fan_out_key(&self.rules[&slot.members[0]]), sid))
-            .collect();
-        order.sort_unstable();
-        idx.rank.clear();
-        idx.rank.resize(self.arena.slots.len(), 0);
-        for (pos, &(_, sid)) in order.iter().enumerate() {
-            idx.rank[sid] = pos as u32;
-        }
-        let rank = &idx.rank;
-        for list in idx
-            .by_object
-            .values_mut()
-            .chain(idx.broad_by_object.values_mut())
-            .chain(idx.by_class_sym.values_mut())
-            .chain(idx.broad_by_class.values_mut())
-        {
-            list.sort_unstable_by_key(|&sid| rank[sid]);
-        }
+        self.rank();
         self.routing = Some(idx);
+    }
+
+    /// Give every rule its dense position under [`firing_key`], then
+    /// sort each slot's members by it and cache their ranks on the slot.
+    fn rank(&mut self) {
+        let mut order: Vec<_> = self.rules.values().map(firing_key).collect();
+        order.sort_unstable();
+        let rank: FastMap<RuleId, u32> = order
+            .iter()
+            .enumerate()
+            .map(|(pos, &(_, _, id))| (id, pos as u32))
+            .collect();
+        for slot in self.arena.live_mut() {
+            slot.members.sort_unstable_by_key(|id| rank[id]);
+            slot.ranks.clear();
+            slot.ranks.extend(slot.members.iter().map(|id| rank[id]));
+        }
     }
 
     /// Regroup the arena so rules share a detector exactly when sharing
@@ -1227,9 +1215,7 @@ impl RuleEngine {
                     gone[j] = true;
                     let absorbed = self.arena.remove(bucket[j]).members;
                     moved.extend(absorbed.iter().map(|&rid| (rid, bucket[i])));
-                    let survivor = &mut self.arena.get_mut(bucket[i]).members;
-                    survivor.extend(absorbed);
-                    survivor.sort_unstable_by_key(|rid| fan_out_key(&self.rules[rid]));
+                    self.arena.get_mut(bucket[i]).members.extend(absorbed);
                 }
             }
         }
@@ -1245,7 +1231,7 @@ impl RuleEngine {
         &mut self,
     ) -> (
         &mut Arena,
-        &mut HashMap<RuleId, Rule>,
+        &mut FastMap<RuleId, Rule>,
         Option<&mut Vec<SlotId>>,
         Fanout<'_>,
     ) {
@@ -1279,10 +1265,9 @@ impl RuleEngine {
     /// which hear everything. A symbol-less occurrence (a method outside
     /// the declared schema) reaches only the broad ones. Each detector
     /// runs once; its completions fan out to every rule it serves.
-    /// Detectors run in the rule-object oid order of their first member,
-    /// and each one's members fire together, in oid order (insertion
-    /// order among storeless rules). Order among rules that share a
-    /// detector follows the grouping, which merges and splits can change.
+    /// The rules that complete fire in one order however their
+    /// detectors are shared: higher priority first, then lower rule
+    /// object oid, then lower [`RuleId`].
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
@@ -1310,12 +1295,7 @@ impl RuleEngine {
                 push_unique(&mut consumers, idx.broad_by_class.get(&c));
             }
         }
-        // Only an occurrence reached through more than one list can
-        // arrive out of order.
-        if !consumers.is_sorted_by_key(|&sid| idx.rank[sid]) {
-            consumers.sort_unstable_by_key(|&sid| idx.rank[sid]);
-        }
-
+        let mut completed = std::mem::take(&mut self.completed);
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
         for &sid in &consumers {
             let slot = arena.get_mut(sid);
@@ -1326,31 +1306,49 @@ impl RuleEngine {
                     touched.push(sid);
                 }
             }
-            let mut completions = slot.detector.process_resolved(registry, occ, sym);
-            let last = slot.members.len() - 1;
-            for (i, rid) in slot.members.iter().enumerate() {
-                let Some(rule) = rules.get_mut(rid) else {
-                    continue;
-                };
-                if !rule.enabled {
-                    continue;
-                }
-                rule.stats.notifications += 1;
-                if completions.is_empty() {
-                    continue;
-                }
-                // The last member takes the completions; the others copy.
-                if i == last {
-                    fanout.fire(rule, completions.drain(..), occ.oid, occ.at)?;
-                } else {
-                    fanout.fire(rule, completions.iter().cloned(), occ.oid, occ.at)?;
+            let completions = slot.detector.process_resolved(registry, occ, sym);
+            for rid in &slot.members {
+                if let Some(rule) = rules.get_mut(rid).filter(|r| r.enabled) {
+                    rule.stats.notifications += 1;
                 }
             }
+            if !completions.is_empty() {
+                completed.push((sid, completions, 0));
+            }
         }
-        let mut immediate = fanout.immediate;
+        // Fire the completed slots' members, merged by rank: each step
+        // takes the slot whose next member ranks lowest. The last member
+        // of a slot takes its completions; the others copy.
+        loop {
+            let mut lowest: Option<(u32, usize)> = None;
+            for (c, &(sid, _, next)) in completed.iter().enumerate() {
+                if let Some(&rank) = arena.get(sid).ranks.get(next) {
+                    if lowest.is_none_or(|(low, _)| rank < low) {
+                        lowest = Some((rank, c));
+                    }
+                }
+            }
+            let Some((_, c)) = lowest else {
+                break;
+            };
+            let (sid, completions, next) = &mut completed[c];
+            let members = &arena.get(*sid).members;
+            let i = *next;
+            *next += 1;
+            let Some(rule) = rules.get_mut(&members[i]).filter(|r| r.enabled) else {
+                continue;
+            };
+            if i == members.len() - 1 {
+                fanout.fire(rule, completions.drain(..), occ.oid, occ.at)?;
+            } else {
+                fanout.fire(rule, completions.iter().cloned(), occ.oid, occ.at)?;
+            }
+        }
+        let immediate = fanout.immediate;
         consumers.clear();
+        completed.clear();
         self.scratch = consumers;
-        self.resolver.order(&mut immediate);
+        self.completed = completed;
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::FanOut, occ.at, fan_out_timer, || {
                 format!("{}.{}", occ.oid, occ.method)
@@ -1362,10 +1360,13 @@ impl RuleEngine {
     /// Advance the timer wheel to instant `now` and deliver every due
     /// fire to its owning rule's detector, returning the **immediate**
     /// firings in execution order (deferred/detached firings queue as
-    /// usual). Each delivery consumes one sequence number from
-    /// `next_seq`, so timer occurrences are totally ordered against
-    /// primitive occurrences. Timer-bearing rules never share a
-    /// detector, so each fire reaches exactly one rule.
+    /// usual). Fires are delivered by due instant, and fires due at the
+    /// same instant in firing order (see
+    /// [`on_occurrence`](Self::on_occurrence)). Each delivery consumes
+    /// one sequence number from `next_seq`, so timer occurrences are
+    /// totally ordered against primitive occurrences. Timer-bearing
+    /// rules never share a detector, so each fire reaches exactly one
+    /// rule.
     pub fn drain_timers(
         &mut self,
         now: u64,
@@ -1388,7 +1389,7 @@ impl RuleEngine {
         }
         let n_fires = fires.len();
         let routes = &mut self.timer_routes;
-        let routed: Vec<(RuleId, usize, u64)> = fires
+        let mut routed: Vec<(RuleId, usize, u64)> = fires
             .into_iter()
             .filter_map(|fire| {
                 // A fire with no route is a stale fire of a removed rule.
@@ -1399,6 +1400,10 @@ impl RuleEngine {
                 Some((rid, idx, fire.due))
             })
             .collect();
+        // By the key itself: no routing rebuild precedes a drain, so the
+        // slots' cached ranks may predate the last rule change.
+        let rules = &self.rules;
+        routed.sort_by_key(|&(rid, _, due)| (due, rules.get(&rid).map(firing_key)));
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
         for (rid, idx, due) in routed {
             let Some(rule) = rules.get_mut(&rid) else {
@@ -1422,8 +1427,7 @@ impl RuleEngine {
                 fanout.fire(rule, completions.into_iter(), target, due)?;
             }
         }
-        let mut immediate = fanout.immediate;
-        self.resolver.order(&mut immediate);
+        let immediate = fanout.immediate;
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::TimerDrain, now, drain_timer, || {
                 format!("fires={n_fires}")
@@ -1459,11 +1463,10 @@ impl RuleEngine {
             .collect()
     }
 
-    /// Drain the deferred queue (at commit), in execution order.
+    /// Drain the deferred queue (at commit), in execution order: by
+    /// occurrence, and in firing order within one.
     pub fn take_deferred(&mut self) -> Vec<ReadyFiring> {
-        let mut out = std::mem::take(&mut self.deferred);
-        self.resolver.order(&mut out);
-        out
+        std::mem::take(&mut self.deferred)
     }
 
     /// Drain the detached queue (after commit), in execution order.
@@ -1505,7 +1508,6 @@ impl RuleEngine {
             out.push(q.ready);
         }
         self.detached_floor = self.detached_floor.min(self.detached.len());
-        self.resolver.order(&mut out);
         out
     }
 
@@ -1950,25 +1952,37 @@ mod tests {
         eng.add_rule(simple_rule("r"), Oid::NIL, &reg).unwrap();
     }
 
+    /// Co-triggered rules fire by priority, then rule-object oid, then
+    /// `RuleId` — across detectors as well as within a shared one — and
+    /// a priority change moves a rule at once.
     #[test]
     fn priority_resolver_orders_simultaneous_firings() {
         let reg = registry();
         let mut eng = RuleEngine::new();
-        eng.set_resolver(Box::new(crate::conflict::PriorityResolver));
-        let lo = eng
-            .add_rule(simple_rule("lo").priority(1), Oid::NIL, &reg)
-            .unwrap();
-        let hi = eng
-            .add_rule(simple_rule("hi").priority(10), Oid::NIL, &reg)
-            .unwrap();
-        eng.subscriptions.subscribe_object(Oid(1), lo);
-        eng.subscriptions.subscribe_object(Oid(1), hi);
-        let fired = eng
-            .on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
-            .unwrap();
-        assert_eq!(fired.len(), 2);
-        assert_eq!(fired[0].firing.rule, hi);
-        assert_eq!(fired[1].firing.rule, lo);
+        let stock = reg.id_of("Stock").unwrap();
+        let mut add = |name: &str, priority: i32, oid: Oid| {
+            let def = simple_rule(name).priority(priority);
+            let id = eng.add_rule(def, oid, &reg).unwrap();
+            eng.subscriptions.subscribe_object(Oid(1), id);
+            id
+        };
+        let lo = add("lo", 1, Oid(7));
+        let hi = add("hi", 10, Oid(9));
+        let tie = add("tie", 1, Oid(3));
+        let bare = add("bare", 1, Oid::NIL);
+        // `tie` hears its class too, so it gets a detector of its own.
+        eng.subscriptions.subscribe_class(stock, tie);
+        let fired = |eng: &mut RuleEngine, at| -> Vec<RuleId> {
+            let fired = eng
+                .on_occurrence(&reg, &occ(&reg, at, 1, "Stock", "SetPrice"))
+                .unwrap();
+            fired.iter().map(|f| f.firing.rule).collect()
+        };
+        assert_eq!(fired(&mut eng, 1), [hi, bare, tie, lo]);
+        assert_eq!(eng.detector_count(), 2);
+        let def = eng.rule(lo).unwrap().def.clone().priority(20);
+        eng.redefine(lo, def, &reg).unwrap();
+        assert_eq!(fired(&mut eng, 2), [lo, hi, bare, tie]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # sentinel-rules — ECA rules, subscriptions, coupling, conflict resolution
+//! # sentinel-rules — ECA rules, subscriptions, coupling, firing order
 //!
 //! The rule layer of Sentinel (paper §3.4–§3.5, §4.4, Figure 7):
 //!
@@ -19,9 +19,9 @@
 //!   Figure 9).
 //! * [`RuleEngine`] — detection and scheduling: offered occurrences fan
 //!   out to subscribed rules; completed events become pending firings
-//!   routed by [`CouplingMode`]; simultaneous firings are ordered by a
-//!   pluggable [`ConflictResolver`] (§3: "providing a new conflict
-//!   resolution strategy without modifications to application code").
+//!   routed by [`CouplingMode`]. Co-triggered rules fire in one order
+//!   fixed by their definitions: higher [`RuleDef::priority`] first,
+//!   then lower rule-object oid, then lower [`RuleId`].
 //!
 //! The engine deliberately does not *execute* firings: execution needs
 //! the full database (`World`), which owns the engine. The database
@@ -31,7 +31,6 @@
 
 pub mod action;
 pub mod body;
-pub mod conflict;
 pub mod coupling;
 pub mod engine;
 pub mod rule;
@@ -42,7 +41,6 @@ pub use body::{
     ActionEffects, ActionFn, AttrPattern, CondFn, EventPattern, Firing, Lineage, RuleBodyRegistry,
     ACTION_ABORT, ACTION_NOOP, COND_TRUE,
 };
-pub use conflict::{ConflictResolver, FifoResolver, LifoResolver, PriorityResolver};
 pub use coupling::CouplingMode;
 pub use engine::{BackpressurePolicy, EngineCounters, EngineStats, ReadyFiring, RuleEngine};
 pub use rule::{Rule, RuleBuilder, RuleDef, RuleId, RuleStats};

@@ -19,8 +19,8 @@ impl fmt::Display for RuleId {
 }
 
 /// The serializable definition of a rule — what Figure 7 stores:
-/// `name`, `event-id`, `condition`, `action`, `mode`, plus the paper's
-/// implied priority used by the conflict-resolution strategies.
+/// `name`, `event-id`, `condition`, `action`, `mode`, plus a priority
+/// that orders co-triggered rules.
 ///
 /// `condition`/`action` are *names* into the
 /// [`RuleBodyRegistry`](crate::body::RuleBodyRegistry), the persistable
@@ -37,11 +37,10 @@ pub struct RuleDef {
     pub action: String,
     /// When the rule executes relative to its triggering transaction.
     pub coupling: CouplingMode,
-    /// Rank among co-triggered rules, larger first. The analyzer's
-    /// confluence and `shadowed-by-abort` diagnostics read it, and so
-    /// does a bare [`RuleEngine`](crate::RuleEngine) running
-    /// [`PriorityResolver`](crate::PriorityResolver). A `Database` fires
-    /// co-triggered rules in trigger order whatever their priority.
+    /// Rank among co-triggered rules: larger fires first, and ties go to
+    /// the lower rule-object oid, then the lower [`RuleId`]. The
+    /// analyzer's confluence and `shadowed-by-abort` diagnostics assume
+    /// the same order.
     pub priority: i32,
     /// Parameter context for this rule's private detector.
     pub context: ParamContext,
@@ -74,9 +73,7 @@ impl RuleDef {
         self
     }
 
-    /// Set the priority (see [`RuleDef::priority`]: the analyzer and
-    /// the priority resolver read it; a `Database` does not reorder by
-    /// it).
+    /// Set the priority (see [`RuleDef::priority`]).
     pub fn priority(mut self, p: i32) -> Self {
         self.priority = p;
         self
@@ -155,9 +152,7 @@ impl RuleBuilder {
         self
     }
 
-    /// Set the priority (default 0; see [`RuleDef::priority`]: the
-    /// analyzer and the priority resolver read it; a `Database` does
-    /// not reorder by it).
+    /// Set the priority (default 0; see [`RuleDef::priority`]).
     pub fn priority(mut self, p: i32) -> Self {
         self.def.priority = p;
         self

@@ -89,8 +89,7 @@ impl SubscriptionManager {
         }
     }
 
-    /// Drop every subscription of a rule (rule deletion, or before
-    /// re-subscribing it from its rule object).
+    /// Drop every subscription of a rule (rule deletion).
     pub fn remove_rule(&mut self, rule: RuleId) {
         if let Some(objects) = self.objects_of.remove(&rule) {
             for o in objects {

@@ -1,10 +1,9 @@
-//! Engine scheduling behaviour: deferred-queue ordering under conflict
-//! resolvers, mixed class/instance delivery, stats accounting, and
-//! capture lifecycles.
+//! Engine scheduling behaviour: deferred-queue ordering, mixed
+//! class/instance delivery, stats accounting, and capture lifecycles.
 
 use sentinel_events::{EventExpr, EventModifier, PrimitiveEventSpec, PrimitiveOccurrence};
 use sentinel_object::{ClassDecl, ClassRegistry, Oid, Value};
-use sentinel_rules::{CouplingMode, PriorityResolver, RuleDef, RuleEngine, ACTION_NOOP};
+use sentinel_rules::{CouplingMode, RuleDef, RuleEngine, ACTION_NOOP};
 use std::sync::Arc;
 
 fn registry() -> ClassRegistry {
@@ -31,12 +30,18 @@ fn leaf() -> EventExpr {
     EventExpr::primitive(PrimitiveEventSpec::end("S", "m"))
 }
 
+/// The deferred queue drains in arrival order across occurrences and in
+/// firing order (priority, then oid, then `RuleId`) within one.
 #[test]
 fn deferred_queue_is_ordered_by_the_resolver_at_drain() {
     let reg = registry();
     let mut eng = RuleEngine::new();
-    eng.set_resolver(Box::new(PriorityResolver));
-    for (name, prio) in [("low", 1), ("high", 9), ("mid", 5)] {
+    for (name, prio, objects) in [
+        ("low", 1, &[1, 2][..]),
+        ("high", 9, &[1, 2]),
+        ("mid", 5, &[1, 2]),
+        ("top", 20, &[2]),
+    ] {
         let id = eng
             .add_rule(
                 RuleDef::new(name, leaf(), ACTION_NOOP)
@@ -46,12 +51,15 @@ fn deferred_queue_is_ordered_by_the_resolver_at_drain() {
                 &reg,
             )
             .unwrap();
-        eng.subscriptions.subscribe_object(Oid(1), id);
+        for &o in objects {
+            eng.subscriptions.subscribe_object(Oid(o), id);
+        }
     }
     eng.on_occurrence(&reg, &occ(&reg, 1, 1)).unwrap();
+    eng.on_occurrence(&reg, &occ(&reg, 2, 2)).unwrap();
     let drained = eng.take_deferred();
     let names: Vec<&str> = drained.iter().map(|f| &*f.firing.rule_name).collect();
-    assert_eq!(names, ["high", "mid", "low"]);
+    assert_eq!(names, ["high", "mid", "low", "top", "high", "mid", "low"]);
     // Queue is empty afterwards.
     assert!(eng.take_deferred().is_empty());
 }

@@ -82,10 +82,9 @@ fn main() -> Result<()> {
     let spend = event("end Card::Spend(int amount)")?;
     db.add_class_rule(
         "Card",
-        // This and LargeOutflow both run `flag`, so their order cannot
-        // change the outcome. The distinct priority tells the
-        // analyzer's confluence lint so; a `Database` fires co-triggered
-        // rules in trigger order whatever their priority.
+        // This and LargeOutflow both run `flag`. The higher priority
+        // makes this one fire first whenever both trigger on one spend,
+        // and that fixed order keeps the pair confluent.
         RuleDef::new(
             "TestThenSpend",
             probe.then(spend.clone()).sliding_window(20),

@@ -5,6 +5,7 @@
 //! the engine's rules are only a cache rebuilt from them.
 
 use sentinel::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Schema of the paper's running examples: Employee/Manager with an
@@ -454,15 +455,15 @@ fn coupling_and_action_slot_writes_change_what_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Does `analyze` report `code`?
+fn diagnosed(db: &Database, code: DiagCode) -> bool {
+    db.analyze().diagnostics.iter().any(|d| d.code == code)
+}
+
 #[test]
 fn priority_slot_write_reaches_the_analyzer() {
     let dir = data_dir("priority");
-    let non_confluent = |db: &Database| {
-        db.analyze()
-            .diagnostics
-            .iter()
-            .any(|d| d.code == DiagCode::NonConfluent)
-    };
+    let non_confluent = |db: &Database| diagnosed(db, DiagCode::NonConfluent);
     let (rule, rules);
     {
         let mut db = payroll_db(DbConfig::durable(&dir));
@@ -570,4 +571,84 @@ fn aborted_event_write_and_removal_restore_partial_detections() {
         assert_eq!(db.rule_stats("Twice").unwrap().notifications, 1);
         assert_eq!(probe(&mut db, &fired, fred), ["Twice", "Pair"]);
     }
+}
+
+// ---------------------------------------------------------------------
+// The database runs the order the analyzer certifies.
+// ---------------------------------------------------------------------
+
+/// Two rules write one attribute at distinct priorities: the analyzer
+/// finds them confluent because the lower priority always writes last,
+/// and swapping the priorities swaps the value that lands.
+#[test]
+fn priority_decides_which_write_lands_last() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    for (action, pay) in [("pay-10", 10.0), ("pay-20", 20.0)] {
+        db.register(
+            ActionDef::new(action)
+                .writes(("Employee", "salary"))
+                .body(move |w, f| {
+                    let target = f.occurrence.constituents[0].oid;
+                    w.set_attr(target, "salary", Value::Float(pay))
+                }),
+        )
+        .unwrap();
+    }
+    let mut add = |name: &str, action: &str, priority: i32| {
+        let def = RuleDef::new(
+            name,
+            event("end Employee::Change-Income(float x)").unwrap(),
+            action,
+        );
+        db.add_class_rule("Employee", def.priority(priority))
+            .unwrap()
+    };
+    let ten = add("Ten", "pay-10", 1);
+    let twenty = add("Twenty", "pay-20", 2);
+    let fred = db.create("Employee").unwrap();
+    let salary_after_a_change = |db: &mut Database| {
+        db.send(fred, "Change-Income", &[Value::Float(1.0)])
+            .unwrap();
+        db.get_attr(fred, "salary").unwrap()
+    };
+
+    assert!(!diagnosed(&db, DiagCode::NonConfluent));
+    assert_eq!(salary_after_a_change(&mut db), Value::Float(10.0));
+
+    db.set_attr(ten, "priority", Value::Int(2)).unwrap();
+    db.set_attr(twenty, "priority", Value::Int(1)).unwrap();
+    assert!(!diagnosed(&db, DiagCode::NonConfluent));
+    assert_eq!(salary_after_a_change(&mut db), Value::Float(20.0));
+}
+
+/// An unconditional abort at a higher priority, created after the rule
+/// it shadows, fires first: the analyzer says so, and the shadowed
+/// action never runs.
+#[test]
+fn a_later_higher_priority_abort_shadows_an_older_rule() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs);
+    db.register_action("count", move |_, _| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    });
+    let income = || event("end Employee::Change-Income(float x)").unwrap();
+    db.add_class_rule("Employee", RuleDef::new("Counted", income(), "count"))
+        .unwrap();
+    db.add_class_rule(
+        "Employee",
+        RuleDef::new("Veto", income(), ACTION_ABORT).priority(1),
+    )
+    .unwrap();
+    assert!(diagnosed(&db, DiagCode::ShadowedByAbort));
+
+    let fred = db.create("Employee").unwrap();
+    for _ in 0..3 {
+        let err = db
+            .send(fred, "Change-Income", &[Value::Float(1.0)])
+            .unwrap_err();
+        assert!(err.is_abort(), "{err}");
+    }
+    assert_eq!(runs.load(Ordering::SeqCst), 0, "the shadowed action ran");
 }

@@ -318,6 +318,28 @@ fn probe_order(db: &mut Database, fired: &Arc<Mutex<Vec<String>>>, probe: Oid) -
     std::mem::take(&mut *fired.lock().unwrap())
 }
 
+/// `order` must be the firing order: immediate rules, then deferred,
+/// then detached, each by priority (higher first) and then rule-object
+/// oid, as `rules` (a `meta_rules` relation) defines them.
+fn assert_firing_order(rules: &Relation, order: &[String]) {
+    let key = |name: &String| {
+        let row = rules
+            .rows()
+            .iter()
+            .find(|r| r[0] == Value::Str(name.clone()))
+            .expect("a rule that fired is in the catalog");
+        let phase = ["immediate", "deferred", "detached"]
+            .iter()
+            .position(|c| row[2] == Value::Str((*c).into()));
+        let (Value::Oid(oid), Value::Int(priority)) = (&row[1], &row[3]) else {
+            panic!("unexpected meta_rules row {row:?}");
+        };
+        (phase, std::cmp::Reverse(*priority), *oid)
+    };
+    let keys: Vec<_> = order.iter().map(key).collect();
+    assert!(keys.is_sorted(), "{order:?} fired out of order: {keys:?}");
+}
+
 fn register_log(db: &mut Database, fired: &Arc<Mutex<Vec<String>>>) {
     let fired = Arc::clone(fired);
     db.register_method("X", "Ping", |_, _, _| Ok(Value::Null))
@@ -336,6 +358,9 @@ proptest! {
     /// inside aborted transactions, with a checkpoint along the way in
     /// about half the cases — recovers to the same rules, the same
     /// subscriptions, and the same firing order for one probe send.
+    /// Rules with equal context and subscriptions share a detector, the
+    /// others do not; either way the probe fires them in the order their
+    /// definitions fix.
     #[test]
     fn catalog_history_survives_a_crash(
         steps in prop::collection::vec((catalog_op(), 0u8..4), 1..32),
@@ -366,13 +391,16 @@ proptest! {
             rules = db.meta_rules();
             subs = db.meta_subscriptions();
             order = probe_order(&mut db, &fired, probe);
+            assert_firing_order(&rules, &order);
         } // drop = crash
 
         let mut db = Database::recover(DbConfig::durable(&dir)).unwrap();
         register_log(&mut db, &fired);
         prop_assert_eq!(db.meta_rules(), rules);
         prop_assert_eq!(db.meta_subscriptions(), subs);
-        prop_assert_eq!(probe_order(&mut db, &fired, probe), order);
+        let recovered = probe_order(&mut db, &fired, probe);
+        assert_firing_order(&db.meta_rules(), &recovered);
+        prop_assert_eq!(recovered, order);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,10 @@
 //! aborted transactions, and checkpoint + recover. Each program runs on
 //! one engine holding every rule and, per rule, on a reference engine
 //! holding only that rule, whose detector is private by construction.
-//! Every rule's stats and firing multiset must agree.
+//! Every rule's stats and firing multiset must agree, and every
+//! occurrence must fire its immediate rules in one order — priority,
+//! then rule-object oid — the order the reference engines' firings
+//! merge into.
 //!
 //! The database-level tests at the end pin the same guarantees through
 //! the public facade: a half-matched sequence in a shared group survives
@@ -22,6 +25,7 @@ use sentinel::db::CatalogSnapshot;
 use sentinel::prelude::*;
 use sentinel::rules::{ReadyFiring, RuleEngine};
 use sentinel::storage::Snapshot;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -105,11 +109,22 @@ struct Entry {
 /// A detection as the rule saw it: interval and constituents.
 type Fired = (u64, u64, Vec<(u64, Oid)>);
 
+/// A rule's place in the firing order: priority, then rule-object oid.
+type Key = (Reverse<i32>, Oid);
+
+/// One immediate firing of an occurrence: the rule's key and name, and
+/// what it detected.
+type Step = (Key, String, Fired);
+
+/// A rule as the catalog holds it: definition, rule-object oid, and
+/// flag and edges.
+type Spec = (RuleDef, Oid, Entry);
+
 /// One engine plus the catalog bookkeeping a database does around it.
 struct World {
     reg: ClassRegistry,
     eng: RuleEngine,
-    defs: BTreeMap<String, RuleDef>,
+    defs: BTreeMap<String, (RuleDef, Oid)>,
     live: BTreeMap<String, Entry>,
     ids: HashMap<String, RuleId>,
     /// At transaction start: the clock and the catalog to roll back to.
@@ -117,6 +132,8 @@ struct World {
     /// Stats of rule incarnations gone (removed, or lost to recovery).
     past: BTreeMap<String, RuleStats>,
     fired: BTreeMap<String, Vec<Fired>>,
+    /// Each occurrence's immediate firings, in the order they came.
+    sends: Vec<Vec<Step>>,
     at: u64,
     /// Most rules seen sharing one engine's detectors at once.
     max_shared: usize,
@@ -131,7 +148,7 @@ fn add_stats(acc: &mut RuleStats, s: RuleStats) {
 }
 
 impl World {
-    fn new(reg: &ClassRegistry, rules: &[(RuleDef, Entry)]) -> World {
+    fn new(reg: &ClassRegistry, rules: &[Spec]) -> World {
         let mut w = World {
             reg: reg.clone(),
             eng: engine(),
@@ -141,11 +158,12 @@ impl World {
             saved: None,
             past: BTreeMap::new(),
             fired: BTreeMap::new(),
+            sends: Vec::new(),
             at: 0,
             max_shared: 0,
         };
-        for (def, entry) in rules {
-            w.defs.insert(def.name.clone(), def.clone());
+        for (def, oid, entry) in rules {
+            w.defs.insert(def.name.clone(), (def.clone(), *oid));
             w.install(&def.name, entry);
         }
         w
@@ -157,8 +175,8 @@ impl World {
 
     /// Add a fresh incarnation of `name` and bring it to `entry`.
     fn install(&mut self, name: &str, entry: &Entry) -> RuleId {
-        let def = self.defs[name].clone();
-        let id = self.eng.add_rule(def, Oid::NIL, &self.reg).unwrap();
+        let (def, oid) = self.defs[name].clone();
+        let id = self.eng.add_rule(def, oid, &self.reg).unwrap();
         self.ids.insert(name.to_string(), id);
         self.live.insert(
             name.to_string(),
@@ -204,13 +222,24 @@ impl World {
 
     fn record(&mut self, firings: Vec<ReadyFiring>) {
         for f in firings {
-            let occ = f.firing.occurrence;
-            let parts = occ.constituents.iter().map(|c| (c.at, c.oid)).collect();
-            self.fired
-                .entry(f.firing.rule_name.to_string())
-                .or_default()
-                .push((occ.start, occ.end, parts));
+            let (name, fired) = detection(&f);
+            self.fired.entry(name).or_default().push(fired);
         }
+    }
+
+    /// Record an occurrence's immediate firings, keyed, in the order
+    /// they came.
+    fn record_send(&mut self, firings: Vec<ReadyFiring>) {
+        let steps = firings
+            .iter()
+            .map(|f| {
+                let (name, fired) = detection(f);
+                let (def, oid) = &self.defs[&name];
+                ((Reverse(def.priority), *oid), name, fired)
+            })
+            .collect();
+        self.sends.push(steps);
+        self.record(firings);
     }
 
     fn begin(&mut self) {
@@ -233,7 +262,7 @@ impl World {
                     params: Arc::from(vec![Value::Int(*v)]),
                 };
                 let fired = self.eng.on_occurrence(&self.reg, &occ).unwrap();
-                self.record(fired);
+                self.record_send(fired);
                 let shared = self.eng.rule_count() - self.eng.detector_count();
                 self.max_shared = self.max_shared.max(shared);
             }
@@ -346,6 +375,13 @@ impl World {
     }
 }
 
+/// The rule a firing belongs to, and what it detected.
+fn detection(f: &ReadyFiring) -> (String, Fired) {
+    let occ = &f.firing.occurrence;
+    let parts = occ.constituents.iter().map(|c| (c.at, c.oid)).collect();
+    (f.firing.rule_name.to_string(), (occ.start, occ.end, parts))
+}
+
 fn engine() -> RuleEngine {
     let mut eng = RuleEngine::new();
     eng.set_detector_caps(CAPS);
@@ -353,9 +389,11 @@ fn engine() -> RuleEngine {
 }
 
 /// `GROUPS` groups of `PER_GROUP` rules; a group shares its event and
-/// context and differs in coupling and priority. Every rule starts
-/// subscribed to class `S`, so each group starts out shareable.
-fn rules(rng: &mut StdRng) -> Vec<(RuleDef, Entry)> {
+/// context and differs in coupling. Priorities are drawn from a small
+/// range, so ties are common, and rule-object oids are drawn in random
+/// order. Every rule starts subscribed to class `S`, so each group
+/// starts out shareable.
+fn rules(rng: &mut StdRng) -> Vec<Spec> {
     let couplings = [
         CouplingMode::Immediate,
         CouplingMode::Deferred,
@@ -367,13 +405,15 @@ fn rules(rng: &mut StdRng) -> Vec<(RuleDef, Entry)> {
         for r in 0..PER_GROUP {
             let def = RuleDef::new(format!("g{g}r{r}"), event.clone(), ACTION_NOOP)
                 .coupling(couplings[r % couplings.len()])
-                .priority(r as i32)
+                .priority(rng.random_range(0..3))
                 .context(context);
+            // Distinct: the low bits number the rule.
+            let oid = Oid(rng.random_range(1..1000u64) * 16 + (g * PER_GROUP + r) as u64);
             let entry = Entry {
                 enabled: true,
                 subs: BTreeSet::from([Sub::Class("S")]),
             };
-            out.push((def, entry));
+            out.push((def, oid, entry));
         }
     }
     out
@@ -431,20 +471,33 @@ fn program(rng: &mut StdRng) -> Vec<Txn> {
 }
 
 /// Run `program` on one engine holding `rules` and on one reference
-/// engine per rule; every rule must see the same outcome on both. Returns
-/// the most rules the shared engine ever had sharing at once.
-fn check(reg: &ClassRegistry, rules: &[(RuleDef, Entry)], program: &[Txn], tag: &str) -> usize {
+/// engine per rule; every rule must see the same outcome on both, and
+/// each occurrence must fire the shared engine's immediate rules in key
+/// order, as the reference engines' firings merge. Returns the most
+/// rules the shared engine ever had sharing at once.
+fn check(reg: &ClassRegistry, rules: &[Spec], program: &[Txn], tag: &str) -> usize {
     let mut shared = World::new(reg, rules);
     shared.run(program);
+    let mut alone = Vec::new();
     for rule in rules {
-        let mut alone = World::new(reg, std::slice::from_ref(rule));
-        alone.run(program);
+        let mut world = World::new(reg, std::slice::from_ref(rule));
+        world.run(program);
         let name = &rule.0.name;
         assert_eq!(
             shared.outcome(name),
-            alone.outcome(name),
+            world.outcome(name),
             "{tag}: rule {name} diverged from its private reference"
         );
+        alone.push(world);
+    }
+    for (k, got) in shared.sends.iter().enumerate() {
+        assert!(
+            got.is_sorted_by_key(|(key, ..)| *key),
+            "{tag}: occurrence {k} fired out of key order: {got:?}"
+        );
+        let mut want: Vec<Step> = alone.iter().flat_map(|w| w.sends[k].clone()).collect();
+        want.sort_by_key(|(key, ..)| *key);
+        assert_eq!(got, &want, "{tag}: occurrence {k} fired in another order");
     }
     shared.max_shared
 }
@@ -472,15 +525,18 @@ fn shared_detectors_match_private_reference_engines() {
 fn journaled_detectors_stay_apart_until_the_transaction_ends() {
     let reg = registry();
     let (event, context) = group_event(0); // A ; B, chronicle
-    let rule = |name: &str, sub: Sub| {
+    let rule = |name: &str, oid: u64, sub: Sub| {
         let def = RuleDef::new(name, event.clone(), ACTION_NOOP).context(context);
         let entry = Entry {
             enabled: true,
             subs: BTreeSet::from([sub]),
         };
-        (def, entry)
+        (def, Oid(oid), entry)
     };
-    let rules = [rule("class", Sub::Class("S")), rule("one", Sub::Object(1))];
+    let rules = [
+        rule("class", 100, Sub::Class("S")),
+        rule("one", 101, Sub::Object(1)),
+    ];
     let send = |oid, method| Op::Send { oid, method, v: 0 };
     let txn = |ops, commit| Txn {
         ops,
