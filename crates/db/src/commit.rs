@@ -482,14 +482,14 @@ impl Database {
 
     fn execute_firing_body(&mut self, f: &ReadyFiring) -> Result<()> {
         SharedDbStats::bump(&self.stats.condition_evals);
-        if let Ok(r) = self.engine.rule_mut(f.firing.rule) {
-            r.stats.condition_evals += 1;
+        if let Some(stats) = self.engine.stats_of(f) {
+            stats.condition_evals += 1;
         }
         // Condition and action latencies are observed *before* `?`
         // propagation so stage counts reconcile with the counters above
         // even when a body aborts the transaction.
         let cond_timer = self.telemetry.timer();
-        let cond = (f.condition)(self, &f.firing);
+        let cond = (f.bodies.condition)(self, &f.firing);
         let at = self.clock.now();
         if let Some(ns) = cond_timer.elapsed_ns() {
             let name = &f.firing.rule_name;
@@ -502,9 +502,9 @@ impl Database {
             return Ok(());
         }
         SharedDbStats::bump(&self.stats.condition_true);
-        if let Ok(r) = self.engine.rule_mut(f.firing.rule) {
-            r.stats.condition_true += 1;
-            r.stats.actions_run += 1;
+        if let Some(stats) = self.engine.stats_of(f) {
+            stats.condition_true += 1;
+            stats.actions_run += 1;
         }
         SharedDbStats::bump(&self.stats.actions_run);
         // Pre-increment `>= limit` is the same inclusive semantics as
@@ -517,7 +517,7 @@ impl Database {
         }
         let mut effect_frame = false;
         if self.effect_recorder.is_some() {
-            if let Ok(r) = self.engine.rule(f.firing.rule) {
+            if let Some(r) = self.engine.rule_of(f) {
                 let action = r.def.action.clone();
                 if let Some(rec) = &mut self.effect_recorder {
                     rec.stack.push(action);
@@ -527,7 +527,7 @@ impl Database {
         }
         self.depth += 1;
         let action_timer = self.telemetry.timer();
-        let out = (f.action)(self, &f.firing);
+        let out = (f.bodies.action)(self, &f.firing);
         self.depth -= 1;
         if effect_frame {
             if let Some(rec) = &mut self.effect_recorder {

@@ -729,11 +729,12 @@ impl Database {
         } else {
             def.events
         };
-        let params: Arc<[Value]> = if espec == EventSpec::None {
-            Arc::from(Vec::new())
-        } else {
-            Arc::from(args.to_vec())
-        };
+        if espec == EventSpec::None {
+            // No event, so no name or parameters to record: a passive
+            // send allocates nothing of its own.
+            return body(self, receiver, args);
+        }
+        let params: Arc<[Value]> = Arc::from(args);
         let method_name: Arc<str> = Arc::from(method);
 
         if espec.begin() {

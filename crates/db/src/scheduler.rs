@@ -433,12 +433,12 @@ fn run_firings(
         let start = world.writes.len();
         let firing_timer = telemetry.history_timer();
         let cond_timer = telemetry.timer();
-        let held = (f.condition)(&mut *world, &f.firing).ok()?;
+        let held = (f.bodies.condition)(&mut *world, &f.firing).ok()?;
         let cond_ns = cond_timer.elapsed_ns();
         let mut action_ns = None;
         if held {
             let action_timer = telemetry.timer();
-            (f.action)(&mut *world, &f.firing).ok()?;
+            (f.bodies.action)(&mut *world, &f.firing).ok()?;
             action_ns = action_timer.elapsed_ns();
         }
         let firing_ns = firing_timer.elapsed_ns().unwrap_or(0);
@@ -709,15 +709,15 @@ impl Database {
     /// — just from the recorded write log instead of live execution.
     fn merge_parallel_firing(&mut self, f: &ReadyFiring, done: &FiringDone) -> Result<()> {
         SharedDbStats::bump(&self.stats.condition_evals);
-        if let Ok(r) = self.engine.rule_mut(f.firing.rule) {
-            r.stats.condition_evals += 1;
+        if let Some(stats) = self.engine.stats_of(f) {
+            stats.condition_evals += 1;
         }
         if done.cond_held {
             SharedDbStats::bump(&self.stats.condition_true);
             SharedDbStats::bump(&self.stats.actions_run);
-            if let Ok(r) = self.engine.rule_mut(f.firing.rule) {
-                r.stats.condition_true += 1;
-                r.stats.actions_run += 1;
+            if let Some(stats) = self.engine.stats_of(f) {
+                stats.condition_true += 1;
+                stats.actions_run += 1;
             }
         }
         let at = self.clock.now();

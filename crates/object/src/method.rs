@@ -21,16 +21,17 @@ use std::sync::Arc;
 /// A native method body.
 pub type NativeFn = Arc<dyn Fn(&mut dyn World, Oid, &[Value]) -> Result<Value> + Send + Sync>;
 
-/// Registry of method bodies, keyed by defining class and method name.
+/// Registry of method bodies, keyed by defining class, then by method
+/// name, so a lookup by `&str` builds no key.
 #[derive(Default, Clone)]
 pub struct MethodTable {
-    impls: HashMap<(ClassId, String), NativeFn>,
+    impls: HashMap<ClassId, HashMap<String, NativeFn>>,
 }
 
 impl std::fmt::Debug for MethodTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MethodTable")
-            .field("implementations", &self.impls.len())
+            .field("implementations", &self.len())
             .finish()
     }
 }
@@ -47,7 +48,10 @@ impl MethodTable {
     where
         F: Fn(&mut dyn World, Oid, &[Value]) -> Result<Value> + Send + Sync + 'static,
     {
-        self.impls.insert((class, method.into()), Arc::new(body));
+        self.impls
+            .entry(class)
+            .or_default()
+            .insert(method.into(), Arc::new(body));
     }
 
     /// Register a trivial setter body: `method(x)` stores `x` into `attr`.
@@ -72,7 +76,7 @@ impl MethodTable {
 
     /// Look up the body for an already-resolved `(owner, method)` pair.
     pub fn body(&self, owner: ClassId, method: &str) -> Option<&NativeFn> {
-        self.impls.get(&(owner, method.to_string()))
+        self.impls.get(&owner)?.get(method)
     }
 
     /// Resolve a message against the schema and fetch the body, checking
@@ -101,25 +105,23 @@ impl MethodTable {
                 });
             }
         }
-        let body = self
-            .impls
-            .get(&(owner, method.to_string()))
-            .cloned()
-            .ok_or_else(|| ObjectError::MissingImplementation {
+        let body = self.body(owner, method).cloned().ok_or_else(|| {
+            ObjectError::MissingImplementation {
                 class: registry.get(owner).name.clone(),
                 method: method.to_string(),
-            })?;
+            }
+        })?;
         Ok((owner, def, body))
     }
 
     /// Number of registered bodies.
     pub fn len(&self) -> usize {
-        self.impls.len()
+        self.impls.values().map(HashMap::len).sum()
     }
 
     /// True when no bodies are registered.
     pub fn is_empty(&self) -> bool {
-        self.impls.is_empty()
+        self.len() == 0
     }
 }
 

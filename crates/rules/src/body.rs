@@ -164,8 +164,9 @@ pub struct Firing {
     pub rule: RuleId,
     /// Its name (cheap to clone into error messages).
     pub rule_name: Arc<str>,
-    /// The detected (possibly composite) event occurrence.
-    pub occurrence: CompositeOccurrence,
+    /// The detected (possibly composite) event occurrence, shared by
+    /// every rule that consumes the same detection.
+    pub occurrence: Arc<CompositeOccurrence>,
     /// Causal coordinates (meaningful only while firing history is
     /// enabled).
     pub lineage: Lineage,
@@ -189,6 +190,16 @@ pub type CondFn = Arc<dyn Fn(&mut dyn World, &Firing) -> Result<bool> + Send + S
 /// An action body: executed when the condition holds. Returning
 /// `Err(TransactionAborted)` aborts the triggering transaction.
 pub type ActionFn = Arc<dyn Fn(&mut dyn World, &Firing) -> Result<()> + Send + Sync>;
+
+/// A rule's condition and action, resolved once and shared by every
+/// firing the rule schedules. A queued firing keeps the bodies it was
+/// scheduled with, whatever later happens to its rule.
+pub struct BoundBodies {
+    /// Resolved condition body.
+    pub condition: CondFn,
+    /// Resolved action body.
+    pub action: ActionFn,
+}
 
 /// Name → body registry for rule conditions and actions.
 #[derive(Clone)]
@@ -372,6 +383,14 @@ impl RuleBodyRegistry {
             })
     }
 
+    /// Resolve a condition and an action together, condition first.
+    pub fn bind(&self, condition: &str, action: &str) -> Result<Arc<BoundBodies>> {
+        Ok(Arc::new(BoundBodies {
+            condition: self.condition(condition)?,
+            action: self.action(action)?,
+        }))
+    }
+
     /// Is a condition body registered?
     pub fn has_condition(&self, name: &str) -> bool {
         self.conditions.contains_key(name)
@@ -402,7 +421,7 @@ mod tests {
         Firing {
             rule: RuleId(1),
             rule_name: "IncomeLevel".into(),
-            occurrence: CompositeOccurrence::from_primitive(p),
+            occurrence: Arc::new(CompositeOccurrence::from_primitive(p)),
             lineage: Lineage::default(),
         }
     }

@@ -14,7 +14,7 @@
 //! composite event is detected once per occurrence however many rules
 //! consume it (events as first-class notifiable objects, Figures 5–6).
 
-use crate::body::{ActionFn, CondFn, Firing, Lineage, RuleBodyRegistry};
+use crate::body::{BoundBodies, Firing, Lineage, RuleBodyRegistry};
 use crate::coupling::CouplingMode;
 use crate::rule::{Rule, RuleDef, RuleId, RuleStats};
 use crate::subscription::SubscriptionManager;
@@ -32,16 +32,18 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A triggered rule whose bodies are resolved and which is ready to run.
+/// A triggered rule, ready to run: a handle onto the detection it
+/// consumes (shared with every other rule that consumes it) and onto
+/// the rule's bound bodies, plus its lineage.
 #[derive(Clone)]
 pub struct ReadyFiring {
     /// The coupling mode the firing was scheduled under (recorded into
     /// its lineage record by the executor).
     pub coupling: CouplingMode,
-    /// Resolved condition body.
-    pub condition: CondFn,
-    /// Resolved action body.
-    pub action: ActionFn,
+    /// The rule's condition and action as bound when the firing was
+    /// scheduled: a queued firing runs these even if its rule has been
+    /// redefined or removed since.
+    pub bodies: Arc<BoundBodies>,
     /// What triggered and with which occurrence.
     pub firing: Firing,
     /// Conflict-group component the rule belonged to when the firing was
@@ -49,6 +51,10 @@ pub struct ReadyFiring {
     /// `None` means "not known to be parallel-safe" — the scheduler runs
     /// such firings on the serial path.
     pub group: Option<u32>,
+    /// The rule's place in the engine's rule table. A place is reused
+    /// after its rule is removed, so it is only trusted together with
+    /// `firing.rule`.
+    index: RuleIdx,
 }
 
 impl std::fmt::Debug for ReadyFiring {
@@ -153,15 +159,37 @@ impl EngineCounters {
 /// Index of a [`Slot`] in the detector arena.
 type SlotId = usize;
 
+/// Index of a [`Rule`] in the engine's rule table.
+type RuleIdx = usize;
+
 /// One detector and the rules it detects for. Every member has the same
 /// [`ShareKey`], so each would have received the same deliveries into
 /// the same state had it kept a private detector.
 struct Slot {
     detector: DetectorInstance,
     /// Member rules in firing order.
-    members: Vec<RuleId>,
+    members: Vec<RuleIdx>,
     /// Each member's firing rank, as of the last routing rebuild.
     ranks: Vec<u32>,
+}
+
+impl Slot {
+    fn new(detector: DetectorInstance, members: Vec<RuleIdx>) -> Self {
+        Slot {
+            detector,
+            members,
+            ranks: Vec::new(),
+        }
+    }
+}
+
+/// A slot whose detector completed during one occurrence: its
+/// completions, as a range of the engine's shared-occurrence scratch,
+/// and its next member to fire.
+struct Completed {
+    slot: SlotId,
+    occurrences: std::ops::Range<usize>,
+    next: usize,
 }
 
 /// Where a rule fires among co-triggered rules: higher priority first,
@@ -172,54 +200,62 @@ fn firing_key(rule: &Rule) -> (Reverse<i32>, Oid, RuleId) {
     (Reverse(rule.def.priority), rule.oid, rule.id)
 }
 
-/// The detector arena: slots addressed by index, freed indices reused.
-#[derive(Default)]
-struct Arena {
-    slots: Vec<Option<Slot>>,
-    free: Vec<SlotId>,
+/// A dense table: entries addressed by index, freed indices reused, so
+/// churn leaves no holes behind. Holds the detector arena and the rules.
+struct Slab<T> {
+    entries: Vec<Option<T>>,
+    free: Vec<usize>,
 }
 
-impl Arena {
-    fn insert(&mut self, detector: DetectorInstance, members: Vec<RuleId>) -> SlotId {
-        let slot = Some(Slot {
-            detector,
-            members,
-            ranks: Vec::new(),
-        });
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, value: T) -> usize {
         match self.free.pop() {
-            Some(sid) => {
-                self.slots[sid] = slot;
-                sid
+            Some(i) => {
+                self.entries[i] = Some(value);
+                i
             }
             None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
+                self.entries.push(Some(value));
+                self.entries.len() - 1
             }
         }
     }
 
-    fn remove(&mut self, sid: SlotId) -> Slot {
-        self.free.push(sid);
-        self.slots[sid].take().expect("live slot")
+    fn remove(&mut self, i: usize) -> T {
+        self.free.push(i);
+        self.entries[i].take().expect("live entry")
     }
 
-    fn get(&self, sid: SlotId) -> &Slot {
-        self.slots[sid].as_ref().expect("live slot")
+    fn get(&self, i: usize) -> &T {
+        self.entries[i].as_ref().expect("live entry")
     }
 
-    fn get_mut(&mut self, sid: SlotId) -> &mut Slot {
-        self.slots[sid].as_mut().expect("live slot")
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        self.entries[i].as_mut().expect("live entry")
     }
 
-    fn live(&self) -> impl Iterator<Item = (SlotId, &Slot)> {
-        self.slots
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+
+    fn live(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.entries
             .iter()
             .enumerate()
-            .filter_map(|(sid, s)| Some((sid, s.as_ref()?)))
+            .filter_map(|(i, e)| Some((i, e.as_ref()?)))
     }
 
-    fn live_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
-        self.slots.iter_mut().flatten()
+    fn live_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.entries.iter_mut().flatten()
     }
 }
 
@@ -335,10 +371,8 @@ fn push_unique(out: &mut Vec<SlotId>, list: Option<&Vec<SlotId>>) {
 /// the same time.
 struct Fanout<'a> {
     bodies: &'a RuleBodyRegistry,
-    bodies_version: u64,
     history: bool,
     lineage_ctx: Option<(u64, u64, u32)>,
-    conflict_tags: Option<&'a HashMap<RuleId, u32>>,
     immediate: Vec<ReadyFiring>,
     deferred: &'a mut Vec<ReadyFiring>,
     detached: &'a mut VecDeque<QueuedDetached>,
@@ -349,27 +383,20 @@ struct Fanout<'a> {
 }
 
 impl Fanout<'_> {
-    /// Schedule one rule's firings for the occurrences its detector
-    /// completed: resolve its bodies (cached per registry version), stamp
-    /// lineage, and route each firing by the rule's coupling mode.
+    /// Schedule the firings of rule `index` for the occurrences its
+    /// detector completed: take its bound bodies (rebound if the registry
+    /// changed), stamp lineage, and route each firing by the rule's
+    /// coupling mode.
     fn fire(
         &mut self,
+        index: RuleIdx,
         rule: &mut Rule,
-        completions: impl ExactSizeIterator<Item = CompositeOccurrence>,
+        completions: impl ExactSizeIterator<Item = Arc<CompositeOccurrence>>,
         target: Oid,
         at: u64,
     ) -> Result<()> {
         rule.stats.triggered += completions.len() as u64;
-        if rule.bodies_version != self.bodies_version
-            || rule.cached_condition.is_none()
-            || rule.cached_action.is_none()
-        {
-            rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
-            rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
-            rule.bodies_version = self.bodies_version;
-        }
-        let condition = rule.cached_condition.as_ref().expect("resolved above");
-        let action = rule.cached_action.as_ref().expect("resolved above");
+        let bodies = rule.bodies(self.bodies)?;
         for occurrence in completions {
             let lineage = if self.history {
                 let tel = self.telemetry.as_ref().expect("history implies telemetry");
@@ -393,15 +420,15 @@ impl Fanout<'_> {
             };
             let ready = ReadyFiring {
                 coupling: rule.def.coupling,
-                condition: condition.clone(),
-                action: action.clone(),
+                bodies: Arc::clone(&bodies),
                 firing: Firing {
                     rule: rule.id,
                     rule_name: rule.name.clone(),
                     occurrence,
                     lineage,
                 },
-                group: self.conflict_tags.and_then(|t| t.get(&rule.id).copied()),
+                group: rule.group,
+                index,
             };
             self.route(ready, &rule.name, target, at);
         }
@@ -468,12 +495,16 @@ impl Fanout<'_> {
 
 /// Detection and scheduling for a set of first-class rules.
 pub struct RuleEngine {
-    rules: FastMap<RuleId, Rule>,
+    /// The rules, addressed by [`RuleIdx`]: detector slots and queued
+    /// firings refer to rules by their place here.
+    rules: Slab<Rule>,
+    /// Each rule's place in `rules`, for the by-id API.
+    index: FastMap<RuleId, RuleIdx>,
     by_name: HashMap<String, RuleId>,
     by_oid: HashMap<Oid, RuleId>,
     /// Every rule's event detector, shared between rules whose detectors
     /// would be indistinguishable (see [`ShareKey`]).
-    arena: Arena,
+    arena: Slab<Slot>,
     /// Named condition/action bodies (the PMF analog).
     pub bodies: RuleBodyRegistry,
     /// The consumer lists connecting rules to reactive objects.
@@ -492,10 +523,11 @@ pub struct RuleEngine {
     detached_floor: usize,
     stats: Arc<EngineCounters>,
     /// Reused by [`on_occurrence`](Self::on_occurrence): the slots an
-    /// occurrence reaches, and the ones that completed, each with its
-    /// completions and the index of its next member to fire.
+    /// occurrence reaches, the ones that completed, and their
+    /// completions, each wrapped once for all the rules that consume it.
     scratch: Vec<SlotId>,
-    completed: Vec<(SlotId, Vec<CompositeOccurrence>, usize)>,
+    completed: Vec<Completed>,
+    shared: Vec<Arc<CompositeOccurrence>>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
     /// first occurrence.
     routing: Option<RoutingIndex>,
@@ -518,10 +550,6 @@ pub struct RuleEngine {
     /// database facade around each raise while firing history is
     /// enabled; `None` means occurrences start fresh cascades.
     lineage_ctx: Option<(u64, u64, u32)>,
-    /// Conflict-group tag per rule, installed by the scheduler after it
-    /// compiles a conflict matrix. Rules absent from the map are not
-    /// known to be parallel-safe; their firings carry `group: None`.
-    conflict_tags: Option<Arc<HashMap<RuleId, u32>>>,
     /// Due-time scheduling for the temporal operators: each timer-bearing
     /// rule's `at`/`every` leaves are registered here when the rule is
     /// added or enabled, and the database drains due fires at dispatch
@@ -554,10 +582,11 @@ impl RuleEngine {
     /// An empty engine with the built-in bodies.
     pub fn new() -> Self {
         RuleEngine {
-            rules: FastMap::default(),
+            rules: Slab::default(),
+            index: FastMap::default(),
             by_name: HashMap::new(),
             by_oid: HashMap::new(),
-            arena: Arena::default(),
+            arena: Slab::default(),
             bodies: RuleBodyRegistry::new(),
             subscriptions: SubscriptionManager::new(),
             caps: DetectorCaps::default(),
@@ -570,6 +599,7 @@ impl RuleEngine {
             stats: Arc::new(EngineCounters::default()),
             scratch: Vec::new(),
             completed: Vec::new(),
+            shared: Vec::new(),
             routing: None,
             epoch: 0,
             capturing: false,
@@ -577,7 +607,6 @@ impl RuleEngine {
             retired: Vec::new(),
             telemetry: None,
             lineage_ctx: None,
-            conflict_tags: None,
             timers: TimerWheel::new(),
             timer_routes: HashMap::new(),
             time: None,
@@ -596,9 +625,13 @@ impl RuleEngine {
     /// Install (or clear) the conflict-group tags stamped onto firings
     /// scheduled from now on. Compiled by the scheduler from the static
     /// analysis; keyed by rule id, valued with the rule's conflict
-    /// component.
+    /// component. Each tag is kept on its rule; rules absent from the map,
+    /// and rules added later, are not known to be parallel-safe: their
+    /// firings carry `group: None`.
     pub fn set_conflict_tags(&mut self, tags: Option<Arc<HashMap<RuleId, u32>>>) {
-        self.conflict_tags = tags;
+        for rule in self.rules.live_mut() {
+            rule.group = tags.as_ref().and_then(|t| t.get(&rule.id).copied());
+        }
     }
 
     /// The engine epoch: bumped on every rule add/remove/enable/disable.
@@ -621,7 +654,7 @@ impl RuleEngine {
     /// with the name of the (first) rule it serves.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         for slot in self.arena.live_mut() {
-            let name = self.rules[&slot.members[0]].name.clone();
+            let name = self.rules.get(slot.members[0]).name.clone();
             slot.detector.set_telemetry(telemetry.clone(), name);
         }
         self.telemetry = Some(telemetry);
@@ -657,7 +690,7 @@ impl RuleEngine {
             // A slot freed since it was touched has no journal of this
             // transaction left; a slot reused by a reclaimed detector
             // closes that detector's journal.
-            if let Some(slot) = self.arena.slots[sid].as_mut() {
+            if let Some(slot) = self.arena.entries[sid].as_mut() {
                 close(&mut slot.detector);
             }
         }
@@ -715,12 +748,7 @@ impl RuleEngine {
             detector = retired.detector;
             rule.stats = retired.stats;
         }
-        // Resolve the body handles now so the first completion doesn't
-        // pay the name lookup. Unregistered bodies (the recovery path)
-        // stay `None` and resolve — or error — at fire time.
-        rule.cached_condition = self.bodies.condition(&rule.def.condition).ok();
-        rule.cached_action = self.bodies.action(&rule.def.action).ok();
-        rule.bodies_version = self.bodies.version();
+        rule.bind(&self.bodies);
         if let Some(tel) = &self.telemetry {
             detector.set_telemetry(tel.clone(), rule.name.clone());
         }
@@ -729,11 +757,13 @@ impl RuleEngine {
         }
         // Private until the next routing rebuild finds it a group.
         let journaled = detector.in_txn();
-        rule.slot = self.arena.insert(detector, vec![id]);
+        let at = self.rules.insert(rule);
+        let sid = self.arena.insert(Slot::new(detector, vec![at]));
+        self.rules.get_mut(at).slot = sid;
         if journaled {
-            self.touched.push(rule.slot);
+            self.touched.push(sid);
         }
-        self.rules.insert(id, rule);
+        self.index.insert(id, at);
         self.by_name.insert(name, id);
         if !oid.is_nil() {
             self.by_oid.insert(oid, id);
@@ -748,7 +778,7 @@ impl RuleEngine {
     /// instant (the time source's, falling back to the wheel's cursor),
     /// so a rule added late doesn't replay every elapsed period.
     fn schedule_rule_timers(&mut self, id: RuleId) {
-        let Some(rule) = self.rules.get(&id) else {
+        let Ok(rule) = self.rule(id) else {
             return;
         };
         let specs = rule.def.event.timer_specs();
@@ -782,7 +812,7 @@ impl RuleEngine {
     /// first boundary after `now`, and one-shot timers already past
     /// catch up on the next drain.
     pub fn reset_timers_to(&mut self, now: u64) {
-        let ids: Vec<RuleId> = self.rules.keys().copied().collect();
+        let ids: Vec<RuleId> = self.iter_rules().map(|r| r.id).collect();
         for id in &ids {
             self.cancel_rule_timers(*id);
         }
@@ -790,7 +820,7 @@ impl RuleEngine {
         // re-registration below aligns periods to the present.
         let _ = self.timers.advance(now);
         for id in ids {
-            if self.rules.get(&id).is_some_and(|r| r.enabled) {
+            if self.rule(id).is_ok_and(|r| r.enabled) {
                 self.schedule_rule_timers(id);
             }
         }
@@ -800,13 +830,12 @@ impl RuleEngine {
     /// detector with keep it. Inside a capture, a stored rule's detector
     /// is kept for a rollback that adds the rule back.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<RuleDef> {
-        let rule = self
-            .rules
-            .remove(&id)
-            .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
+        let at = self.idx(id)?;
+        self.index.remove(&id);
+        let rule = self.rules.remove(at);
         let keep = self.will_retire(rule.oid);
         let slot = self.arena.get_mut(rule.slot);
-        slot.members.retain(|&m| m != id);
+        slot.members.retain(|&m| m != at);
         let detector = if slot.members.is_empty() {
             let detector = self.arena.remove(rule.slot).detector;
             keep.then_some(detector)
@@ -856,7 +885,7 @@ impl RuleEngine {
             None
         };
         let caps = self.caps;
-        let rule = self.rules.get_mut(&id).expect("checked above");
+        let rule = self.rules.get_mut(self.idx(id)?);
         if def.name != rule.def.name {
             self.by_name.remove(&rule.def.name);
             self.by_name.insert(def.name.clone(), id);
@@ -879,10 +908,8 @@ impl RuleEngine {
             rule.caps = caps;
             retired = Some(old);
         }
-        rule.cached_condition = self.bodies.condition(&def.condition).ok();
-        rule.cached_action = self.bodies.action(&def.action).ok();
-        rule.bodies_version = self.bodies.version();
         let old = std::mem::replace(&mut rule.def, def);
+        rule.bind(&self.bodies);
         let (oid, stats, enabled) = (rule.oid, rule.stats, rule.enabled);
         if let Some(detector) = retired {
             self.retire(oid, old.event, old.context, detector, stats);
@@ -945,24 +972,47 @@ impl RuleEngine {
         self.by_oid.get(&oid).copied()
     }
 
-    /// Borrow a rule.
-    pub fn rule(&self, id: RuleId) -> Result<&Rule> {
-        self.rules
+    /// Rule `id`'s place in the rule table.
+    fn idx(&self, id: RuleId) -> Result<RuleIdx> {
+        self.index
             .get(&id)
+            .copied()
             .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))
     }
 
-    /// Mutably borrow a rule (the facade updates its stats after
-    /// executing bodies).
+    /// Borrow a rule.
+    pub fn rule(&self, id: RuleId) -> Result<&Rule> {
+        Ok(self.rules.get(self.idx(id)?))
+    }
+
+    /// Mutably borrow a rule.
     pub fn rule_mut(&mut self, id: RuleId) -> Result<&mut Rule> {
-        self.rules
-            .get_mut(&id)
-            .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))
+        let at = self.idx(id)?;
+        Ok(self.rules.get_mut(at))
+    }
+
+    /// The rule that scheduled `f`, found through the firing's handle
+    /// without a lookup by id; `None` once that rule is removed, even if
+    /// another rule has since taken its place in the table.
+    pub fn rule_of(&self, f: &ReadyFiring) -> Option<&Rule> {
+        self.rules.entries[f.index]
+            .as_ref()
+            .filter(|r| r.id == f.firing.rule)
+    }
+
+    /// The stats of the rule that scheduled `f` (see
+    /// [`rule_of`](Self::rule_of)): the facade credits them as it
+    /// executes the firing's bodies.
+    pub fn stats_of(&mut self, f: &ReadyFiring) -> Option<&mut RuleStats> {
+        self.rules.entries[f.index]
+            .as_mut()
+            .filter(|r| r.id == f.firing.rule)
+            .map(|r| &mut r.stats)
     }
 
     /// Iterate over all rules (unspecified order).
     pub fn iter_rules(&self) -> impl Iterator<Item = &Rule> {
-        self.rules.values()
+        self.rules.live().map(|(_, r)| r)
     }
 
     /// Number of rules.
@@ -1003,21 +1053,19 @@ impl RuleEngine {
     /// is already alone) and return the rule's slot. A copy made inside a
     /// capture carries the open journal, so an abort still restores it.
     fn split_off(&mut self, id: RuleId) -> Result<SlotId> {
-        let rule = self
-            .rules
-            .get_mut(&id)
-            .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
+        let at = self.idx(id)?;
+        let rule = self.rules.get_mut(at);
         let slot = self.arena.get_mut(rule.slot);
         if slot.members.len() == 1 {
             return Ok(rule.slot);
         }
-        slot.members.retain(|&m| m != id);
+        slot.members.retain(|&m| m != at);
         let mut detector = slot.detector.clone();
         if let Some(tel) = &self.telemetry {
             detector.set_telemetry(tel.clone(), rule.name.clone());
         }
         let journaled = detector.in_txn();
-        rule.slot = self.arena.insert(detector, vec![id]);
+        rule.slot = self.arena.insert(Slot::new(detector, vec![at]));
         if journaled {
             self.touched.push(rule.slot);
         }
@@ -1066,7 +1114,7 @@ impl RuleEngine {
     /// enabled rules' alphabets, after regrouping the arena. Reuses the
     /// previous index's allocations.
     fn rebuild_routing(&mut self, registry: &ClassRegistry) {
-        for rule in self.rules.values_mut() {
+        for rule in self.rules.live_mut() {
             rule.refresh_alphabet(registry);
         }
         self.regroup();
@@ -1077,7 +1125,7 @@ impl RuleEngine {
         idx.epoch = self.epoch;
         for (oid, list) in self.subscriptions.object_lists() {
             for &rid in list {
-                let Some(rule) = self.rules.get(&rid) else {
+                let Ok(rule) = self.rule(rid) else {
                     continue; // stale subscription of a deleted rule
                 };
                 if !rule.enabled {
@@ -1098,7 +1146,7 @@ impl RuleEngine {
                 continue;
             };
             for &rid in list {
-                let Some(rule) = self.rules.get(&rid) else {
+                let Ok(rule) = self.rule(rid) else {
                     continue;
                 };
                 if !rule.enabled {
@@ -1126,17 +1174,20 @@ impl RuleEngine {
     /// Give every rule its dense position under [`firing_key`], then
     /// sort each slot's members by it and cache their ranks on the slot.
     fn rank(&mut self) {
-        let mut order: Vec<_> = self.rules.values().map(firing_key).collect();
-        order.sort_unstable();
-        let rank: FastMap<RuleId, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &(_, _, id))| (id, pos as u32))
+        let mut order: Vec<_> = self
+            .rules
+            .live()
+            .map(|(at, r)| (firing_key(r), at))
             .collect();
+        order.sort_unstable();
+        let mut rank = vec![0u32; self.rules.entries.len()];
+        for (pos, &(_, at)) in order.iter().enumerate() {
+            rank[at] = pos as u32;
+        }
         for slot in self.arena.live_mut() {
-            slot.members.sort_unstable_by_key(|id| rank[id]);
+            slot.members.sort_unstable_by_key(|&at| rank[at]);
             slot.ranks.clear();
-            slot.ranks.extend(slot.members.iter().map(|id| rank[id]));
+            slot.ranks.extend(slot.members.iter().map(|&at| rank[at]));
         }
     }
 
@@ -1148,30 +1199,31 @@ impl RuleEngine {
     /// unless either has a journal open, since two journals cannot be
     /// folded into one.
     fn regroup(&mut self) {
-        let keys: HashMap<RuleId, ShareKey<'_>> = self
+        let keys: Vec<Option<ShareKey<'_>>> = self
             .rules
+            .entries
             .iter()
-            .filter_map(|(&id, r)| Some((id, ShareKey::of(r, &self.subscriptions)?)))
+            .map(|r| ShareKey::of(r.as_ref()?, &self.subscriptions))
             .collect();
-        let mut moved: Vec<(RuleId, SlotId)> = Vec::new();
+        let mut moved: Vec<(RuleIdx, SlotId)> = Vec::new();
 
-        for sid in 0..self.arena.slots.len() {
-            let Some(slot) = self.arena.slots[sid].as_mut() else {
+        for sid in 0..self.arena.entries.len() {
+            let Some(slot) = self.arena.entries[sid].as_mut() else {
                 continue;
             };
             if slot.members.len() < 2 {
                 continue;
             }
             // Partition by key; unkeyed members go alone.
-            let mut groups: Vec<Vec<RuleId>> = Vec::new();
-            for rid in std::mem::take(&mut slot.members) {
-                let key = keys.get(&rid);
+            let mut groups: Vec<Vec<RuleIdx>> = Vec::new();
+            for at in std::mem::take(&mut slot.members) {
+                let key = keys[at].as_ref();
                 match groups
                     .iter_mut()
-                    .find(|g| key.is_some() && keys.get(&g[0]) == key)
+                    .find(|g| key.is_some() && keys[g[0]].as_ref() == key)
                 {
-                    Some(g) => g.push(rid),
-                    None => groups.push(vec![rid]),
+                    Some(g) => g.push(at),
+                    None => groups.push(vec![at]),
                 }
             }
             let mut groups = groups.into_iter();
@@ -1179,20 +1231,20 @@ impl RuleEngine {
             for members in groups {
                 let mut detector = self.arena.get(sid).detector.clone();
                 if let Some(tel) = &self.telemetry {
-                    detector.set_telemetry(tel.clone(), self.rules[&members[0]].name.clone());
+                    detector.set_telemetry(tel.clone(), self.rules.get(members[0]).name.clone());
                 }
                 let journaled = detector.in_txn();
-                let new = self.arena.insert(detector, members.clone());
+                let new = self.arena.insert(Slot::new(detector, members.clone()));
                 if journaled {
                     self.touched.push(new);
                 }
-                moved.extend(members.into_iter().map(|rid| (rid, new)));
+                moved.extend(members.into_iter().map(|at| (at, new)));
             }
         }
 
         let mut buckets: HashMap<&ShareKey<'_>, Vec<SlotId>> = HashMap::new();
         for (sid, slot) in self.arena.live() {
-            if let Some(key) = keys.get(&slot.members[0]) {
+            if let Some(key) = &keys[slot.members[0]] {
                 if !slot.detector.in_txn() {
                     buckets.entry(key).or_default().push(sid);
                 }
@@ -1214,14 +1266,14 @@ impl RuleEngine {
                     }
                     gone[j] = true;
                     let absorbed = self.arena.remove(bucket[j]).members;
-                    moved.extend(absorbed.iter().map(|&rid| (rid, bucket[i])));
+                    moved.extend(absorbed.iter().map(|&at| (at, bucket[i])));
                     self.arena.get_mut(bucket[i]).members.extend(absorbed);
                 }
             }
         }
 
-        for (rid, sid) in moved {
-            self.rules.get_mut(&rid).expect("grouped rules exist").slot = sid;
+        for (at, sid) in moved {
+            self.rules.get_mut(at).slot = sid;
         }
     }
 
@@ -1230,17 +1282,15 @@ impl RuleEngine {
     fn dispatch_parts(
         &mut self,
     ) -> (
-        &mut Arena,
-        &mut FastMap<RuleId, Rule>,
+        &mut Slab<Slot>,
+        &mut Slab<Rule>,
         Option<&mut Vec<SlotId>>,
         Fanout<'_>,
     ) {
         let fanout = Fanout {
             bodies: &self.bodies,
-            bodies_version: self.bodies.version(),
             history: self.telemetry.as_ref().is_some_and(|t| t.is_history()),
             lineage_ctx: self.lineage_ctx,
-            conflict_tags: self.conflict_tags.as_deref(),
             immediate: Vec::new(),
             deferred: &mut self.deferred,
             detached: &mut self.detached,
@@ -1296,7 +1346,9 @@ impl RuleEngine {
             }
         }
         let mut completed = std::mem::take(&mut self.completed);
+        let mut shared = std::mem::take(&mut self.shared);
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
+        let mut immediate = 0;
         for &sid in &consumers {
             let slot = arena.get_mut(sid);
             EngineCounters::bump(&fanout.stats.notifications);
@@ -1307,22 +1359,35 @@ impl RuleEngine {
                 }
             }
             let completions = slot.detector.process_resolved(registry, occ, sym);
-            for rid in &slot.members {
-                if let Some(rule) = rules.get_mut(rid).filter(|r| r.enabled) {
+            let mut immediate_members = 0;
+            for &at in &slot.members {
+                let rule = rules.get_mut(at);
+                if rule.enabled {
                     rule.stats.notifications += 1;
+                    immediate_members += usize::from(rule.def.coupling == CouplingMode::Immediate);
                 }
             }
             if !completions.is_empty() {
-                completed.push((sid, completions, 0));
+                immediate += immediate_members * completions.len();
+                let start = shared.len();
+                shared.extend(completions.into_iter().map(Arc::new));
+                completed.push(Completed {
+                    slot: sid,
+                    occurrences: start..shared.len(),
+                    next: 0,
+                });
             }
         }
+        // One allocation for the immediate firings, however many rules
+        // share each detection.
+        fanout.immediate.reserve_exact(immediate);
         // Fire the completed slots' members, merged by rank: each step
-        // takes the slot whose next member ranks lowest. The last member
-        // of a slot takes its completions; the others copy.
+        // takes the slot whose next member ranks lowest. Every member
+        // shares the slot's completions.
         loop {
             let mut lowest: Option<(u32, usize)> = None;
-            for (c, &(sid, _, next)) in completed.iter().enumerate() {
-                if let Some(&rank) = arena.get(sid).ranks.get(next) {
+            for (c, done) in completed.iter().enumerate() {
+                if let Some(&rank) = arena.get(done.slot).ranks.get(done.next) {
                     if lowest.is_none_or(|(low, _)| rank < low) {
                         lowest = Some((rank, c));
                     }
@@ -1331,24 +1396,22 @@ impl RuleEngine {
             let Some((_, c)) = lowest else {
                 break;
             };
-            let (sid, completions, next) = &mut completed[c];
-            let members = &arena.get(*sid).members;
-            let i = *next;
-            *next += 1;
-            let Some(rule) = rules.get_mut(&members[i]).filter(|r| r.enabled) else {
-                continue;
-            };
-            if i == members.len() - 1 {
-                fanout.fire(rule, completions.drain(..), occ.oid, occ.at)?;
-            } else {
-                fanout.fire(rule, completions.iter().cloned(), occ.oid, occ.at)?;
+            let done = &mut completed[c];
+            let at = arena.get(done.slot).members[done.next];
+            done.next += 1;
+            let rule = rules.get_mut(at);
+            if rule.enabled {
+                let occurrences = shared[done.occurrences.clone()].iter().cloned();
+                fanout.fire(at, rule, occurrences, occ.oid, occ.at)?;
             }
         }
         let immediate = fanout.immediate;
         consumers.clear();
         completed.clear();
+        shared.clear();
         self.scratch = consumers;
         self.completed = completed;
+        self.shared = shared;
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::FanOut, occ.at, fan_out_timer, || {
                 format!("{}.{}", occ.oid, occ.method)
@@ -1389,7 +1452,8 @@ impl RuleEngine {
         }
         let n_fires = fires.len();
         let routes = &mut self.timer_routes;
-        let mut routed: Vec<(RuleId, usize, u64)> = fires
+        let index = &self.index;
+        let mut routed: Vec<(RuleIdx, usize, u64)> = fires
             .into_iter()
             .filter_map(|fire| {
                 // A fire with no route is a stale fire of a removed rule.
@@ -1397,18 +1461,16 @@ impl RuleEngine {
                 if fire.period.is_none() {
                     routes.remove(&fire.id);
                 }
-                Some((rid, idx, fire.due))
+                Some((*index.get(&rid)?, idx, fire.due))
             })
             .collect();
         // By the key itself: no routing rebuild precedes a drain, so the
         // slots' cached ranks may predate the last rule change.
         let rules = &self.rules;
-        routed.sort_by_key(|&(rid, _, due)| (due, rules.get(&rid).map(firing_key)));
+        routed.sort_by_key(|&(at, _, due)| (due, firing_key(rules.get(at))));
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
-        for (rid, idx, due) in routed {
-            let Some(rule) = rules.get_mut(&rid) else {
-                continue;
-            };
+        for (at, idx, due) in routed {
+            let rule = rules.get_mut(at);
             if !rule.enabled {
                 continue;
             }
@@ -1424,7 +1486,8 @@ impl RuleEngine {
             let completions = slot.detector.process_timer(idx, due, next_seq());
             if !completions.is_empty() {
                 let target = rule.oid;
-                fanout.fire(rule, completions.into_iter(), target, due)?;
+                let occurrences = completions.into_iter().map(Arc::new);
+                fanout.fire(at, rule, occurrences, target, due)?;
             }
         }
         let immediate = fanout.immediate;
@@ -1456,7 +1519,7 @@ impl RuleEngine {
                 let name = self
                     .timer_routes
                     .get(&row.id)
-                    .and_then(|(rid, _)| self.rules.get(rid))
+                    .and_then(|(rid, _)| self.rule(*rid).ok())
                     .map(|r| r.name.clone());
                 (row, name)
             })
@@ -1557,7 +1620,7 @@ impl RuleEngine {
     /// Reset engine-wide counters (benchmark warm-up).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        for r in self.rules.values_mut() {
+        for r in self.rules.live_mut() {
             r.stats = RuleStats::default();
         }
     }
@@ -1983,6 +2046,33 @@ mod tests {
         let def = eng.rule(lo).unwrap().def.clone().priority(20);
         eng.redefine(lo, def, &reg).unwrap();
         assert_eq!(fired(&mut eng, 2), [lo, hi, bare, tie]);
+    }
+
+    #[test]
+    fn a_shared_detection_is_one_occurrence_for_every_rule() {
+        let reg = registry();
+        let mut eng = RuleEngine::new();
+        let stock = reg.id_of("Stock").unwrap();
+        let ids: Vec<RuleId> = (0..8)
+            .map(|i| {
+                let r = eng
+                    .add_rule(simple_rule(&format!("r{i}")), Oid::NIL, &reg)
+                    .unwrap();
+                eng.subscriptions.subscribe_class(stock, r);
+                r
+            })
+            .collect();
+        let fired = eng
+            .on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
+            .unwrap();
+        assert_eq!(eng.detector_count(), 1);
+        assert_eq!(fired.iter().map(|f| f.firing.rule).collect::<Vec<_>>(), ids);
+        let first = &fired[0].firing.occurrence;
+        assert!(fired
+            .iter()
+            .all(|f| Arc::ptr_eq(&f.firing.occurrence, first)));
+        // Each rule shares its bodies among its own firings only.
+        assert!(!Arc::ptr_eq(&fired[0].bodies, &fired[1].bodies));
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod subscription;
 
 pub use action::ActionDef;
 pub use body::{
-    ActionEffects, ActionFn, AttrPattern, CondFn, EventPattern, Firing, Lineage, RuleBodyRegistry,
-    ACTION_ABORT, ACTION_NOOP, COND_TRUE,
+    ActionEffects, ActionFn, AttrPattern, BoundBodies, CondFn, EventPattern, Firing, Lineage,
+    RuleBodyRegistry, ACTION_ABORT, ACTION_NOOP, COND_TRUE,
 };
 pub use coupling::CouplingMode;
 pub use engine::{BackpressurePolicy, EngineCounters, EngineStats, ReadyFiring, RuleEngine};

@@ -1,6 +1,6 @@
 //! First-class rule objects (paper §3.4, Figure 7).
 
-use crate::body::{ActionFn, CondFn};
+use crate::body::{BoundBodies, RuleBodyRegistry};
 use crate::coupling::CouplingMode;
 use sentinel_events::{DetectorCaps, DetectorInstance, EventExpr, ParamContext};
 use sentinel_object::{ClassRegistry, EventSym, Oid, Result};
@@ -229,15 +229,18 @@ pub struct Rule {
     /// Figure 2) — shared with every rule whose detector would be
     /// indistinguishable from it.
     pub(crate) slot: usize,
-    /// Resolved condition body, cached at registration so completions
-    /// skip the name → body map lookup.
-    pub(crate) cached_condition: Option<CondFn>,
-    /// Resolved action body (same caching discipline).
-    pub(crate) cached_action: Option<ActionFn>,
-    /// Body-registry version the cached handles were resolved at;
-    /// re-registering a body bumps the registry version and forces a
-    /// re-resolve on next completion.
+    /// Resolved condition and action, shared by every firing the rule
+    /// schedules, so a firing costs one refcount bump, not a name
+    /// lookup. Bound when the rule is created or redefined; `None`
+    /// while a body is unregistered (recovery), until the first firing.
+    pub(crate) bound: Option<Arc<BoundBodies>>,
+    /// Body-registry version `bound` was resolved at; re-registering a
+    /// body bumps the registry version and forces a rebind at the next
+    /// completion.
     pub(crate) bodies_version: u64,
+    /// Conflict-group component stamped onto the rule's firings (see
+    /// [`RuleEngine::set_conflict_tags`](crate::RuleEngine::set_conflict_tags)).
+    pub(crate) group: Option<u32>,
 }
 
 impl fmt::Debug for Rule {
@@ -279,11 +282,31 @@ impl Rule {
             alphabet_schema_len: registry.len(),
             caps,
             slot: 0,
-            cached_condition: None,
-            cached_action: None,
+            bound: None,
             bodies_version: 0,
+            group: None,
         };
         Ok((rule, detector))
+    }
+
+    /// Bind the bodies the definition names, if they are registered;
+    /// otherwise they bind, or fail, at the first firing.
+    pub(crate) fn bind(&mut self, bodies: &RuleBodyRegistry) {
+        self.bound = bodies.bind(&self.def.condition, &self.def.action).ok();
+        self.bodies_version = bodies.version();
+    }
+
+    /// The bound bodies, rebound first if the registry changed since.
+    pub(crate) fn bodies(&mut self, bodies: &RuleBodyRegistry) -> Result<Arc<BoundBodies>> {
+        match &self.bound {
+            Some(bound) if self.bodies_version == bodies.version() => Ok(Arc::clone(bound)),
+            _ => {
+                let bound = bodies.bind(&self.def.condition, &self.def.action)?;
+                self.bound = Some(Arc::clone(&bound));
+                self.bodies_version = bodies.version();
+                Ok(bound)
+            }
+        }
     }
 
     /// Recompute the alphabet if classes were defined since it was last

@@ -652,3 +652,99 @@ fn a_later_higher_priority_abort_shadows_an_older_rule() {
     }
     assert_eq!(runs.load(Ordering::SeqCst), 0, "the shadowed action ran");
 }
+
+// ---------------------------------------------------------------------
+// A queued firing runs the bodies bound when it was scheduled, whatever
+// happens to its rule object before it runs.
+// ---------------------------------------------------------------------
+
+/// Register conditions `counted` and `counted2`. Each counts its runs
+/// and never holds, so no action runs.
+fn counted_conditions(db: &mut Database) -> [Arc<AtomicUsize>; 2] {
+    ["counted", "counted2"].map(|name| {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&runs);
+        db.register_condition(name, move |_, _| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Ok(false)
+        });
+        runs
+    })
+}
+
+fn counted_rule(coupling: CouplingMode) -> RuleDef {
+    income_rule("R").condition("counted").coupling(coupling)
+}
+
+fn runs(counter: &AtomicUsize) -> usize {
+    counter.load(Ordering::SeqCst)
+}
+
+#[test]
+fn a_deferred_firing_runs_after_its_rule_is_removed() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, _] = counted_conditions(&mut db);
+    db.add_class_rule("Employee", counted_rule(CouplingMode::Deferred))
+        .unwrap();
+    let fred = db.create("Employee").unwrap();
+
+    db.begin().unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    db.remove_rule("R").unwrap();
+    assert_eq!(runs(&counted), 0, "deferred to the commit");
+    db.commit().unwrap();
+    assert_eq!(runs(&counted), 1);
+    assert!(db.rule_names().is_empty());
+}
+
+#[test]
+fn a_deferred_firing_runs_the_condition_bound_when_it_was_scheduled() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, counted2] = counted_conditions(&mut db);
+    let rule = db
+        .add_class_rule("Employee", counted_rule(CouplingMode::Deferred))
+        .unwrap();
+    let fred = db.create("Employee").unwrap();
+
+    db.begin().unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    db.set_attr(rule, "condition", Value::Str("counted2".into()))
+        .unwrap();
+    db.commit().unwrap();
+    assert_eq!((runs(&counted), runs(&counted2)), (1, 0));
+
+    // Firings scheduled after the write run the new condition.
+    db.send(fred, "Change-Income", &[Value::Float(2.0)])
+        .unwrap();
+    assert_eq!((runs(&counted), runs(&counted2)), (1, 1));
+}
+
+#[test]
+fn a_queued_detached_firing_survives_an_aborted_removal() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, _] = counted_conditions(&mut db);
+    db.set_inline_detached(false);
+    db.add_class_rule("Employee", counted_rule(CouplingMode::Detached))
+        .unwrap();
+    let fred = db.create("Employee").unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    assert_eq!(db.pending_detached(), 1);
+
+    // The abort brings `R` back as a new engine rule, which may take the
+    // removed one's place in the rule table.
+    db.begin().unwrap();
+    db.remove_rule("R").unwrap();
+    db.abort().unwrap();
+    assert_eq!(db.rule_names(), ["R"]);
+    assert_eq!(runs(&counted), 0);
+
+    assert_eq!(db.run_pending_detached().unwrap(), 1);
+    assert_eq!(runs(&counted), 1);
+    // The firing was scheduled by the removed instance: the rule that
+    // came back is not credited with its evaluation.
+    let stats = db.rule_stats("R").unwrap();
+    assert_eq!((stats.triggered, stats.condition_evals), (1, 0));
+}
