@@ -368,16 +368,13 @@ impl Database {
         self.publish_registry();
         if self.pipeline.is_durable() {
             self.with_auto_txn(|db| {
-                let payload = serde_json::to_string(&decl)
-                    .map_err(|e| ObjectError::Storage(format!("serialize class decl: {e}")))?;
                 let txn = db
                     .pipeline
                     .current()
                     .ok_or(ObjectError::NoActiveTransaction)?;
-                db.log(LogRecord::Meta {
+                db.log(LogRecord::Schema {
                     txn,
-                    tag: sentinel_storage::META_CLASS_TAG.into(),
-                    payload,
+                    decl: Box::new(decl),
                 })
             })?;
         }
@@ -627,14 +624,6 @@ impl Database {
         }
         let state = self.store.delete(oid)?;
         let class = state.class;
-        // Deletes are cold: they keep the v1 string-keyed record, but
-        // the name/slots clones are skipped entirely in memory.
-        let logged = self.pipeline.is_durable().then(|| {
-            (
-                self.registry.get(state.class).name.clone(),
-                state.slots.clone(),
-            )
-        });
         self.pipeline.stage_undo(UndoOp::Delete { oid, state })?;
         // Rules monitoring the object drop it from their `subscriptions`
         // slot through the ordinary write path, so an abort restores
@@ -643,15 +632,8 @@ impl Database {
             let rule_oid = self.engine.rule(rule)?.oid;
             self.edit_subscriptions(rule_oid, |list| list.retain(|t| *t != Value::Oid(oid)))?;
         }
-        if let Some((class_name, slots)) = logged {
-            let txn = self.pipeline.current().expect("in txn");
-            self.log(LogRecord::Delete {
-                txn,
-                oid,
-                class: class_name,
-                slots,
-            })?;
-        }
+        let txn = self.pipeline.current().expect("in txn");
+        self.log(LogRecord::Delete { txn, oid })?;
         for idx in self.indexes.write().iter_mut() {
             idx.remove(oid);
         }

@@ -133,7 +133,7 @@ pub enum Reactivity {
 }
 
 /// A declared attribute (data member).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttributeDef {
     /// Attribute name (unique within a declaration).
     pub name: String,
@@ -146,7 +146,7 @@ pub struct AttributeDef {
 }
 
 /// A declared method parameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParamDef {
     /// Parameter name (carried into event-occurrence records).
     pub name: String,
@@ -155,7 +155,7 @@ pub struct ParamDef {
 }
 
 /// A declared method (member function).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MethodDef {
     /// Method name (unique within a declaration).
     pub name: String,
@@ -168,7 +168,7 @@ pub struct MethodDef {
 }
 
 /// User-facing class declaration, fed to [`ClassRegistry::define`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassDecl {
     /// Class name (unique within a registry).
     pub name: String,

@@ -29,7 +29,7 @@ pub mod wal;
 
 pub use batch::WriteBatch;
 pub use records::{LogRecord, TxnId};
-pub use recovery::{committed_records, recover, recover_with, Recovered, META_CLASS_TAG};
+pub use recovery::{committed_records, recover, recover_with, Recovered};
 pub use snapshot::{ObjectSnapshot, Snapshot};
 pub use txn::{apply_undo, TxnManager, UndoOp};
 pub use wal::{BatchAck, SyncPolicy, Wal, WalSyncer};

@@ -3,7 +3,7 @@
 use crate::records::{LogRecord, TxnId};
 use crate::snapshot::Snapshot;
 use crate::wal::Wal;
-use sentinel_object::{ClassDecl, ClassRegistry, ObjectError, ObjectState, ObjectStore, Result};
+use sentinel_object::{ClassRegistry, ObjectError, ObjectState, ObjectStore, Result};
 use sentinel_telemetry::{Stage, Telemetry};
 use std::collections::HashSet;
 use std::path::Path;
@@ -31,29 +31,34 @@ pub struct Recovered {
     pub tail_trimmed: u64,
 }
 
+/// Whether recovery replays `record`, given the transactions that
+/// committed: `ClockAdvance` always, data records of committed
+/// transactions, and no `Begin`/`Commit`/`Abort` markers.
+fn replays(record: &LogRecord, committed: &HashSet<TxnId>) -> bool {
+    match record {
+        LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => false,
+        LogRecord::ClockAdvance { .. } => true,
+        other => other.txn().is_some_and(|t| committed.contains(&t)),
+    }
+}
+
+fn committed_txns(log: &[LogRecord]) -> HashSet<TxnId> {
+    log.iter()
+        .filter_map(|r| match r {
+            LogRecord::Commit { txn } => Some(*txn),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Filter a raw log down to the records of committed transactions, in
 /// log order. `Begin`/`Commit`/`Abort` markers and records of
 /// uncommitted or aborted transactions are dropped; `ClockAdvance`
 /// records always survive.
 pub fn committed_records(log: &[LogRecord]) -> Vec<&LogRecord> {
-    let committed: HashSet<TxnId> = log
-        .iter()
-        .filter_map(|r| match r {
-            LogRecord::Commit { txn } => Some(*txn),
-            _ => None,
-        })
-        .collect();
-    log.iter()
-        .filter(|r| match r {
-            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => false,
-            LogRecord::ClockAdvance { .. } => true,
-            other => other.txn().map(|t| committed.contains(&t)).unwrap_or(false),
-        })
-        .collect()
+    let committed = committed_txns(log);
+    log.iter().filter(|r| replays(r, &committed)).collect()
 }
-
-/// WAL `Meta` tag of a serialized [`ClassDecl`] (a post-snapshot schema change).
-pub const META_CLASS_TAG: &str = "schema.class";
 
 /// Recover a database image from `snapshot_path` + `wal_path`.
 ///
@@ -72,9 +77,10 @@ pub fn recover_with(
     telemetry: Option<&Telemetry>,
 ) -> Result<Recovered> {
     let wal_path = wal_path.as_ref();
-    let snapshot = Snapshot::load(snapshot_path)?;
-    let (mut registry, store) = snapshot.restore()?;
+    let mut snapshot = Snapshot::load(snapshot_path)?;
     let mut clock = snapshot.clock;
+    let extra = std::mem::take(&mut snapshot.extra);
+    let (mut registry, store) = snapshot.restore()?;
     let mut replayed = 0u64;
 
     let (log, tail_trimmed) = Wal::read_all_repair(wal_path)?;
@@ -86,58 +92,54 @@ pub fn recover_with(
         );
     }
     let max_txn = log.iter().filter_map(LogRecord::txn).max().unwrap_or(0);
-    for record in committed_records(&log) {
+    let committed = committed_txns(&log);
+    for record in log {
+        if !replays(&record, &committed) {
+            continue;
+        }
         replayed += 1;
         match record {
             LogRecord::CreateSlots {
                 oid, class, slots, ..
             } => {
                 // Creates name the class by registry id; ids are
-                // reproduced exactly by snapshot restore + schema-meta
-                // replay, so an out-of-range id means a foreign log.
-                if (class.0 as usize) >= registry.len() {
+                // reproduced exactly by snapshot restore + schema
+                // replay, so an id out of range, or a row of the wrong
+                // width, means a foreign log.
+                let fits = (class.0 as usize) < registry.len()
+                    && registry.get(class).layout.len() == slots.len();
+                if !fits {
                     return Err(ObjectError::Storage(format!(
-                        "log record names class {class} but the registry holds {} classes",
+                        "log record creates {oid} with {} slots in class {class}, \
+                         which the registry of {} classes does not match",
+                        slots.len(),
                         registry.len()
                     )));
                 }
-                store.insert_raw(
-                    *oid,
-                    ObjectState {
-                        class: *class,
-                        slots: slots.clone(),
-                    },
-                );
+                store.insert_raw(oid, ObjectState { class, slots });
             }
             LogRecord::SetSlot { oid, slot, new, .. } => {
                 // The object may have been deleted later in the log; a
                 // missing object here is not an error.
-                if store.exists(*oid) {
-                    store.set_slot(&registry, *oid, *slot as usize, new.clone())?;
+                if store.exists(oid) {
+                    store.set_slot(&registry, oid, slot as usize, new)?;
                 }
             }
             LogRecord::Delete { oid, .. } => {
-                let _ = store.delete(*oid);
+                let _ = store.delete(oid);
             }
             LogRecord::ClockAdvance { at } => {
-                clock = clock.max(*at);
+                clock = clock.max(at);
             }
-            LogRecord::Meta { tag, payload, .. } => {
-                // Schema changes are the only `Meta` records; other tags
-                // are skipped.
-                if tag == META_CLASS_TAG {
-                    let decl: ClassDecl = serde_json::from_str(payload).map_err(|e| {
-                        ObjectError::Storage(format!("parse logged class decl: {e}"))
-                    })?;
-                    // Replays after a checkpoint may see a class that is
-                    // already in the snapshot; that is not an error.
-                    if registry.id_of(&decl.name).is_err() {
-                        registry.define(decl)?;
-                    }
+            LogRecord::Schema { decl, .. } => {
+                // Replays after a checkpoint may see a class that is
+                // already in the snapshot; that is not an error.
+                if registry.id_of(&decl.name).is_err() {
+                    registry.define(*decl)?;
                 }
             }
             LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
-                unreachable!("filtered by committed_records")
+                unreachable!("markers are never replayed")
             }
         }
     }
@@ -152,7 +154,7 @@ pub fn recover_with(
         registry,
         store,
         clock,
-        extra: snapshot.extra,
+        extra,
         max_txn,
         replayed,
         tail_trimmed,
@@ -241,10 +243,9 @@ mod tests {
             slots: vec![Value::Float(7.0)],
         })
         .unwrap();
-        wal.append(&LogRecord::Meta {
+        wal.append(&LogRecord::Schema {
             txn: 1,
-            tag: "rule".into(),
-            payload: "{\"name\":\"R\"}".into(),
+            decl: Box::new(ClassDecl::new("Later").attr("n", TypeTag::Int)),
         })
         .unwrap();
         wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
@@ -266,6 +267,10 @@ mod tests {
                 .get_attr(&rec.registry, Oid(999), "balance")
                 .unwrap(),
             Value::Float(7.0)
+        );
+        assert!(
+            rec.registry.id_of("Later").is_ok(),
+            "logged schema replayed"
         );
         assert_eq!(rec.clock, 42);
         assert_eq!(rec.extra, "x");
@@ -300,8 +305,6 @@ mod tests {
         wal.append(&LogRecord::Delete {
             txn: 1,
             oid: Oid(5),
-            class: "Account".into(),
-            slots: vec![Value::Float(0.0)],
         })
         .unwrap();
         wal.append(&set_balance(1, acct, Oid(5), 1.0)).unwrap();

@@ -1,10 +1,25 @@
 //! The write-ahead log.
 //!
-//! Records are serialized as line-delimited JSON: one record per line.
-//! This keeps the log human-inspectable (the fault-injection tests
-//! truncate a line mid-record to simulate a torn write) at the cost of
-//! some bytes; the format lives behind this module so a binary framing
-//! could be swapped in without touching callers.
+//! # Format
+//!
+//! A log is an 8-byte header (`SENTWAL` and a version byte) followed by
+//! frames, one per append call (under [`SyncPolicy::Grouped`], one per
+//! transaction):
+//!
+//! ```text
+//! [len: u32 LE][crc32c(payload): u32 LE][payload: len bytes]
+//! ```
+//!
+//! The payload is a record count and the records in the binary codec of
+//! [`crate::records`]. The header goes out with the first frame after
+//! open or truncation, so a log with nothing appended is 0 bytes.
+//!
+//! Reading tells a torn tail from corruption. A frame whose length runs
+//! past the end of the file, or whose checksum fails, is *bad*. If no
+//! valid frame starts anywhere after it, it is the torn tail of a write
+//! a crash cut short: it is never replayed, and
+//! [`Wal::read_all_repair`] trims it. If a valid frame follows, bytes in
+//! the middle of the log changed: reading fails and names the offset.
 //!
 //! # Group commit
 //!
@@ -37,11 +52,11 @@
 //! the group being written, which recovery trims.
 
 use crate::batch::WriteBatch;
-use crate::records::LogRecord;
+use crate::records::{crc32c, looks_like_json, LogRecord};
 use sentinel_object::{ObjectError, Result};
 use sentinel_telemetry::{Stage, Telemetry, Timer};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -81,6 +96,49 @@ impl SyncPolicy {
             _ => None,
         }
     }
+}
+
+/// The first bytes of every log: a name and the format version.
+const MAGIC: &[u8; 8] = b"SENTWAL\x01";
+
+/// Length and checksum before each frame's payload.
+const FRAME_HEADER: usize = 8;
+
+/// Append one frame holding `records` to `out`, preceded by the log
+/// header when `with_header`. Errors, leaving `out` as it was, when the
+/// payload does not fit a frame.
+fn encode_frame(out: &mut Vec<u8>, with_header: bool, records: &[LogRecord]) -> Result<()> {
+    let start = out.len();
+    if with_header {
+        out.extend_from_slice(MAGIC);
+    }
+    let frame = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    LogRecord::encode_all(records, out);
+    let payload = &out[frame + FRAME_HEADER..];
+    let Ok(len) = u32::try_from(payload.len()) else {
+        out.truncate(start);
+        return Err(ObjectError::Storage(
+            "a log frame holds at most 4 GiB".into(),
+        ));
+    };
+    let crc = crc32c(payload);
+    out[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+    out[frame + 4..frame + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// The payload of the frame at `at`, if a whole frame with a matching
+/// checksum starts there.
+fn frame_at(data: &[u8], at: usize) -> Option<&[u8]> {
+    let header = data.get(at..at.checked_add(FRAME_HEADER)?)?;
+    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().ok()?);
+    let start = at + FRAME_HEADER;
+    let payload = data.get(start..start.checked_add(len)?)?;
+    // No append writes an empty frame, and zeroed bytes must not pass:
+    // the checksum of nothing is 0.
+    (len > 0 && crc32c(payload) == crc).then_some(payload)
 }
 
 /// Receipt for one group-commit fsync: how much work it made durable.
@@ -212,9 +270,11 @@ pub struct Wal {
     /// [`set_inline_sync`](Self::set_inline_sync)).
     inline_sync: bool,
     appended: u64,
-    /// Reusable per-append serialization scratch (non-Grouped modes):
-    /// cleared between appends, capacity retained, so steady-state
-    /// appends allocate nothing for the encoded line.
+    /// The file is empty: the next frame carries the log header.
+    needs_header: bool,
+    /// Reusable per-append frame scratch (non-Grouped modes): cleared
+    /// between appends, capacity retained, so steady-state appends
+    /// allocate nothing for the encoded frame.
     encode_buf: Vec<u8>,
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -250,28 +310,41 @@ fn io_err(e: std::io::Error) -> ObjectError {
     ObjectError::Storage(e.to_string())
 }
 
-fn trim_bytes(line: &[u8]) -> &[u8] {
-    let start = line
-        .iter()
-        .position(|b| !b.is_ascii_whitespace())
-        .unwrap_or(line.len());
-    let end = line
-        .iter()
-        .rposition(|b| !b.is_ascii_whitespace())
-        .map(|i| i + 1)
-        .unwrap_or(start);
-    &line[start..end]
+/// Why a log's first bytes are not a log header.
+fn bad_header(path: &Path, data: &[u8]) -> ObjectError {
+    ObjectError::Storage(if looks_like_json(data) {
+        format!(
+            "{} is a line-delimited JSON log from an older version; \
+             this version reads only the binary log format",
+            path.display()
+        )
+    } else {
+        format!("{} is not a sentinel log (bad header)", path.display())
+    })
 }
 
 impl Wal {
-    /// Open (creating or appending to) the log at `path`.
+    /// Open (creating or appending to) the log at `path`. A non-empty
+    /// file must start with the log header.
     pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&path)
             .map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        if len > 0 {
+            let mut head = Vec::with_capacity(MAGIC.len());
+            (&file)
+                .take(MAGIC.len() as u64)
+                .read_to_end(&mut head)
+                .map_err(io_err)?;
+            if head != MAGIC {
+                return Err(bad_header(&path, &head));
+            }
+        }
         Ok(Wal {
             path,
             shared: Arc::new(Shared {
@@ -285,6 +358,7 @@ impl Wal {
             policy,
             inline_sync: true,
             appended: 0,
+            needs_header: len == 0,
             encode_buf: Vec::new(),
             telemetry: None,
         })
@@ -330,66 +404,73 @@ impl Wal {
         self.append_records(std::slice::from_ref(record))
     }
 
-    /// Append every record of a transaction's [`WriteBatch`] as one unit.
+    /// Append every record of a transaction's [`WriteBatch`] as one
+    /// frame.
     ///
-    /// Under [`SyncPolicy::Grouped`] the whole batch is staged for the
-    /// next group fsync under one lock acquisition, so no group splits
-    /// it; under the per-record policies each record is handled as if
-    /// appended individually.
+    /// Under [`SyncPolicy::Grouped`] the frame is staged for the next
+    /// group fsync under one lock acquisition, so no group splits it;
+    /// under the other policies it is written at once, and fsynced
+    /// (`Always`, or `OnCommit` when it holds a commit) before this
+    /// returns.
     pub fn append_batch(&mut self, batch: &WriteBatch) -> Result<()> {
         self.append_records(batch.records())
     }
 
     fn append_records(&mut self, records: &[LogRecord]) -> Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
         let telemetry = self.telemetry.as_deref();
-        let timer = || telemetry.map_or(Timer::off(), Telemetry::timer);
-        let observe = |timer: Timer, record: &LogRecord| {
+        let timer = telemetry.map_or(Timer::off(), Telemetry::timer);
+        let commits = records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Commit { .. }))
+            .count() as u64;
+        let observe = |timer: Timer| {
             if let Some(tel) = telemetry {
-                tel.observe_timer(Stage::WalAppend, 0, timer, || record.kind().to_string());
+                tel.observe_timer(Stage::WalAppend, 0, timer, || {
+                    format!("{} records", records.len())
+                });
             }
         };
         if let Some(max_batch) = self.policy.max_batch() {
             let staged_commits = {
                 let mut staged = lock(&self.shared.staged);
-                for record in records {
-                    let t = timer();
-                    // Encode straight into the staging buffer: no
-                    // intermediate String, no per-record allocation once
-                    // the buffer has grown to its working size.
-                    record.encode_into(&mut staged.bytes);
-                    staged.bytes.push(b'\n');
-                    staged.records += 1;
-                    if matches!(record, LogRecord::Commit { .. }) {
-                        staged.commits += 1;
-                        staged.oldest.get_or_insert_with(Instant::now);
-                    }
-                    observe(t, record);
+                // Encode straight into the staging buffer: no per-append
+                // allocation once it has grown to its working size.
+                encode_frame(&mut staged.bytes, self.needs_header, records)?;
+                staged.records += records.len() as u64;
+                if commits > 0 {
+                    staged.commits += commits;
+                    staged.oldest.get_or_insert_with(Instant::now);
                 }
                 staged.commits
             };
+            self.needs_header = false;
             self.appended += records.len() as u64;
+            observe(timer);
             if self.inline_sync && staged_commits >= max_batch {
                 self.sync_batch()?;
             }
             return Ok(());
         }
+        self.encode_buf.clear();
+        encode_frame(&mut self.encode_buf, self.needs_header, records)?;
         let mut file = lock(&self.shared.file);
-        for record in records {
-            let t = timer();
-            self.encode_buf.clear();
-            record.encode_into(&mut self.encode_buf);
-            self.encode_buf.push(b'\n');
-            file.writer.write_all(&self.encode_buf).map_err(io_err)?;
-            self.appended += 1;
-            observe(t, record);
-            match self.policy {
-                SyncPolicy::Always => fsync(&mut file.writer, telemetry, record.kind())?,
-                SyncPolicy::OnCommit if matches!(record, LogRecord::Commit { .. }) => {
-                    fsync(&mut file.writer, telemetry, record.kind())?;
-                    self.shared.durable_commits.fetch_add(1, Ordering::Release);
-                }
-                _ => {}
-            }
+        file.writer.write_all(&self.encode_buf).map_err(io_err)?;
+        self.needs_header = false;
+        self.appended += records.len() as u64;
+        observe(timer);
+        let sync = match self.policy {
+            SyncPolicy::Always => true,
+            SyncPolicy::OnCommit => commits > 0,
+            _ => false,
+        };
+        if sync {
+            fsync(&mut file.writer, telemetry, "append")?;
+            self.shared
+                .durable_commits
+                .fetch_add(commits, Ordering::Release);
         }
         Ok(())
     }
@@ -477,21 +558,22 @@ impl Wal {
                 .map_err(io_err)?,
         );
         drop(truncated);
+        self.needs_header = true;
         Ok(())
     }
 
-    /// Read every complete record in the log at `path`.
+    /// Read every record in the log at `path`.
     ///
-    /// A torn final line (crash mid-append) is tolerated and ignored; a
-    /// malformed line elsewhere is reported as corruption.
+    /// A torn tail (a crash mid-write) is tolerated and ignored; a bad
+    /// frame followed by a valid one is reported as corruption.
     pub fn read_all(path: impl AsRef<Path>) -> Result<Vec<LogRecord>> {
         Self::scan(path.as_ref()).map(|(records, _)| records)
     }
 
-    /// Read every complete record and *repair* a torn tail: the garbage
-    /// suffix is truncated off the file so later appends cannot bury the
-    /// corruption mid-log. Returns the records and the number of bytes
-    /// trimmed (0 when the log was clean).
+    /// Read every record and *repair* a torn tail: the bad suffix is
+    /// truncated off the file so later appends cannot bury it mid-log.
+    /// Returns the records and the number of bytes trimmed (0 when the
+    /// log was clean).
     pub fn read_all_repair(path: impl AsRef<Path>) -> Result<(Vec<LogRecord>, u64)> {
         let path = path.as_ref();
         let (records, good_end) = Self::scan(path)?;
@@ -510,7 +592,7 @@ impl Wal {
     }
 
     /// Parse the log at `path`, returning the records and the byte
-    /// offset just past the last fully parsed line.
+    /// offset just past the last valid frame.
     fn scan(path: &Path) -> Result<(Vec<LogRecord>, u64)> {
         let data = match std::fs::read(path) {
             Ok(d) => d,
@@ -518,39 +600,34 @@ impl Wal {
             Err(e) => return Err(io_err(e)),
         };
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        let mut good_end = 0u64;
-        while pos < data.len() {
-            let next = match data[pos..].iter().position(|&b| b == b'\n') {
-                Some(i) => pos + i + 1,
-                None => data.len(),
-            };
-            let line = trim_bytes(&data[pos..next]);
-            if line.is_empty() {
-                pos = next;
-                continue;
-            }
-            match serde_json::from_slice::<LogRecord>(line) {
-                Ok(r) => {
-                    records.push(r);
-                    good_end = next as u64;
-                    pos = next;
-                }
-                Err(e) => {
-                    let more_follows = data[next..]
-                        .split(|&b| b == b'\n')
-                        .any(|l| !trim_bytes(l).is_empty());
-                    if more_follows {
-                        return Err(ObjectError::Storage(format!(
-                            "corrupt log record (not at tail): {e}"
-                        )));
-                    }
-                    // Torn tail: the crash interrupted the final append.
-                    break;
-                }
-            }
+        if data.len() < MAGIC.len() && MAGIC.starts_with(&data) {
+            // Empty, or a header the crash cut short.
+            return Ok((records, 0));
         }
-        Ok((records, good_end))
+        if !data.starts_with(MAGIC) {
+            return Err(bad_header(path, &data));
+        }
+        let mut pos = MAGIC.len();
+        while pos < data.len() {
+            let Some(payload) = frame_at(&data, pos) else {
+                if let Some(next) = (pos + 1..data.len()).find(|&at| frame_at(&data, at).is_some())
+                {
+                    return Err(ObjectError::Storage(format!(
+                        "corrupt log frame at byte {pos} of {} (a valid frame follows at byte {next})",
+                        path.display()
+                    )));
+                }
+                break; // torn tail
+            };
+            LogRecord::decode_all(payload, &mut records).map_err(|e| {
+                ObjectError::Storage(format!(
+                    "corrupt log frame at byte {pos} of {}: {e}",
+                    path.display()
+                ))
+            })?;
+            pos += FRAME_HEADER + payload.len();
+        }
+        Ok((records, pos as u64))
     }
 }
 
@@ -616,12 +693,35 @@ mod tests {
         wal.append(&sample(1)).unwrap();
         wal.append(&sample(2)).unwrap();
         drop(wal);
-        // Simulate a crash mid-append: half a record at the tail.
+        // Simulate a crash mid-append: part of a third frame at the tail.
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
-        f.write_all(b"{\"SetSlot\":{\"txn\":3,\"oi").unwrap();
+        f.write_all(&torn_frame(3)).unwrap();
         drop(f);
         let records = Wal::read_all(&p).unwrap();
         assert_eq!(records.len(), 2);
+    }
+
+    /// All but the last byte of a frame holding `sample(n)`.
+    fn torn_frame(n: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, false, &[sample(n)]).unwrap();
+        frame.pop();
+        frame
+    }
+
+    #[test]
+    fn a_torn_header_is_trimmed_to_an_empty_log() {
+        let p = tmpdir().join("torn-header.wal");
+        std::fs::write(&p, &MAGIC[..5]).unwrap();
+        assert_eq!(Wal::read_all_repair(&p).unwrap(), (Vec::new(), 5));
+        let mut wal = Wal::open(&p, SyncPolicy::Always).unwrap();
+        wal.append(&sample(1)).unwrap();
+        drop(wal);
+        assert_eq!(Wal::read_all(&p).unwrap(), [sample(1)]);
+        // Not a prefix of the header: not a log.
+        std::fs::write(&p, b"SENTx").unwrap();
+        assert!(Wal::read_all(&p).is_err());
+        assert!(Wal::open(&p, SyncPolicy::Always).is_err());
     }
 
     #[test]
@@ -633,9 +733,9 @@ mod tests {
         wal.append(&sample(2)).unwrap();
         drop(wal);
         let clean_len = std::fs::metadata(&p).unwrap().len();
-        let garbage: &[u8] = b"{\"SetSlot\":{\"txn\":3,\"oi";
+        let garbage = torn_frame(3);
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
-        f.write_all(garbage).unwrap();
+        f.write_all(&garbage).unwrap();
         drop(f);
         let (records, trimmed) = Wal::read_all_repair(&p).unwrap();
         assert_eq!(records.len(), 2);

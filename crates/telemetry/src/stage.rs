@@ -47,7 +47,7 @@ pub enum Stage {
     TxnAbort,
     /// A detached firing executed in its own follow-on transaction.
     DetachedRun,
-    /// A record appended to the write-ahead log.
+    /// One append to the write-ahead log: one frame of records.
     WalAppend,
     /// A WAL flush + fsync (per the active sync policy).
     WalFsync,

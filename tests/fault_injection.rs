@@ -196,3 +196,223 @@ fn checkpoint_truncates_wal_and_survives() {
     assert_eq!(db.get_attr(o, "v").unwrap(), Value::Int(123));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Floats the JSON log and snapshot could not hold (they became
+/// `null`), plus `-0.0` and a subnormal.
+const ODD_FLOATS: [f64; 5] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -0.0,
+    f64::MIN_POSITIVE / 2.0,
+];
+
+/// One `F` object per entry of [`ODD_FLOATS`], each written in its own
+/// committed transaction.
+fn odd_floats(db: &mut Database) -> Vec<Oid> {
+    db.define_class(ClassDecl::new("F").attr("f", TypeTag::Float))
+        .unwrap();
+    ODD_FLOATS
+        .iter()
+        .map(|&f| {
+            let o = db.create("F").unwrap();
+            db.set_attr(o, "f", Value::Float(f)).unwrap();
+            o
+        })
+        .collect()
+}
+
+fn assert_odd_floats(db: &Database, oids: &[Oid]) {
+    for (&o, f) in oids.iter().zip(ODD_FLOATS) {
+        match db.get_attr(o, "f").unwrap() {
+            Value::Float(g) => assert_eq!(g.to_bits(), f.to_bits(), "{f} came back as {g}"),
+            other => panic!("{f} came back as {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn non_finite_floats_in_the_log_recover_bit_for_bit() {
+    let dir = tmpdir("float-log");
+    let oids = odd_floats(&mut Database::with_config(DbConfig::durable(&dir)).unwrap());
+    let db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    assert_odd_floats(&db, &oids);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_floats_in_a_snapshot_recover_bit_for_bit() {
+    let dir = tmpdir("float-snapshot");
+    let oids = {
+        let mut db = Database::with_config(DbConfig::durable(&dir)).unwrap();
+        let oids = odd_floats(&mut db);
+        db.checkpoint().unwrap();
+        oids
+    };
+    let db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    assert_odd_floats(&db, &oids);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable database holding one `X` per value, each created in its own
+/// transaction and so in its own log frame (the default sync policy
+/// writes a frame per commit). Returns the log's length before the
+/// first value and after each one: frame `i` spans
+/// `ends[i]..ends[i + 1]`.
+fn framed_history(dir: &std::path::Path, values: &[i64]) -> Vec<u64> {
+    let mut db = Database::with_config(DbConfig::durable(dir)).unwrap();
+    db.define_class(ClassDecl::new("X").attr("v", TypeTag::Int))
+        .unwrap();
+    let log_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    let mut ends = vec![log_len()];
+    for &v in values {
+        db.create_with("X", &[("v", Value::Int(v))]).unwrap();
+        ends.push(log_len());
+    }
+    ends
+}
+
+/// The `v` of every `X`, in creation order.
+fn values(db: &Database) -> Vec<i64> {
+    let mut oids = db.extent("X").unwrap();
+    oids.sort();
+    oids.iter()
+        .map(|&o| db.get_attr(o, "v").unwrap().as_int().unwrap())
+        .collect()
+}
+
+/// Write `log` as the only file of the data dir `case`, then run the
+/// storage layer's recovery on it.
+fn recover_log(case: &std::path::Path, log: &[u8]) -> Result<sentinel::storage::Recovered> {
+    std::fs::create_dir_all(case).unwrap();
+    std::fs::write(case.join("wal.log"), log).unwrap();
+    sentinel::storage::recover(case.join("snapshot.json"), case.join("wal.log"))
+}
+
+#[test]
+fn cutting_the_final_frame_anywhere_recovers_the_prefix() {
+    let dir = tmpdir("cut-final");
+    let ends = framed_history(&dir, &[10, 20, 30]);
+    let log = std::fs::read(dir.join("wal.log")).unwrap();
+    let (start, end) = (ends[2], ends[3]);
+    let case = tmpdir("cut-final-case");
+    for cut in start + 1..end {
+        let rec = recover_log(&case, &log[..cut as usize]).unwrap();
+        assert_eq!(rec.tail_trimmed, cut - start, "cut at {cut}");
+        std::fs::write(case.join("wal.log"), &log[..cut as usize]).unwrap();
+        let db = Database::recover(DbConfig::durable(&case)).unwrap();
+        assert_eq!(values(&db), [10, 20], "cut at {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&case);
+}
+
+#[test]
+fn a_flipped_bit_before_the_final_frame_is_an_error() {
+    let dir = tmpdir("flip-middle");
+    let ends = framed_history(&dir, &[10, 20, 30]);
+    let log = std::fs::read(dir.join("wal.log")).unwrap();
+    let (start, end) = (ends[1] as usize, ends[2] as usize);
+    let case = tmpdir("flip-middle-case");
+    for bit in start * 8..end * 8 {
+        let mut bad = log.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let err = recover_log(&case, &bad).err().unwrap_or_else(|| {
+            panic!("bit {bit} flipped in a middle frame, yet the log recovered")
+        });
+        assert!(
+            err.to_string().contains(&format!("at byte {start} ")),
+            "bit {bit}: {err}"
+        );
+        assert!(sentinel::storage::Wal::read_all(case.join("wal.log")).is_err());
+    }
+    let mut bad = log.clone();
+    bad[start + 9] ^= 0x10;
+    std::fs::write(case.join("wal.log"), &bad).unwrap();
+    assert!(Database::recover(DbConfig::durable(&case)).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&case);
+}
+
+#[test]
+fn a_flipped_bit_in_the_final_frame_is_trimmed() {
+    let dir = tmpdir("flip-final");
+    let ends = framed_history(&dir, &[10, 20, 30]);
+    let log = std::fs::read(dir.join("wal.log")).unwrap();
+    let (start, end) = (ends[2] as usize, ends[3] as usize);
+    let case = tmpdir("flip-final-case");
+    for bit in start * 8..end * 8 {
+        let mut bad = log.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let rec = recover_log(&case, &bad).unwrap();
+        assert_eq!(rec.tail_trimmed, (end - start) as u64, "bit {bit}");
+        std::fs::write(case.join("wal.log"), &bad).unwrap();
+        let db = Database::recover(DbConfig::durable(&case)).unwrap();
+        assert_eq!(values(&db), [10, 20], "bit {bit}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&case);
+}
+
+/// Two committed `X`s, values 10 and 20.
+fn two_xs(db: &mut Database) {
+    db.define_class(ClassDecl::new("X").attr("v", TypeTag::Int))
+        .unwrap();
+    for v in [10, 20] {
+        db.create_with("X", &[("v", Value::Int(v))]).unwrap();
+    }
+}
+
+#[test]
+fn snapshot_damage_is_an_error_but_a_stray_temp_file_is_not() {
+    let dir = tmpdir("snapshot-damage");
+    {
+        let mut db = Database::with_config(DbConfig::durable(&dir)).unwrap();
+        two_xs(&mut db);
+        db.checkpoint().unwrap();
+    }
+    // A checkpoint the crash cut short leaves a temp file behind.
+    std::fs::write(dir.join("snapshot.tmp"), b"\x00garbage").unwrap();
+    let db = Database::recover(DbConfig::durable(&dir)).unwrap();
+    assert_eq!(values(&db), [10, 20]);
+    drop(db);
+
+    let snapshot = std::fs::read(dir.join("snapshot.json")).unwrap();
+    // Every 13th bit: each one must be caught (the snapshot's own unit
+    // test flips every bit of a smaller one).
+    for bit in (0..snapshot.len() * 8).step_by(13) {
+        let mut bad = snapshot.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(dir.join("snapshot.json"), &bad).unwrap();
+        assert!(
+            Database::recover(DbConfig::durable(&dir)).is_err(),
+            "bit {bit} flipped, yet the snapshot loaded"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn data_dirs_in_the_old_json_format_name_it() {
+    let dir = tmpdir("old-json-log");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("wal.log"),
+        b"{\"Begin\":{\"txn\":1}}\n{\"Commit\":{\"txn\":1}}\n",
+    )
+    .unwrap();
+    let err = Database::recover(DbConfig::durable(&dir)).err().unwrap();
+    assert!(err.to_string().contains("JSON log"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmpdir("old-json-snapshot");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("snapshot.json"),
+        b"{\n  \"classes\": [],\n  \"objects\": [],\n  \"clock\": 0,\n  \"extra\": \"\"\n}",
+    )
+    .unwrap();
+    let err = Database::recover(DbConfig::durable(&dir)).err().unwrap();
+    assert!(err.to_string().contains("JSON snapshot"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
