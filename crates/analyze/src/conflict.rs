@@ -37,7 +37,6 @@
 use sentinel_object::{ClassId, ClassRegistry};
 use sentinel_rules::{AttrPattern, CouplingMode, RuleEngine, RuleId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Why a rule is confined to the serial execution path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,8 +76,9 @@ impl SerialReason {
 pub enum Lane {
     /// Eligible for concurrent execution, in the given conflict
     /// component. Firings of rules in *different* components never
-    /// interfere; firings within one component are serialized by the
-    /// scheduler (further sharded by target oid).
+    /// interfere on declared state; the scheduler runs the firings on
+    /// one target in one group and checks every access at runtime, so
+    /// it needs only the footprint, not the component.
     Parallel {
         /// Dense component id, `0..component_count`.
         component: u32,
@@ -87,15 +87,58 @@ pub enum Lane {
     Serial(SerialReason),
 }
 
-/// The declared data footprint of a parallel-eligible rule, in the
-/// shape the scheduler's worker shim verifies at runtime.
+/// A declared attribute pattern resolved against the schema the matrix
+/// was compiled with: the attribute name and every class the pattern
+/// covers, so checking an access costs no name lookup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedPattern {
+    /// Attribute name.
+    pub attr: String,
+    /// Every class subclass-related to the pattern's class, in either
+    /// direction, ascending. Empty when the class is not in the schema:
+    /// a later `define` makes the matrix stale, so such a pattern can
+    /// match nothing while the matrix is fresh.
+    classes: Vec<ClassId>,
+}
+
+impl ResolvedPattern {
+    /// Resolve `pattern` with the subclass-closed relation
+    /// [`ConflictMatrix::build`] unions components with.
+    fn resolve(registry: &ClassRegistry, pattern: &AttrPattern) -> Self {
+        let classes = match registry.id_of(&pattern.class) {
+            Ok(pc) => (0..registry.len() as u32)
+                .map(ClassId)
+                .filter(|&c| registry.is_subclass(c, pc) || registry.is_subclass(pc, c))
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        ResolvedPattern {
+            attr: pattern.attr.clone(),
+            classes,
+        }
+    }
+
+    /// Does the pattern cover an access to `attr` on an object of
+    /// `class`? Any access passing this check was accounted for by the
+    /// static grouping; the scheduler's worker shim checks every access
+    /// with it.
+    pub fn matches(&self, class: ClassId, attr: &str) -> bool {
+        self.classes.contains(&class) && self.attr == attr
+    }
+}
+
+/// The declared data footprint of a parallel-eligible rule, resolved
+/// against the schema, in the shape the scheduler's worker shim verifies
+/// at runtime.
 #[derive(Debug, Clone)]
 pub struct RuleFootprint {
+    /// The rule the footprint belongs to.
+    pub rule: RuleId,
     /// Attributes the firing may write (the action's declared writes).
-    pub writes: Arc<Vec<AttrPattern>>,
+    pub writes: Vec<ResolvedPattern>,
     /// Everything the firing may read: the declared read-set *plus* the
     /// declared writes (written attributes are implicitly readable).
-    pub reads: Arc<Vec<AttrPattern>>,
+    pub reads: Vec<ResolvedPattern>,
 }
 
 /// The compiled matrix: per-rule lanes plus the version stamps they were
@@ -103,15 +146,15 @@ pub struct RuleFootprint {
 #[derive(Debug, Clone)]
 pub struct ConflictMatrix {
     lanes: HashMap<RuleId, Lane>,
-    /// Parallel lanes only, in the shape the engine stamps onto firings.
-    tags: Arc<HashMap<RuleId, u32>>,
-    /// Declared footprints of the parallel-lane rules, for the
-    /// scheduler's runtime access guard.
-    footprints: Arc<HashMap<RuleId, RuleFootprint>>,
+    /// Footprints of the parallel-lane rules, at each rule's place in
+    /// the engine's rule table (`None` for serial-lane rules and free
+    /// places), for the scheduler's runtime access guard.
+    footprints: Vec<Option<RuleFootprint>>,
     /// Deduplicated union of every parallel rule's write patterns — the
     /// attributes some concurrent firing might be writing while a batch
     /// is in flight.
-    shared_writes: Arc<Vec<AttrPattern>>,
+    shared_writes: Vec<ResolvedPattern>,
+    parallel_rules: usize,
     components: u32,
     epoch: u64,
     bodies_version: u64,
@@ -133,26 +176,6 @@ pub(crate) fn attrs_overlap(registry: &ClassRegistry, a: &AttrPattern, b: &AttrP
     }
 }
 
-/// Does a declared pattern cover a concrete `(class, attr)` access?
-/// The same subclass-closed relation [`ConflictMatrix::build`] unions
-/// components with, so any access passing this check was accounted for
-/// by the static grouping. Used by the scheduler's worker shim to
-/// verify declared footprints at runtime.
-pub fn pattern_matches(
-    registry: &ClassRegistry,
-    pattern: &AttrPattern,
-    class: ClassId,
-    attr: &str,
-) -> bool {
-    if pattern.attr != attr {
-        return false;
-    }
-    match registry.id_of(&pattern.class) {
-        Ok(pc) => registry.is_subclass(class, pc) || registry.is_subclass(pc, class),
-        Err(_) => registry.get(class).name == pattern.class,
-    }
-}
-
 /// Path-compressing union-find root lookup.
 fn find(parent: &mut [usize], mut i: usize) -> usize {
     while parent[i] != i {
@@ -167,10 +190,12 @@ impl ConflictMatrix {
     /// given schema.
     pub fn build(registry: &ClassRegistry, engine: &RuleEngine) -> Self {
         let mut lanes = HashMap::new();
-        // (rule, writes, full read-set = declared reads ∪ writes) of
-        // each parallel-eligible rule.
-        let mut eligible: Vec<(RuleId, Vec<AttrPattern>, Vec<AttrPattern>)> = Vec::new();
-        for rule in engine.iter_rules() {
+        // (rule, place in the rule table, writes, full read-set =
+        // declared reads ∪ writes) of each parallel-eligible rule.
+        let mut eligible: Vec<(RuleId, usize, Vec<AttrPattern>, Vec<AttrPattern>)> = Vec::new();
+        let mut table_len = 0;
+        for (index, rule) in engine.iter_rules_indexed() {
+            table_len = table_len.max(index + 1);
             let lane = if !rule.enabled {
                 Err(SerialReason::Disabled)
             } else if rule.def.coupling == CouplingMode::Immediate {
@@ -188,7 +213,7 @@ impl ConflictMatrix {
                                     full_reads.push(r.clone());
                                 }
                             }
-                            eligible.push((rule.id, fx.writes.clone(), full_reads));
+                            eligible.push((rule.id, index, fx.writes.clone(), full_reads));
                             Ok(())
                         }
                     },
@@ -198,7 +223,7 @@ impl ConflictMatrix {
                 lanes.insert(rule.id, Lane::Serial(reason));
             }
         }
-        // Deterministic component numbering regardless of HashMap order.
+        // Deterministic component numbering regardless of table order.
         eligible.sort_by_key(|(id, ..)| *id);
 
         // Union rules that may interfere: a write-write overlap, or a
@@ -210,8 +235,8 @@ impl ConflictMatrix {
         let mut parent: Vec<usize> = (0..eligible.len()).collect();
         for i in 0..eligible.len() {
             for j in (i + 1)..eligible.len() {
-                let (_, ref wi, ref ri) = eligible[i];
-                let (_, ref wj, ref rj) = eligible[j];
+                let (_, _, ref wi, ref ri) = eligible[i];
+                let (_, _, ref wj, ref rj) = eligible[j];
                 let conflicted = ri
                     .iter()
                     .any(|a| wj.iter().any(|b| attrs_overlap(registry, a, b)))
@@ -226,35 +251,37 @@ impl ConflictMatrix {
                 }
             }
         }
+        let resolve = |patterns: &[AttrPattern]| -> Vec<ResolvedPattern> {
+            patterns
+                .iter()
+                .map(|p| ResolvedPattern::resolve(registry, p))
+                .collect()
+        };
         let mut component_of_root: HashMap<usize, u32> = HashMap::new();
-        let mut tags = HashMap::new();
-        let mut footprints = HashMap::new();
+        let mut footprints = vec![None; table_len];
         let mut shared_writes: Vec<AttrPattern> = Vec::new();
-        for (i, (rule_id, writes, full_reads)) in eligible.iter().enumerate() {
+        for (i, (rule_id, index, writes, full_reads)) in eligible.iter().enumerate() {
             let root = find(&mut parent, i);
             let next = component_of_root.len() as u32;
             let component = *component_of_root.entry(root).or_insert(next);
             lanes.insert(*rule_id, Lane::Parallel { component });
-            tags.insert(*rule_id, component);
             for w in writes {
                 if !shared_writes.contains(w) {
                     shared_writes.push(w.clone());
                 }
             }
-            footprints.insert(
-                *rule_id,
-                RuleFootprint {
-                    writes: Arc::new(writes.clone()),
-                    reads: Arc::new(full_reads.clone()),
-                },
-            );
+            footprints[*index] = Some(RuleFootprint {
+                rule: *rule_id,
+                writes: resolve(writes),
+                reads: resolve(full_reads),
+            });
         }
 
         ConflictMatrix {
             lanes,
-            tags: Arc::new(tags),
-            footprints: Arc::new(footprints),
-            shared_writes: Arc::new(shared_writes),
+            footprints,
+            shared_writes: resolve(&shared_writes),
+            parallel_rules: eligible.len(),
             components: component_of_root.len() as u32,
             epoch: engine.epoch(),
             bodies_version: engine.bodies.version(),
@@ -277,24 +304,25 @@ impl ConflictMatrix {
         self.lanes.get(&rule).copied()
     }
 
-    /// The parallel-lane tags in the shape
-    /// [`RuleEngine::set_conflict_tags`] accepts.
-    pub fn tags(&self) -> Arc<HashMap<RuleId, u32>> {
-        Arc::clone(&self.tags)
-    }
-
-    /// Declared footprints of the parallel-lane rules, keyed by rule —
-    /// what the scheduler's worker shim verifies each access against.
-    pub fn footprints(&self) -> Arc<HashMap<RuleId, RuleFootprint>> {
-        Arc::clone(&self.footprints)
+    /// The declared footprint of the rule at place `index` of the
+    /// engine's rule table, if that place holds `rule` and `rule` is on
+    /// the parallel lane: what the scheduler's worker shim verifies each
+    /// of its firing's accesses against. `None` for a serial-lane rule,
+    /// and for a place reused by another rule since the matrix was
+    /// built.
+    pub fn footprint(&self, index: usize, rule: RuleId) -> Option<&RuleFootprint> {
+        self.footprints
+            .get(index)?
+            .as_ref()
+            .filter(|fp| fp.rule == rule)
     }
 
     /// Deduplicated union of every parallel rule's declared write
     /// patterns. An attribute *outside* this set cannot be written by
     /// any concurrent firing, so reading it from a worker is always
     /// safe.
-    pub fn shared_writes(&self) -> Arc<Vec<AttrPattern>> {
-        Arc::clone(&self.shared_writes)
+    pub fn shared_writes(&self) -> &[ResolvedPattern] {
+        &self.shared_writes
     }
 
     /// Number of distinct conflict components among eligible rules.
@@ -304,13 +332,13 @@ impl ConflictMatrix {
 
     /// Number of rules eligible for the parallel lane.
     pub fn parallel_rules(&self) -> usize {
-        self.tags.len()
+        self.parallel_rules
     }
 
     /// Number of rules confined to the serial path (including disabled
     /// ones).
     pub fn serial_rules(&self) -> usize {
-        self.lanes.len() - self.tags.len()
+        self.lanes.len() - self.parallel_rules
     }
 }
 
@@ -461,6 +489,23 @@ mod tests {
         assert_eq!(comp(a), comp(r));
     }
 
+    /// `rule`'s place in the engine's rule table.
+    fn place_of(eng: &RuleEngine, rule: RuleId) -> Option<usize> {
+        eng.iter_rules_indexed()
+            .find(|(_, r)| r.id == rule)
+            .map(|(i, _)| i)
+    }
+
+    /// The footprint the matrix holds for `rule`, looked up at the
+    /// rule's place in the engine's table.
+    fn footprint_of<'m>(
+        m: &'m ConflictMatrix,
+        eng: &RuleEngine,
+        rule: RuleId,
+    ) -> Option<&'m RuleFootprint> {
+        m.footprint(place_of(eng, rule)?, rule)
+    }
+
     #[test]
     fn undeclared_read_set_is_serial() {
         let reg = registry();
@@ -474,7 +519,7 @@ mod tests {
             .unwrap();
         let m = ConflictMatrix::build(&reg, &eng);
         assert_eq!(m.lane(b), Some(Lane::Serial(SerialReason::UnknownReads)));
-        assert!(!m.tags().contains_key(&b));
+        assert!(footprint_of(&m, &eng, b).is_none());
     }
 
     #[test]
@@ -489,21 +534,24 @@ mod tests {
             )
             .unwrap();
         let m = ConflictMatrix::build(&reg, &eng);
-        let fp = &m.footprints()[&r];
-        assert_eq!(fp.writes.as_slice(), [AttrPattern::new("Ledger", "total")]);
+        let fp = footprint_of(&m, &eng, r).expect("parallel rule");
+        let resolved = |class, attr| ResolvedPattern::resolve(&reg, &AttrPattern::new(class, attr));
+        assert_eq!(fp.writes, [resolved("Ledger", "total")]);
         // Full read-set = writes ∪ declared reads.
-        assert!(fp.reads.contains(&AttrPattern::new("Ledger", "total")));
-        assert!(fp.reads.contains(&AttrPattern::new("Account", "balance")));
-        assert!(m
-            .shared_writes()
-            .contains(&AttrPattern::new("Ledger", "total")));
-        // pattern_matches closes over subclasses in both directions.
+        assert!(fp.reads.contains(&resolved("Ledger", "total")));
+        assert!(fp.reads.contains(&resolved("Account", "balance")));
+        assert!(m.shared_writes().contains(&resolved("Ledger", "total")));
+        // A resolved pattern closes over subclasses in both directions.
+        let account = reg.id_of("Account").unwrap();
         let savings = reg.id_of("Savings").unwrap();
-        let p = AttrPattern::new("Account", "balance");
-        assert!(pattern_matches(&reg, &p, savings, "balance"));
-        assert!(!pattern_matches(&reg, &p, savings, "total"));
         let ledger = reg.id_of("Ledger").unwrap();
-        assert!(!pattern_matches(&reg, &p, ledger, "balance"));
+        let p = resolved("Account", "balance");
+        assert!(p.matches(savings, "balance"));
+        assert!(!p.matches(savings, "total"));
+        assert!(!p.matches(ledger, "balance"));
+        assert!(resolved("Savings", "balance").matches(account, "balance"));
+        // A class the schema does not know matches nothing.
+        assert!(!resolved("Nowhere", "balance").matches(account, "balance"));
     }
 
     #[test]
@@ -588,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn tags_cover_exactly_the_parallel_rules() {
+    fn footprints_cover_exactly_the_parallel_rules() {
         let reg = registry();
         let mut eng = engine(&reg);
         let a = eng
@@ -606,8 +654,19 @@ mod tests {
             )
             .unwrap();
         let m = ConflictMatrix::build(&reg, &eng);
-        let tags = m.tags();
-        assert!(tags.contains_key(&a));
-        assert!(!tags.contains_key(&u));
+        assert!(footprint_of(&m, &eng, a).is_some());
+        assert!(footprint_of(&m, &eng, u).is_none());
+        // A place reused by a rule added after the build is not trusted.
+        let index = place_of(&eng, a).unwrap();
+        eng.remove_rule(a).unwrap();
+        let b = eng
+            .add_rule(
+                deferred_rule("B", "Account", "Deposit", "w-balance"),
+                Oid::NIL,
+                &reg,
+            )
+            .unwrap();
+        assert_eq!(place_of(&eng, b), Some(index));
+        assert!(m.footprint(index, b).is_none());
     }
 }

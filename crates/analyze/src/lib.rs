@@ -54,7 +54,7 @@ pub mod reconcile;
 pub mod termination;
 
 pub use analyzer::{AnalysisReport, RuleAnalyzer};
-pub use conflict::{pattern_matches, ConflictMatrix, Lane, RuleFootprint, SerialReason};
+pub use conflict::{ConflictMatrix, Lane, ResolvedPattern, RuleFootprint, SerialReason};
 pub use diagnostic::{DiagCode, Diagnostic, Severity};
 pub use effects::{diff_effects, ObservedEffects};
 pub use graph::{EdgeKind, GraphEdge, GraphNode, TriggeringGraph};

@@ -174,10 +174,6 @@ impl Database {
         self.pipeline.begin()?;
         self.txn_start_clock = self.clock.now();
         self.engine.begin_capture();
-        // Keep the conflict matrix (and the tags the engine stamps onto
-        // firings) current before any occurrence of this transaction is
-        // scheduled.
-        self.refresh_conflict_matrix();
         Ok(())
     }
 

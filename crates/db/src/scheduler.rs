@@ -11,17 +11,15 @@
 //! **What "provably independent" means.** The compiled
 //! [`ConflictMatrix`] (built from the static triggering graph and each
 //! action's declared read *and* write footprint) assigns every rule a
-//! lane: parallel rules are grouped into conflict components
-//! (footprints with a write-write or read-write overlap share a
-//! component), everything else — undeclared effects, undeclared
-//! read-sets, raising actions, immediate coupling — is serial with a
-//! recorded reason. At dispatch time a batch runs in parallel only if
-//! *every* firing carries a conflict-group tag that matches the fresh
-//! matrix. Within the batch, firings are partitioned into groups keyed
-//! by `(conflict component, target oid)`: same key → same group,
-//! executed in original firing order on one worker; different keys →
-//! declared footprints disjoint (or instance-local to different
-//! targets), so the groups run concurrently.
+//! lane: parallel rules carry a declared footprint, everything else —
+//! undeclared effects, undeclared read-sets, raising actions, immediate
+//! coupling — is serial with a recorded reason. At dispatch time a batch
+//! runs in parallel only if the fresh matrix holds a footprint for
+//! *every* firing's rule, looked up at the rule's place in the engine's
+//! rule table. Within the batch, firings are partitioned into one group
+//! per target oid: the firings on one target run in original firing
+//! order on one thread, whatever their rules; groups on different
+//! targets touch disjoint declared state, so they run concurrently.
 //!
 //! **Runtime footprint enforcement.** Target sharding and cross-group
 //! disjointness are only as good as the declarations, so [`ShardWorld`]
@@ -32,14 +30,22 @@
 //! parallel rule's write-set (which no concurrent firing can be
 //! mutating). Any access outside those bounds — like
 //! `create`/`delete`/`send`, which belong to the serial path — fails
-//! the body, rolling the group back to `NeedsSerial`.
+//! the body, rolling the group back to `NeedsSerial`. The patterns come
+//! resolved to class ids from the matrix, so a check costs no name
+//! lookup.
 //!
-//! **Hand-off.** A batch costs one channel send per worker, however
-//! many groups it holds: the groups go into one shared `Batch`, and the
-//! committing thread and the workers claim them one at a time from an
-//! atomic cursor. The committing thread runs groups from the start
+//! **Hand-off.** The plan sorts the batch's indices by `(target, index)`
+//! and a group is a run of that order, so planning neither hashes nor
+//! moves a firing. The firings and the groups go into one shared
+//! `Batch`, and the committing thread and the workers claim groups one
+//! at a time from an atomic cursor. The committing thread hands the
+//! batch to at most `max(1, available_parallelism − 1)` idle workers,
+//! one channel send each, because it is a runner too: more runners than
+//! cores only queue behind each other. It then runs groups itself
 //! rather than sleeping on replies, so a worker that wakes late finds
-//! fewer groups left instead of holding the commit up.
+//! fewer groups left instead of holding the commit up, and spins
+//! briefly before parking for the last group in flight. Each runner
+//! borrows one [`ShardWorld`] for the whole batch.
 //!
 //! **Determinism.** A group never touches the transaction pipeline,
 //! whichever thread runs it: it executes against a [`ShardWorld`] that
@@ -63,20 +69,28 @@
 use crate::database::Database;
 use crate::stats::SharedDbStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use sentinel_analyze::{pattern_matches, ConflictMatrix, Lane, RuleFootprint};
+use sentinel_analyze::{ConflictMatrix, ResolvedPattern};
 use sentinel_events::TimeSource;
 use sentinel_object::{
     ClassId, ClassRegistry, ObjectError, ObjectStore, Oid, Result, Value, World,
 };
-use sentinel_rules::{AttrPattern, ReadyFiring, RuleId};
+use sentinel_rules::ReadyFiring;
 use sentinel_storage::{LogRecord, UndoOp};
 use sentinel_telemetry::{BodyKind, ExecutionLane, Stage, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
+
+/// How long the committing thread spins on the last groups in flight
+/// before it parks: a few groups of short bodies, such as the benchmark
+/// `firing_cpu`'s three 2 µs audits per target. Spinning saves the
+/// futex wake and reschedule of a park on the commit path; on 2 vCPUs
+/// it was worth about 4 % of `firing_cpu`'s throughput.
+const SPIN: Duration = Duration::from_micros(30);
 
 /// Counters of the conflict-aware scheduler, retrievable via
 /// [`Database::scheduler_stats`] (all zero under
@@ -86,9 +100,9 @@ pub struct SchedulerStats {
     /// Batches executed on the worker pool.
     pub parallel_batches: u64,
     /// Non-empty batches that fell back to the serial path (ineligible
-    /// firing, single conflict group, effect recording on).
+    /// firing, single target, effect recording on).
     pub serial_fallbacks: u64,
-    /// Conflict groups formed across all parallel batches.
+    /// Groups (one per target) formed across all parallel batches.
     pub groups_formed: u64,
     /// Firings whose effects were computed on a worker and merged.
     pub parallel_firings: u64,
@@ -116,36 +130,42 @@ struct WriteRec {
 
 /// The [`World`] a parallel firing executes against: reads and
 /// attribute writes go straight to the shared (sharded, thread-safe)
-/// store; every write is recorded for the coordinator to stage.
+/// store; every write is recorded for the coordinator to stage. Each
+/// runner borrows one for a whole batch and re-arms it per group and
+/// per firing.
 ///
 /// Every access is checked against the firing's declared footprint —
 /// this is what turns the declarations from trusted hints into an
 /// enforced contract. Writes must hit the firing's own target within
 /// the rule's declared write patterns (target sharding assumes writes
 /// are instance-local, so a cross-target write would race a concurrent
-/// same-component group). Reads must hit the firing's own target
-/// within its declared read footprint, or an attribute outside every
-/// parallel rule's write-set (`shared_writes`) — anything else could
-/// observe a concurrent group's writes mid-flight. Object lifecycle
-/// and message sends are rejected outright — those belong to the
-/// serial path. Each rejection fails the body, which makes a lying
-/// declaration degrade safely to a serial re-run.
-struct ShardWorld {
-    store: Arc<ObjectStore>,
-    registry: Arc<ClassRegistry>,
-    clock: Arc<TimeSource>,
+/// group). Reads must hit the firing's own target within its declared
+/// read footprint, or an attribute outside every parallel rule's
+/// write-set (`shared_writes`) — anything else could observe a
+/// concurrent group's writes mid-flight. Object lifecycle and message
+/// sends are rejected outright — those belong to the serial path. Each
+/// rejection fails the body, which makes a lying declaration degrade
+/// safely to a serial re-run.
+struct ShardWorld<'a> {
+    store: &'a ObjectStore,
+    registry: &'a ClassRegistry,
+    clock: &'a TimeSource,
+    /// The running group's writes, oldest first.
     writes: Vec<WriteRec>,
     /// Target oid of the group currently executing — the only object
     /// the footprint licenses writes (and contended reads) on.
     target: Oid,
-    /// Declared footprint of the firing currently executing.
-    footprint: RuleFootprint,
+    /// Declared reads (writes included) of the firing currently
+    /// executing.
+    reads: &'a [ResolvedPattern],
+    /// Declared writes of the firing currently executing.
+    writable: &'a [ResolvedPattern],
     /// Union of every parallel rule's declared writes: the attributes
     /// some concurrent group may be writing right now.
-    shared_writes: Arc<Vec<AttrPattern>>,
+    shared_writes: &'a [ResolvedPattern],
 }
 
-impl ShardWorld {
+impl ShardWorld<'_> {
     fn unsupported(op: &str) -> ObjectError {
         ObjectError::Unsupported(format!(
             "{op} is not available to parallel rule firings; the group re-runs serially"
@@ -159,20 +179,19 @@ impl ShardWorld {
         ))
     }
 
-    /// Restore every recorded write, newest first (whole-group rollback
-    /// before a `NeedsSerial` verdict).
-    fn undo_all(&self) {
-        for w in self.writes.iter().rev() {
-            let _ = self
-                .store
-                .set_slot(&self.registry, w.oid, w.slot, w.old.clone());
+    /// Restore every write of the running group, newest first, and
+    /// forget them (whole-group rollback before a `NeedsSerial`
+    /// verdict), so the next group starts from a clean buffer.
+    fn undo_all(&mut self) {
+        for w in self.writes.drain(..).rev() {
+            let _ = self.store.set_slot(self.registry, w.oid, w.slot, w.old);
         }
     }
 }
 
-impl World for ShardWorld {
+impl World for ShardWorld<'_> {
     fn registry(&self) -> &ClassRegistry {
-        &self.registry
+        self.registry
     }
 
     fn create(&mut self, _class: &str) -> Result<Oid> {
@@ -185,43 +204,26 @@ impl World for ShardWorld {
 
     fn get_attr(&self, oid: Oid, attr: &str) -> Result<Value> {
         let class = self.store.class_of(oid)?;
-        let in_footprint = oid == self.target
-            && self
-                .footprint
-                .reads
-                .iter()
-                .any(|p| pattern_matches(&self.registry, p, class, attr));
-        if !in_footprint {
-            // Off-target (or undeclared) reads are safe only when no
-            // concurrently running firing can be writing the attribute.
-            let contended = self
-                .shared_writes
-                .iter()
-                .any(|p| pattern_matches(&self.registry, p, class, attr));
-            if contended {
-                return Err(Self::undeclared(
-                    "read",
-                    &self.registry.get(class).name,
-                    attr,
-                ));
-            }
+        let in_footprint = oid == self.target && self.reads.iter().any(|p| p.matches(class, attr));
+        // Off-target (or undeclared) reads are safe only when no
+        // concurrently running firing can be writing the attribute.
+        if !in_footprint && self.shared_writes.iter().any(|p| p.matches(class, attr)) {
+            return Err(Self::undeclared(
+                "read",
+                &self.registry.get(class).name,
+                attr,
+            ));
         }
-        self.store.get_attr(&self.registry, oid, attr)
+        self.store.get_attr(self.registry, oid, attr)
     }
 
     fn set_attr(&mut self, oid: Oid, attr: &str, value: Value) -> Result<()> {
         let class = self.store.class_of(oid)?;
         // Enforce the declared write-set: only the firing's own target,
-        // only declared attributes. This is what lets groups of the
-        // same component run concurrently on different targets, and
-        // what keeps disjoint components genuinely disjoint even when
-        // a declaration lies.
-        let allowed = oid == self.target
-            && self
-                .footprint
-                .writes
-                .iter()
-                .any(|p| pattern_matches(&self.registry, p, class, attr));
+        // only declared attributes. This is what lets groups run
+        // concurrently on different targets, and what keeps disjoint
+        // footprints genuinely disjoint even when a declaration lies.
+        let allowed = oid == self.target && self.writable.iter().any(|p| p.matches(class, attr));
         if !allowed {
             return Err(Self::undeclared(
                 "write",
@@ -231,7 +233,7 @@ impl World for ShardWorld {
         }
         let (_, slot, old) =
             self.store
-                .set_attr_resolved(&self.registry, oid, attr, value.clone())?;
+                .set_attr_resolved(self.registry, oid, attr, value.clone())?;
         self.writes.push(WriteRec {
             oid,
             class,
@@ -252,7 +254,7 @@ impl World for ShardWorld {
 
     fn extent(&self, class: &str) -> Result<Vec<Oid>> {
         let id = self.registry.id_of(class)?;
-        Ok(self.store.extent(&self.registry, id))
+        Ok(self.store.extent(self.registry, id))
     }
 
     fn now(&self) -> u64 {
@@ -261,44 +263,56 @@ impl World for ShardWorld {
 }
 
 /// The result of one firing that completed on a worker, ready to merge.
-pub(crate) struct FiringDone {
+struct FiringDone {
     cond_held: bool,
     cond_ns: Option<u64>,
     action_ns: Option<u64>,
     /// Worker-measured condition-to-action latency for the history
     /// record (0 when history capture is off).
     firing_ns: u64,
-    writes: Vec<WriteRec>,
+    /// The firing's writes, as a range of its group's write buffer.
+    writes: Range<usize>,
 }
 
-/// What a worker reports for one conflict group.
-pub(crate) enum GroupResult {
-    /// Every firing ran; results align index-for-index with the group.
-    Completed(Vec<FiringDone>),
+/// What a runner reports for one group.
+enum GroupResult {
+    /// Every firing ran: one write buffer for the group, and per firing
+    /// (in group order) its outcome and its range of that buffer.
+    Completed {
+        writes: Vec<WriteRec>,
+        firings: Vec<FiringDone>,
+    },
     /// A body errored (or violated its declared footprint): the group's
     /// writes were rolled back on the worker and every firing must
     /// re-run serially.
     NeedsSerial,
 }
 
-/// One `(conflict component, target oid)` shard of a ready batch: its
-/// firings in batch order, each tagged with its original batch
-/// index.
-pub(crate) struct ConflictGroup {
+/// The firings of a batch on one target: a run of the batch's sorted
+/// order.
+struct Group {
     /// The target oid every firing in the group fired on — the only
     /// object the worker's footprint guard licenses writes on.
     target: Oid,
-    firings: Vec<(usize, ReadyFiring)>,
+    /// The group's range of [`Batch::order`].
+    members: Range<usize>,
 }
 
 /// One parallel batch, shared by the committing thread and the workers
 /// it was handed to. Every thread claims groups one at a time until none
-/// are left, so a batch costs one hand-off per worker however many
+/// are left, so a batch costs one hand-off per helper however many
 /// groups it holds, the committing thread starts on it at once, and a
 /// worker that wakes late finds less to do instead of holding the
 /// commit up.
-struct Batch {
-    groups: Vec<ConflictGroup>,
+pub(crate) struct Batch {
+    /// The ready firings, in batch (firing) order.
+    firings: Vec<ReadyFiring>,
+    /// `(target, batch index)` of every firing, sorted: each group is a
+    /// run of one target, in batch order.
+    order: Vec<(Oid, u32)>,
+    groups: Vec<Group>,
+    /// Per batch index: its group and its position in the group.
+    place: Vec<(u32, u32)>,
     /// One slot per group, filled by whichever thread ran it.
     results: Vec<OnceLock<GroupResult>>,
     /// Index of the next unclaimed group.
@@ -306,38 +320,27 @@ struct Batch {
     /// Groups whose result slot is filled.
     done: AtomicUsize,
     registry: Arc<ClassRegistry>,
-    /// Declared footprints of the parallel-lane rules (from the fresh
-    /// conflict matrix), consulted per firing.
-    footprints: Arc<HashMap<RuleId, RuleFootprint>>,
-    /// Union of every parallel rule's declared writes, for the read
-    /// guard.
-    shared_writes: Arc<Vec<AttrPattern>>,
+    /// The fresh matrix the batch was planned against: the footprints
+    /// every access is checked with.
+    matrix: Arc<ConflictMatrix>,
     /// The committing thread, unparked by whoever completes the last
     /// group.
     coordinator: Thread,
 }
 
 impl Batch {
-    fn new(
-        groups: Vec<ConflictGroup>,
-        registry: Arc<ClassRegistry>,
-        footprints: Arc<HashMap<RuleId, RuleFootprint>>,
-        shared_writes: Arc<Vec<AttrPattern>>,
-    ) -> Self {
-        Batch {
-            results: groups.iter().map(|_| OnceLock::new()).collect(),
-            groups,
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            registry,
-            footprints,
-            shared_writes,
-            coordinator: std::thread::current(),
-        }
-    }
-
-    /// Claim and run groups until none are left.
-    fn run_share(&self, store: &Arc<ObjectStore>, clock: &Arc<TimeSource>, telemetry: &Telemetry) {
+    /// Claim and run groups until none are left, on one borrowed world.
+    fn run_share(&self, store: &ObjectStore, clock: &TimeSource, telemetry: &Telemetry) {
+        let mut world = ShardWorld {
+            store,
+            registry: &self.registry,
+            clock,
+            writes: Vec::new(),
+            target: Oid::NIL,
+            reads: &[],
+            writable: &[],
+            shared_writes: self.matrix.shared_writes(),
+        };
         loop {
             // The claim only hands out distinct indices; the groups were
             // published by the hand-off itself, so `Relaxed` is enough.
@@ -345,7 +348,7 @@ impl Batch {
             let Some(group) = self.groups.get(i) else {
                 return;
             };
-            let result = run_group(self, group, store, clock, telemetry);
+            let result = self.run_group(group, &mut world, telemetry);
             assert!(self.results[i].set(result).is_ok(), "group {i} ran twice");
             // `AcqRel` pairs with the `Acquire` in `wait`: the thread that
             // sees every group done sees every slot filled.
@@ -355,96 +358,111 @@ impl Batch {
         }
     }
 
-    /// Return once every group has a result, parked until the thread
-    /// that completes the last group unparks this one. The unpark token
-    /// outlives an early unpark, and a spurious wake-up just re-checks.
+    fn run_group<'a>(
+        &'a self,
+        group: &Group,
+        world: &mut ShardWorld<'a>,
+        telemetry: &Telemetry,
+    ) -> GroupResult {
+        world.target = group.target;
+        // A body that panics fails its group like one that errors, so no
+        // thread waits on a group that never completes; the serial re-run
+        // then raises the panic again on the committing thread, as `Serial`
+        // would.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            self.run_firings(group, world, telemetry)
+        }));
+        match ran {
+            Ok(Some(firings)) => GroupResult::Completed {
+                writes: std::mem::take(&mut world.writes),
+                firings,
+            },
+            _ => {
+                world.undo_all();
+                GroupResult::NeedsSerial
+            }
+        }
+    }
+
+    /// Run a group's firings in firing order; `None` as soon as a body
+    /// errors or leaves its declared footprint.
+    fn run_firings<'a>(
+        &'a self,
+        group: &Group,
+        world: &mut ShardWorld<'a>,
+        telemetry: &Telemetry,
+    ) -> Option<Vec<FiringDone>> {
+        let mut done = Vec::with_capacity(group.members.len());
+        for &(_, i) in &self.order[group.members.clone()] {
+            let f = &self.firings[i as usize];
+            // Arm the guard with this firing's declared footprint (the
+            // plan found one for every firing in this same matrix).
+            let footprint = self.matrix.footprint(f.rule_index(), f.firing.rule)?;
+            world.reads = &footprint.reads;
+            world.writable = &footprint.writes;
+            let start = world.writes.len();
+            let firing_timer = telemetry.history_timer();
+            let cond_timer = telemetry.timer();
+            let held = (f.bodies.condition)(&mut *world, &f.firing).ok()?;
+            let cond_ns = cond_timer.elapsed_ns();
+            let mut action_ns = None;
+            if held {
+                let action_timer = telemetry.timer();
+                (f.bodies.action)(&mut *world, &f.firing).ok()?;
+                action_ns = action_timer.elapsed_ns();
+            }
+            done.push(FiringDone {
+                cond_held: held,
+                cond_ns,
+                action_ns,
+                firing_ns: firing_timer.elapsed_ns().unwrap_or(0),
+                writes: start..world.writes.len(),
+            });
+        }
+        Some(done)
+    }
+
+    /// Return once every group has a result: spin for up to [`SPIN`],
+    /// then park until the thread that completes the last group unparks
+    /// this one. The unpark token outlives an early unpark, and a
+    /// spurious wake-up just re-checks.
     fn wait(&self) {
-        while self.done.load(Ordering::Acquire) < self.groups.len() {
-            std::thread::park();
+        let all_done = || self.done.load(Ordering::Acquire) == self.groups.len();
+        let started = Instant::now();
+        while !all_done() {
+            if started.elapsed() < SPIN {
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+    }
+
+    /// Merge step `k`: the firing at batch index `k`, with its worker
+    /// outcome and writes, or marked for a serial re-run if its group
+    /// failed.
+    fn step(&self, k: usize) -> MergeStep<'_> {
+        let f = &self.firings[k];
+        let (group, pos) = self.place[k];
+        match self.results[group as usize]
+            .get()
+            .expect("the batch waited for every group")
+        {
+            GroupResult::Completed { writes, firings } => {
+                let done = &firings[pos as usize];
+                MergeStep::Merge(f, done, &writes[done.writes.clone()])
+            }
+            GroupResult::NeedsSerial => MergeStep::Rerun(f),
         }
     }
 }
 
-/// Per-firing execution record inside a group run: (write-log start,
-/// cond_held, cond_ns, action_ns, firing_ns).
-type FiringSpan = (usize, bool, Option<u64>, Option<u64>, u64);
-
-fn run_group(
-    batch: &Batch,
-    group: &ConflictGroup,
-    store: &Arc<ObjectStore>,
-    clock: &Arc<TimeSource>,
-    telemetry: &Telemetry,
-) -> GroupResult {
-    let mut world = ShardWorld {
-        store: Arc::clone(store),
-        registry: Arc::clone(&batch.registry),
-        clock: Arc::clone(clock),
-        writes: Vec::new(),
-        target: group.target,
-        footprint: RuleFootprint {
-            writes: Arc::new(Vec::new()),
-            reads: Arc::new(Vec::new()),
-        },
-        shared_writes: Arc::clone(&batch.shared_writes),
-    };
-    // A body that panics fails its group like one that errors, so no
-    // thread waits on a group that never completes; the serial re-run
-    // then raises the panic again on the committing thread, as `Serial`
-    // would.
-    let spans = catch_unwind(AssertUnwindSafe(|| {
-        run_firings(batch, group, &mut world, telemetry)
-    }));
-    let Ok(Some(spans)) = spans else {
-        world.undo_all();
-        return GroupResult::NeedsSerial;
-    };
-    // Writes are carved into per-firing vecs only once the whole group
-    // has succeeded.
-    let mut writes = world.writes;
-    let mut dones = Vec::with_capacity(spans.len());
-    for (start, cond_held, cond_ns, action_ns, firing_ns) in spans.into_iter().rev() {
-        dones.push(FiringDone {
-            cond_held,
-            cond_ns,
-            action_ns,
-            firing_ns,
-            writes: writes.split_off(start),
-        });
-    }
-    dones.reverse();
-    GroupResult::Completed(dones)
-}
-
-/// Run a group's firings in firing order; `None` as soon as a body
-/// errors or leaves its declared footprint.
-fn run_firings(
-    batch: &Batch,
-    group: &ConflictGroup,
-    world: &mut ShardWorld,
-    telemetry: &Telemetry,
-) -> Option<Vec<FiringSpan>> {
-    let mut spans = Vec::with_capacity(group.firings.len());
-    for (_, f) in &group.firings {
-        // Arm the guard with this firing's declared footprint. A rule
-        // missing from the map was planned against a stale matrix —
-        // treat like any other violation and fall back.
-        world.footprint = batch.footprints.get(&f.firing.rule)?.clone();
-        let start = world.writes.len();
-        let firing_timer = telemetry.history_timer();
-        let cond_timer = telemetry.timer();
-        let held = (f.bodies.condition)(&mut *world, &f.firing).ok()?;
-        let cond_ns = cond_timer.elapsed_ns();
-        let mut action_ns = None;
-        if held {
-            let action_timer = telemetry.timer();
-            (f.bodies.action)(&mut *world, &f.firing).ok()?;
-            action_ns = action_timer.elapsed_ns();
-        }
-        let firing_ns = firing_timer.elapsed_ns().unwrap_or(0);
-        spans.push((start, held, cond_ns, action_ns, firing_ns));
-    }
-    Some(spans)
+/// One unit of coordinator work after a parallel dispatch: merge a
+/// worker-completed firing and its writes, or re-run a firing whose
+/// group fell back.
+enum MergeStep<'a> {
+    Merge(&'a ReadyFiring, &'a FiringDone, &'a [WriteRec]),
+    Rerun(&'a ReadyFiring),
 }
 
 fn worker_loop(
@@ -470,7 +488,7 @@ pub(crate) struct Scheduler {
     workers: Vec<(Sender<Arc<Batch>>, Arc<AtomicBool>)>,
     handles: Vec<JoinHandle<()>>,
     pub(crate) stats: SchedulerStats,
-    pub(crate) matrix: Option<ConflictMatrix>,
+    pub(crate) matrix: Option<Arc<ConflictMatrix>>,
     /// Schema snapshot shared with workers, re-cloned only when the
     /// (append-only) registry grows.
     registry_snapshot: Option<(usize, Arc<ClassRegistry>)>,
@@ -519,23 +537,23 @@ impl Scheduler {
     }
 
     /// Run `batch`: hand it to as many idle workers as it has groups
-    /// beyond one, run a share on this thread, and wait for the rest.
+    /// beyond one, at most [`helpers`], run a share on this thread, and
+    /// wait for the rest.
     fn execute(
         &self,
-        batch: Batch,
-        store: &Arc<ObjectStore>,
-        clock: &Arc<TimeSource>,
+        batch: &Arc<Batch>,
+        store: &ObjectStore,
+        clock: &TimeSource,
         telemetry: &Telemetry,
         now: u64,
-    ) -> Arc<Batch> {
+    ) {
         for group in &batch.groups {
-            let size = group.firings.len();
+            let size = group.members.len();
             telemetry.observe(Stage::SchedulerGroup, now, size as u64, || {
                 format!("group of {size}")
             });
         }
         let n = batch.groups.len();
-        let batch = Arc::new(batch);
         let timer = telemetry.timer();
         // A worker still holding an earlier batch is skipped: queueing
         // batches behind a descheduled worker would keep them all alive.
@@ -543,16 +561,15 @@ impl Scheduler {
             .workers
             .iter()
             .filter(|(_, busy)| !busy.swap(true, Ordering::AcqRel));
-        for (tx, _) in idle.take(n.saturating_sub(1)) {
+        for (tx, _) in idle.take((n - 1).min(helpers())) {
             assert!(
-                tx.send(Arc::clone(&batch)).is_ok(),
+                tx.send(Arc::clone(batch)).is_ok(),
                 "scheduler workers alive"
             );
         }
         batch.run_share(store, clock, telemetry);
         batch.wait();
         telemetry.observe_timer(Stage::SchedulerWait, now, timer, || format!("{n} groups"));
-        batch
     }
 }
 
@@ -571,15 +588,40 @@ pub(crate) enum Plan {
     /// On the committing/draining thread, in firing order (the only
     /// plan under `ExecutionMode::Serial`).
     Serial(Vec<ReadyFiring>),
-    /// Partitioned into ≥ 2 independent conflict groups; each group
-    /// keeps `(original batch index, firing)` in firing order.
-    Parallel(Vec<ConflictGroup>),
+    /// On the pool, in ≥ 2 groups, one per target.
+    Parallel(Arc<Batch>),
+}
+
+/// Most workers one batch is handed to: one fewer than the cores, since
+/// the committing thread runs groups too, and at least one. Asked of the
+/// OS once per process, at the first parallel batch rather than when a
+/// database starts (the answer reads the cgroup limits, tens of µs).
+fn helpers() -> usize {
+    // 0 until first asked; racing first callers store the same value.
+    static HELPERS: AtomicUsize = AtomicUsize::new(0);
+    match HELPERS.load(Ordering::Relaxed) {
+        0 => {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let helpers = cores.saturating_sub(1).max(1);
+            HELPERS.store(helpers, Ordering::Relaxed);
+            helpers
+        }
+        helpers => helpers,
+    }
+}
+
+/// The object a firing fired on: the last constituent of its occurrence.
+fn target_of(f: &ReadyFiring) -> Oid {
+    f.firing
+        .occurrence
+        .constituents
+        .last()
+        .map_or(Oid::NIL, |c| c.oid)
 }
 
 impl Database {
     /// Rebuild the cached conflict matrix if the rule set, body
-    /// registry, or schema changed, and hand the engine the fresh tags
-    /// it stamps onto scheduled firings. No-op under serial execution.
+    /// registry, or schema changed. No-op under serial execution.
     pub(crate) fn refresh_conflict_matrix(&mut self) {
         let Some(sched) = &mut self.scheduler else {
             return;
@@ -591,17 +633,18 @@ impl Database {
         if fresh {
             return;
         }
-        let matrix = ConflictMatrix::build(&self.registry, &self.engine);
-        self.engine.set_conflict_tags(Some(matrix.tags()));
         sched.stats.matrix_rebuilds += 1;
-        sched.matrix = Some(matrix);
+        sched.matrix = Some(Arc::new(ConflictMatrix::build(
+            &self.registry,
+            &self.engine,
+        )));
     }
 
     /// Decide how `batch` executes. Parallel requires: a scheduler, no
     /// runtime effect recording (its attribution stack is inherently
-    /// serial), every firing tagged with a conflict component matching
-    /// the fresh matrix, and at least two distinct `(component, target)`
-    /// groups — one group would serialize on a worker anyway.
+    /// serial), a footprint in the fresh matrix for every firing's rule,
+    /// and at least two distinct targets — one group would serialize on
+    /// a worker anyway.
     pub(crate) fn plan_batch(&mut self, batch: Vec<ReadyFiring>) -> Plan {
         if self.scheduler.is_none() || batch.is_empty() {
             return Plan::Serial(batch);
@@ -611,55 +654,49 @@ impl Database {
         }
         self.refresh_conflict_matrix();
         let sched = self.scheduler.as_ref().expect("checked above");
-        let matrix = sched.matrix.as_ref().expect("refreshed above");
-        let mut keys = Vec::with_capacity(batch.len());
-        for f in &batch {
-            match (f.group, matrix.lane(f.firing.rule)) {
-                (Some(tag), Some(Lane::Parallel { component })) if tag == component => {
-                    let target = f
-                        .firing
-                        .occurrence
-                        .constituents
-                        .last()
-                        .map_or(Oid::NIL, |c| c.oid);
-                    keys.push((component, target));
-                }
-                // Untagged, serial-lane, or stamped under a stale
-                // matrix: the whole batch keeps the serial order.
-                _ => return self.plan_serial_fallback(batch),
+        let matrix = Arc::clone(sched.matrix.as_ref().expect("refreshed above"));
+        let mut order = Vec::with_capacity(batch.len());
+        for (i, f) in batch.iter().enumerate() {
+            if matrix.footprint(f.rule_index(), f.firing.rule).is_none() {
+                // A serial-lane rule, or one removed since the firing was
+                // scheduled: the whole batch keeps the serial order.
+                return self.plan_serial_fallback(batch);
             }
+            order.push((target_of(f), i as u32));
         }
-        let mut order: Vec<(u32, Oid)> = Vec::new();
-        let mut groups: HashMap<(u32, Oid), Vec<(usize, ReadyFiring)>> = HashMap::new();
-        for (i, (f, key)) in batch.into_iter().zip(keys).enumerate() {
-            let slot = groups.entry(key).or_default();
-            if slot.is_empty() {
-                order.push(key);
+        order.sort_unstable();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut place = vec![(0, 0); batch.len()];
+        for (at, &(target, i)) in order.iter().enumerate() {
+            match groups.last_mut() {
+                Some(g) if g.target == target => g.members.end = at + 1,
+                _ => groups.push(Group {
+                    target,
+                    members: at..at + 1,
+                }),
             }
-            slot.push((i, f));
+            let g = groups.len() - 1;
+            place[i as usize] = (g as u32, (at - groups[g].members.start) as u32);
         }
-        if order.len() < 2 {
-            let key = order[0];
-            let batch = groups
-                .remove(&key)
-                .expect("sole group")
-                .into_iter()
-                .map(|(_, f)| f)
-                .collect();
+        if groups.len() < 2 {
             return self.plan_serial_fallback(batch);
         }
         let sched = self.scheduler.as_mut().expect("checked above");
         sched.stats.parallel_batches += 1;
-        sched.stats.groups_formed += order.len() as u64;
-        Plan::Parallel(
-            order
-                .into_iter()
-                .map(|key| ConflictGroup {
-                    target: key.1,
-                    firings: groups.remove(&key).expect("grouped"),
-                })
-                .collect(),
-        )
+        sched.stats.groups_formed += groups.len() as u64;
+        let registry = sched.snapshot_registry(&self.registry);
+        Plan::Parallel(Arc::new(Batch {
+            results: groups.iter().map(|_| OnceLock::new()).collect(),
+            firings: batch,
+            order,
+            groups,
+            place,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            registry,
+            matrix,
+            coordinator: std::thread::current(),
+        }))
     }
 
     fn plan_serial_fallback(&mut self, batch: Vec<ReadyFiring>) -> Plan {
@@ -670,31 +707,23 @@ impl Database {
         Plan::Serial(batch)
     }
 
-    fn dispatch_to_pool(&mut self, groups: Vec<ConflictGroup>) -> Arc<Batch> {
-        let sched = self.scheduler.as_mut().expect("parallel plan");
-        let registry = sched.snapshot_registry(&self.registry);
-        let matrix = sched.matrix.as_ref().expect("fresh matrix behind plan");
-        let batch = Batch::new(
-            groups,
-            registry,
-            matrix.footprints(),
-            matrix.shared_writes(),
-        );
+    fn dispatch_to_pool(&self, batch: &Arc<Batch>) {
+        let sched = self.scheduler.as_ref().expect("parallel plan");
         let now = self.clock.now();
-        sched.execute(batch, &self.store, &self.clock, &self.telemetry, now)
+        sched.execute(batch, &self.store, &self.clock, &self.telemetry, now);
     }
 
-    /// Restore (newest first) every worker write from flattened step
-    /// `from` onward that has not been merged into the transaction
-    /// pipeline — the cleanup before propagating an error, so no
-    /// unstaged store mutation survives it. `from` is the *failing*
-    /// step itself: a merge that errored partway leaves a tail of
-    /// writes with no staged undo, and re-restoring its already-staged
-    /// head is idempotent (both put back the same old value).
-    fn undo_unmerged(&self, steps: &[(usize, MergeStep<'_>)], from: usize) {
-        for (_, step) in steps[from..].iter().rev() {
-            if let MergeStep::Merge(_, done) = step {
-                for w in done.writes.iter().rev() {
+    /// Restore (newest first) every worker write from merge step `from`
+    /// onward that has not been merged into the transaction pipeline —
+    /// the cleanup before propagating an error, so no unstaged store
+    /// mutation survives it. `from` is the *failing* step itself: a
+    /// merge that errored partway leaves a tail of writes with no staged
+    /// undo, and re-restoring its already-staged head is idempotent
+    /// (both put back the same old value).
+    fn undo_unmerged(&self, batch: &Batch, from: usize) {
+        for k in (from..batch.firings.len()).rev() {
+            if let MergeStep::Merge(_, _, writes) = batch.step(k) {
+                for w in writes.iter().rev() {
                     let _ = self
                         .store
                         .set_slot(&self.registry, w.oid, w.slot, w.old.clone());
@@ -707,7 +736,12 @@ impl Database {
     /// the same stats bumps, telemetry observations, history record,
     /// undo/redo staging, and index refreshes the serial path performs
     /// — just from the recorded write log instead of live execution.
-    fn merge_parallel_firing(&mut self, f: &ReadyFiring, done: &FiringDone) -> Result<()> {
+    fn merge_parallel_firing(
+        &mut self,
+        f: &ReadyFiring,
+        done: &FiringDone,
+        writes: &[WriteRec],
+    ) -> Result<()> {
         SharedDbStats::bump(&self.stats.condition_evals);
         if let Some(stats) = self.engine.stats_of(f) {
             stats.condition_evals += 1;
@@ -737,7 +771,7 @@ impl Database {
         }
         let durable = self.pipeline.is_durable();
         let txn = self.pipeline.current().expect("merge runs inside a txn");
-        for w in &done.writes {
+        for w in writes {
             self.pipeline.stage_undo(UndoOp::SetSlot {
                 oid: w.oid,
                 slot: w.slot,
@@ -758,7 +792,7 @@ impl Database {
             }
         }
         if self.has_indexes {
-            for w in &done.writes {
+            for w in writes {
                 // Cold path: resolve the attribute name from the schema
                 // only when an index actually needs it.
                 let attr = self.registry.get(w.class).layout[w.slot].attr.name.clone();
@@ -772,14 +806,14 @@ impl Database {
         Ok(())
     }
 
-    /// Re-run one firing of a failed group on the serial path (step `k`
-    /// of `steps`). Should the re-run panic, every unmerged worker write
-    /// from `k` on is restored before the panic continues: later groups
-    /// wrote straight to the store with no undo staged, and under
-    /// `Serial` they would never have run.
+    /// Re-run one firing of a failed group on the serial path (merge
+    /// step `k` of `batch`). Should the re-run panic, every unmerged
+    /// worker write from `k` on is restored before the panic continues:
+    /// later groups wrote straight to the store with no undo staged, and
+    /// under `Serial` they would never have run.
     fn rerun_serial(
         &mut self,
-        steps: &[(usize, MergeStep<'_>)],
+        batch: &Batch,
         k: usize,
         run: impl FnOnce(&mut Self) -> Result<()>,
     ) -> Result<()> {
@@ -788,7 +822,7 @@ impl Database {
             sched.stats.serial_firings += 1;
         }
         catch_unwind(AssertUnwindSafe(|| run(self))).unwrap_or_else(|panic| {
-            self.undo_unmerged(steps, k);
+            self.undo_unmerged(batch, k);
             resume_unwind(panic)
         })
     }
@@ -800,16 +834,15 @@ impl Database {
     /// path would have produced them. On error every unmerged worker
     /// write is restored first; the caller's rollback then covers
     /// everything staged.
-    pub(crate) fn run_deferred_parallel(&mut self, groups: Vec<ConflictGroup>) -> Result<()> {
-        let results = self.dispatch_to_pool(groups);
-        let steps = flatten_steps(&results);
-        for k in 0..steps.len() {
-            let outcome = match steps[k].1 {
-                MergeStep::Merge(f, done) => self.merge_parallel_firing(f, done),
-                MergeStep::Rerun(f) => self.rerun_serial(&steps, k, |db| db.execute_firing(f)),
+    pub(crate) fn run_deferred_parallel(&mut self, batch: Arc<Batch>) -> Result<()> {
+        self.dispatch_to_pool(&batch);
+        for k in 0..batch.firings.len() {
+            let outcome = match batch.step(k) {
+                MergeStep::Merge(f, done, writes) => self.merge_parallel_firing(f, done, writes),
+                MergeStep::Rerun(f) => self.rerun_serial(&batch, k, |db| db.execute_firing(f)),
             };
             if let Err(e) = outcome {
-                self.undo_unmerged(&steps, k);
+                self.undo_unmerged(&batch, k);
                 return Err(e);
             }
         }
@@ -821,12 +854,11 @@ impl Database {
     /// the one-transaction-per-detached-firing contract) and
     /// `NeedsSerial` firings replay the ordinary serial detached path,
     /// all strictly in original batch order.
-    pub(crate) fn run_detached_parallel(&mut self, groups: Vec<ConflictGroup>) -> Result<()> {
-        let results = self.dispatch_to_pool(groups);
-        let steps = flatten_steps(&results);
-        for k in 0..steps.len() {
-            match steps[k].1 {
-                MergeStep::Merge(f, done) => {
+    pub(crate) fn run_detached_parallel(&mut self, batch: Arc<Batch>) -> Result<()> {
+        self.dispatch_to_pool(&batch);
+        for k in 0..batch.firings.len() {
+            match batch.step(k) {
+                MergeStep::Merge(f, done, writes) => {
                     SharedDbStats::bump(&self.stats.detached_runs);
                     self.telemetry
                         .hit(Stage::DetachedRun, self.clock.now(), || {
@@ -835,19 +867,19 @@ impl Database {
                     let committed = self
                         .pipeline
                         .begin()
-                        .and_then(|_| self.merge_parallel_firing(f, done))
+                        .and_then(|_| self.merge_parallel_firing(f, done, writes))
                         .and_then(|_| self.commit_internal());
                     if let Err(e) = committed {
                         if self.pipeline.in_txn() {
                             self.rollback();
                         }
-                        self.undo_unmerged(&steps, k);
+                        self.undo_unmerged(&batch, k);
                         return Err(e);
                     }
                 }
                 MergeStep::Rerun(f) => {
-                    if let Err(e) = self.rerun_serial(&steps, k, |db| db.run_detached_serial(f)) {
-                        self.undo_unmerged(&steps, k);
+                    if let Err(e) = self.rerun_serial(&batch, k, |db| db.run_detached_serial(f)) {
+                        self.undo_unmerged(&batch, k);
                         return Err(e);
                     }
                 }
@@ -855,36 +887,4 @@ impl Database {
         }
         Ok(())
     }
-}
-
-/// One unit of coordinator work after a parallel dispatch: merge a
-/// worker-completed firing, or re-run a firing whose group fell back.
-enum MergeStep<'a> {
-    Merge(&'a ReadyFiring, &'a FiringDone),
-    Rerun(&'a ReadyFiring),
-}
-
-/// Flatten group results into individual steps sorted by original
-/// batch index, so the coordinator replays the batch in exactly the
-/// order the serial path would have used — even when group memberships
-/// interleave (group A holding batch indices 0 and 2, group B holding
-/// 1 and 3).
-fn flatten_steps(batch: &Batch) -> Vec<(usize, MergeStep<'_>)> {
-    let mut steps = Vec::new();
-    for (group, result) in batch.groups.iter().zip(&batch.results) {
-        match result.get().expect("the batch waited for every group") {
-            GroupResult::Completed(dones) => {
-                for ((i, f), done) in group.firings.iter().zip(dones) {
-                    steps.push((*i, MergeStep::Merge(f, done)));
-                }
-            }
-            GroupResult::NeedsSerial => {
-                for (i, f) in &group.firings {
-                    steps.push((*i, MergeStep::Rerun(f)));
-                }
-            }
-        }
-    }
-    steps.sort_by_key(|(i, _)| *i);
-    steps
 }

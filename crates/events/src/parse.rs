@@ -12,11 +12,15 @@
 //! ```text
 //! signature := modifier class "::" method [ "(" params ")" ]
 //! modifier  := "begin" | "bom" | "before" | "end" | "eom" | "after"
+//! params    := "" | param { "," param }
+//! param     := ident { "*" | "&" } ident     -- type, then name
 //! ```
 //!
-//! The parenthesised parameter list is accepted and ignored — the schema
-//! is the source of truth for parameter types; the paper includes the
-//! list purely to make the signature unique and readable.
+//! Class and method names hold no whitespace, parentheses, colons or
+//! commas, and nothing may follow the closing parenthesis. The
+//! parameter list is checked for shape and otherwise ignored — the
+//! schema is the source of truth for parameter types; the paper
+//! includes the list purely to make the signature unique and readable.
 
 use crate::spec::{EventModifier, PrimitiveEventSpec};
 use sentinel_object::{ObjectError, Result};
@@ -41,34 +45,76 @@ pub fn parse_signature(sig: &str) -> Result<PrimitiveEventSpec> {
             )))
         }
     };
-    // Strip an optional parameter list.
-    let rest = match rest.find('(') {
-        Some(idx) => {
-            let tail = rest[idx..].trim();
-            if !tail.ends_with(')') {
-                return Err(ObjectError::EventParse(format!(
-                    "`{sig}`: unterminated parameter list"
+    let err = |what: &str| ObjectError::EventParse(format!("`{sig}`: {what}"));
+    // Check and strip an optional parameter list.
+    let rest = match rest.split_once('(') {
+        Some((head, tail)) => {
+            let (params, after) = tail
+                .split_once(')')
+                .ok_or_else(|| err("unterminated parameter list"))?;
+            if !after.trim().is_empty() {
+                return Err(err(&format!(
+                    "unexpected `{}` after the parameter list",
+                    after.trim()
                 )));
             }
-            rest[..idx].trim()
+            if !params_well_formed(params) {
+                return Err(err(&format!(
+                    "`({params})` is not a list of `type name` parameters"
+                )));
+            }
+            head.trim()
         }
         None => rest.trim(),
     };
-    let (class, method) = rest.split_once("::").ok_or_else(|| {
-        ObjectError::EventParse(format!("`{sig}`: expected `Class::method`, got `{rest}`"))
-    })?;
+    let (class, method) = rest
+        .split_once("::")
+        .ok_or_else(|| err(&format!("expected `Class::method`, got `{rest}`")))?;
     let class = class.trim();
     let method = method.trim();
     if class.is_empty() || method.is_empty() {
-        return Err(ObjectError::EventParse(format!(
-            "`{sig}`: empty class or method name"
-        )));
+        return Err(err("empty class or method name"));
+    }
+    for name in [class, method] {
+        if name.contains(|c: char| c.is_whitespace() || "():,".contains(c)) {
+            return Err(err(&format!("`{name}` is not a class or method name")));
+        }
     }
     Ok(PrimitiveEventSpec {
         class: class.to_string(),
         method: method.to_string(),
         modifier,
     })
+}
+
+/// Is `params` empty, or a comma-separated list of `type name`
+/// parameters (a `*` or `&` may mark the type, as in `Person* spouse`)?
+fn params_well_formed(params: &str) -> bool {
+    if params.trim().is_empty() {
+        return true;
+    }
+    params.split(',').all(|param| {
+        let Some(rest) = strip_ident(param.trim_start()) else {
+            return false;
+        };
+        let name = rest.trim_start_matches(|c: char| c.is_whitespace() || c == '*' || c == '&');
+        // The type and the name must be apart.
+        name.len() < rest.len() && strip_ident(name).is_some_and(|end| end.trim().is_empty())
+    })
+}
+
+/// `s` after a leading identifier (`[A-Za-z_][A-Za-z0-9_]*`), if it
+/// starts with one.
+fn strip_ident(s: &str) -> Option<&str> {
+    let mut chars = s.char_indices();
+    match chars.next() {
+        Some((_, c)) if c.is_ascii_alphabetic() || c == '_' => {}
+        _ => return None,
+    }
+    let end = chars
+        .find(|&(_, c)| !(c.is_ascii_alphanumeric() || c == '_'))
+        .map_or(s.len(), |(i, _)| i);
+    Some(&s[end..])
 }
 
 #[cfg(test)]
@@ -114,6 +160,16 @@ mod tests {
             parse_signature("end C::m").unwrap(),
             parse_signature("end C::m(int a, float b)").unwrap()
         );
+        for ok in [
+            "end C::m()",
+            "end C::m( )",
+            "end C::m(Person *p, T& t, U * u)",
+        ] {
+            assert_eq!(
+                parse_signature(ok).unwrap(),
+                PrimitiveEventSpec::end("C", "m")
+            );
+        }
     }
 
     #[test]
@@ -126,6 +182,13 @@ mod tests {
             "end ::m",
             "end C::",
             "end C::m(unclosed",
+            "end C::m(int a) b",
+            "end C::m(int)",
+            "end C::m(int a,)",
+            "end C::m(int a b)",
+            "end C::m((int a))",
+            "end C::m m",
+            "end C c::m",
         ] {
             assert!(
                 matches!(parse_signature(bad), Err(ObjectError::EventParse(_))),

@@ -23,13 +23,21 @@ proptest! {
         prop_assert_eq!(parsed, spec);
     }
 
-    /// A parameter list never changes the parse.
+    /// A well-formed parameter list never changes the parse.
     #[test]
     fn parameter_list_is_ignored(
         class in arb_ident(),
         method in arb_ident(),
-        params in "[a-z ,*&0-9]{0,30}",
+        params in prop::collection::vec(
+            ("[a-z][a-z0-9_]{0,6}", "[*&]{0,2}", "[a-z][a-z0-9_]{0,6}"),
+            0..4,
+        ),
     ) {
+        let params: Vec<String> = params
+            .iter()
+            .map(|(ty, marks, name)| format!("{ty}{marks} {name}"))
+            .collect();
+        let params = params.join(", ");
         let bare = parse_signature(&format!("end {class}::{method}")).unwrap();
         let with = parse_signature(&format!("end {class}::{method}({params})")).unwrap();
         prop_assert_eq!(bare, with);
@@ -52,9 +60,45 @@ proptest! {
         prop_assert_eq!(parsed.method, method);
     }
 
+    /// Text after the closing parenthesis is an error, not ignored.
+    #[test]
+    fn trailing_text_is_rejected(
+        class in arb_ident(),
+        method in arb_ident(),
+        tail in "[A-Za-z0-9;:()*]{1,20}",
+    ) {
+        let sig = format!("end {class}::{method}(float x) {tail}");
+        prop_assert!(parse_signature(&sig).is_err(), "accepted `{}`", sig);
+    }
+
     /// The parser never panics on arbitrary input.
     #[test]
     fn never_panics(input in ".{0,60}") {
         let _ = parse_signature(&input);
     }
+}
+
+/// Each of these parsed to `end Employee::Change-Income` before the
+/// parser read the whole signature.
+#[test]
+fn two_signatures_in_one_string_are_rejected() {
+    let sig = "end Employee::Change-Income(float x) ; end Employee::Change-Income(float x)";
+    assert!(parse_signature(sig).is_err());
+}
+
+#[test]
+fn a_parameter_list_that_is_not_type_name_pairs_is_rejected() {
+    let sig = "end Employee::Change-Income(this is not a parameter list)";
+    assert!(parse_signature(sig).is_err());
+}
+
+#[test]
+fn text_after_the_parameter_list_is_rejected() {
+    let sig = "end Employee::Change-Income(float x) trailing)";
+    assert!(parse_signature(sig).is_err());
+}
+
+#[test]
+fn whitespace_inside_a_method_name_is_rejected() {
+    assert!(parse_signature("end Employee::Change Income").is_err());
 }

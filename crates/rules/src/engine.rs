@@ -46,15 +46,20 @@ pub struct ReadyFiring {
     pub bodies: Arc<BoundBodies>,
     /// What triggered and with which occurrence.
     pub firing: Firing,
-    /// Conflict-group component the rule belonged to when the firing was
-    /// scheduled (stamped from the engine's conflict tags, if any).
-    /// `None` means "not known to be parallel-safe" — the scheduler runs
-    /// such firings on the serial path.
-    pub group: Option<u32>,
     /// The rule's place in the engine's rule table. A place is reused
     /// after its rule is removed, so it is only trusted together with
     /// `firing.rule`.
     index: RuleIdx,
+}
+
+impl ReadyFiring {
+    /// The rule's place in the engine's rule table when the firing was
+    /// scheduled (see [`RuleEngine::iter_rules_indexed`]). A place is
+    /// reused after its rule is removed, so it identifies the rule only
+    /// together with `firing.rule`.
+    pub fn rule_index(&self) -> usize {
+        self.index
+    }
 }
 
 impl std::fmt::Debug for ReadyFiring {
@@ -62,7 +67,6 @@ impl std::fmt::Debug for ReadyFiring {
         f.debug_struct("ReadyFiring")
             .field("rule", &self.firing.rule)
             .field("name", &self.firing.rule_name)
-            .field("group", &self.group)
             .finish()
     }
 }
@@ -427,7 +431,6 @@ impl Fanout<'_> {
                     occurrence,
                     lineage,
                 },
-                group: rule.group,
                 index,
             };
             self.route(ready, &rule.name, target, at);
@@ -620,18 +623,6 @@ impl RuleEngine {
             slot.detector.set_time_source(time.clone());
         }
         self.time = Some(time);
-    }
-
-    /// Install (or clear) the conflict-group tags stamped onto firings
-    /// scheduled from now on. Compiled by the scheduler from the static
-    /// analysis; keyed by rule id, valued with the rule's conflict
-    /// component. Each tag is kept on its rule; rules absent from the map,
-    /// and rules added later, are not known to be parallel-safe: their
-    /// firings carry `group: None`.
-    pub fn set_conflict_tags(&mut self, tags: Option<Arc<HashMap<RuleId, u32>>>) {
-        for rule in self.rules.live_mut() {
-            rule.group = tags.as_ref().and_then(|t| t.get(&rule.id).copied());
-        }
     }
 
     /// The engine epoch: bumped on every rule add/remove/enable/disable.
@@ -1013,6 +1004,13 @@ impl RuleEngine {
     /// Iterate over all rules (unspecified order).
     pub fn iter_rules(&self) -> impl Iterator<Item = &Rule> {
         self.rules.live().map(|(_, r)| r)
+    }
+
+    /// Iterate over all rules with their places in the rule table, in
+    /// place order. A place stays the rule's until the rule is removed;
+    /// every change of the rule set bumps [`epoch`](Self::epoch).
+    pub fn iter_rules_indexed(&self) -> impl Iterator<Item = (usize, &Rule)> {
+        self.rules.live()
     }
 
     /// Number of rules.

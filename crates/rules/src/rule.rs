@@ -238,9 +238,6 @@ pub struct Rule {
     /// body bumps the registry version and forces a rebind at the next
     /// completion.
     pub(crate) bodies_version: u64,
-    /// Conflict-group component stamped onto the rule's firings (see
-    /// [`RuleEngine::set_conflict_tags`](crate::RuleEngine::set_conflict_tags)).
-    pub(crate) group: Option<u32>,
 }
 
 impl fmt::Debug for Rule {
@@ -284,7 +281,6 @@ impl Rule {
             slot: 0,
             bound: None,
             bodies_version: 0,
-            group: None,
         };
         Ok((rule, detector))
     }

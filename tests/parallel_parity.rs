@@ -499,3 +499,206 @@ fn merge_preserves_original_batch_order() {
     assert_eq!(stats.parallel_firings, 4, "{stats:?}");
     assert!(stats.groups_formed >= 2, "{stats:?}");
 }
+
+// ---------------------------------------------------------------------
+// Pool shapes: one group per target, a failed group among many on
+// reused worlds, and a pool larger than the cores.
+// ---------------------------------------------------------------------
+
+/// The rules' history stream: `(rule, target)` per firing, in order.
+fn firing_stream(db: &Database) -> Vec<(String, u64)> {
+    db.telemetry()
+        .firings()
+        .dump_all()
+        .into_iter()
+        .map(|r| (r.rule, r.target))
+        .collect()
+}
+
+/// Two deferred rules on one event whose footprints are disjoint
+/// (`a` and `b`), so the matrix puts them in different components. Each
+/// body is order-sensitive: it shifts the credited amount into its
+/// counter.
+fn build_two_component_db(mode: ExecutionMode, accounts: usize) -> (Database, Vec<Oid>) {
+    let mut db = Database::with_config(
+        DbConfig::default()
+            .history_enabled(true)
+            .history_capacity(8192)
+            .execution(mode),
+    )
+    .unwrap();
+    db.define_class(
+        ClassDecl::reactive("Acct")
+            .attr("balance", TypeTag::Float)
+            .attr("a", TypeTag::Int)
+            .attr("b", TypeTag::Int)
+            .event_method("Credit", &[("x", TypeTag::Float)], EventSpec::End),
+    )
+    .unwrap();
+    db.register_setter("Acct", "Credit", "balance").unwrap();
+    for (rule, attr, base) in [("ShiftA", "a", 10), ("ShiftB", "b", 7)] {
+        db.register(
+            ActionDef::new(rule.to_lowercase())
+                .writes(("Acct", attr))
+                .reads(("Acct", "balance"))
+                .body(move |w, f| {
+                    let me = f.occurrence.constituents[0].oid;
+                    let x = w.get_attr(me, "balance")?.as_float()? as i64;
+                    let n = w.get_attr(me, attr)?.as_int()?;
+                    w.set_attr(me, attr, Value::Int(n * base + x))?;
+                    Ok(())
+                }),
+        )
+        .unwrap();
+        db.add_class_rule(
+            "Acct",
+            RuleDef::on(event("end Acct::Credit(float x)").unwrap())
+                .named(rule)
+                .then(rule.to_lowercase())
+                .coupling(CouplingMode::Deferred),
+        )
+        .unwrap();
+    }
+    let accts = (0..accounts).map(|_| db.create("Acct").unwrap()).collect();
+    (db, accts)
+}
+
+/// `(a, b)` of every account.
+fn shifted_state(db: &Database, accts: &[Oid]) -> Vec<(i64, i64)> {
+    accts
+        .iter()
+        .map(|&o| {
+            (
+                db.get_attr(o, "a").unwrap().as_int().unwrap(),
+                db.get_attr(o, "b").unwrap().as_int().unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Two components firing on one target form one group, not one group
+/// per component: the batch below has six firings on two targets, so
+/// two groups, and its state and firing stream equal Serial's.
+#[test]
+fn components_on_one_target_share_a_group() {
+    let run = |mode| {
+        let (mut db, accts) = build_two_component_db(mode, 2);
+        db.begin().unwrap();
+        for (i, x) in [(0, 1.0), (1, 2.0), (0, 3.0)] {
+            db.send(accts[i], "Credit", &[Value::Float(x)]).unwrap();
+        }
+        db.commit().unwrap();
+        let state = shifted_state(&db, &accts);
+        let stream = firing_stream(&db);
+        (db, state, stream)
+    };
+    let (_sdb, s_state, s_stream) = run(ExecutionMode::Serial);
+    let (pdb, p_state, p_stream) = run(ExecutionMode::Parallel {
+        workers: pool_workers(),
+    });
+    assert_eq!(s_stream.len(), 6, "{s_stream:?}");
+    assert_eq!(s_state, vec![(33, 24), (2, 2)]);
+    assert_eq!(s_state, p_state);
+    assert_eq!(s_stream, p_stream);
+    let stats = pdb.scheduler_stats();
+    assert_eq!(stats.parallel_batches, 1, "{stats:?}");
+    assert_eq!(stats.groups_formed, 2, "{stats:?}");
+    assert_eq!(stats.parallel_firings, 6, "{stats:?}");
+    assert_eq!(stats.serial_reruns, 0, "{stats:?}");
+}
+
+/// More cores than any runner count the pool can reach, plus slack, so
+/// a batch over this many targets has more groups than runners.
+fn more_targets_than_runners() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) + 3
+}
+
+/// A middle group of a batch with more groups than runners writes a
+/// declared attribute, then breaks its footprint. Its writes are rolled
+/// back before its thread runs another group on the same world, so
+/// nothing of it leaks: state and firing stream equal Serial's, and
+/// exactly that group's firings re-run serially.
+#[test]
+fn failed_middle_group_leaks_nothing_into_later_groups() {
+    let def = ActionDef::new("audit")
+        .writes(("Acct", "audited"))
+        .reads(("Acct", "balance"))
+        .body(|w, f| {
+            let me = f.occurrence.constituents[0].oid;
+            let n = w.get_attr(me, "audited")?.as_int()?;
+            w.set_attr(me, "audited", Value::Int(n + 1))?;
+            // Only the middle account's credits touch the undeclared
+            // `shadow`, after their declared write.
+            if w.get_attr(me, "balance")?.as_float()? >= 1000.0 {
+                let s = w.get_attr(me, "shadow")?.as_int()?;
+                w.set_attr(me, "shadow", Value::Int(s + n + 1))?;
+            }
+            Ok(())
+        });
+    let targets = more_targets_than_runners();
+    let middle = targets / 2;
+    let run = |mode| {
+        let (mut db, _) = build_audit_db(mode, def.clone());
+        let accts: Vec<Oid> = (0..targets).map(|_| db.create("Acct").unwrap()).collect();
+        db.begin().unwrap();
+        for (i, &acct) in accts.iter().enumerate() {
+            let x = if i == middle { 1000.0 } else { i as f64 };
+            db.send(acct, "Credit", &[Value::Float(x)]).unwrap();
+        }
+        // A second credit on the middle account: its group holds two.
+        db.send(accts[middle], "Credit", &[Value::Float(2000.0)])
+            .unwrap();
+        db.commit().unwrap();
+        let state: Vec<(i64, i64)> = accts
+            .iter()
+            .map(|&o| {
+                (
+                    db.get_attr(o, "audited").unwrap().as_int().unwrap(),
+                    db.get_attr(o, "shadow").unwrap().as_int().unwrap(),
+                )
+            })
+            .collect();
+        let stream = firing_stream(&db);
+        (db, state, stream)
+    };
+    let (_sdb, s_state, s_stream) = run(ExecutionMode::Serial);
+    let (pdb, p_state, p_stream) = run(ExecutionMode::Parallel {
+        workers: pool_workers(),
+    });
+    assert_eq!(s_state[middle], (2, 3));
+    assert_eq!(s_state, p_state);
+    assert_eq!(s_stream, p_stream);
+    let stats = pdb.scheduler_stats();
+    assert_eq!(stats.groups_formed, targets as u64, "{stats:?}");
+    assert_eq!(stats.serial_reruns, 2, "{stats:?}");
+    assert_eq!(stats.parallel_firings, targets as u64 - 1, "{stats:?}");
+}
+
+/// A pool of four workers hands each batch to at most
+/// `available_parallelism − 1` of them; the outcome is still Serial's.
+#[test]
+fn a_pool_larger_than_the_cores_keeps_serial_state() {
+    let targets = more_targets_than_runners();
+    let txns: Vec<Vec<Op>> = (0..4)
+        .map(|round| {
+            (0..targets)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        Op::Credit(i / 2, (round * 10 + i) as f64)
+                    } else {
+                        Op::Ping(i / 2, (round + i) as f64)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let (_sdb, s_accts, s_sensors, s_firings) = run_workload(ExecutionMode::Serial, &txns);
+    let (pdb, p_accts, p_sensors, p_firings) =
+        run_workload(ExecutionMode::Parallel { workers: 4 }, &txns);
+    assert_eq!(s_accts, p_accts);
+    assert_eq!(s_sensors, p_sensors);
+    assert_eq!(s_firings, p_firings);
+    let stats = pdb.scheduler_stats();
+    assert!(stats.parallel_batches >= 4, "{stats:?}");
+    assert_eq!(stats.serial_reruns, 0, "{stats:?}");
+}
