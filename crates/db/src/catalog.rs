@@ -294,7 +294,7 @@ impl Database {
     /// Per-rule counters.
     pub fn rule_stats(&self, name: &str) -> Result<RuleStats> {
         let id = self.engine.id_of(name)?;
-        Ok(self.engine.rule(id)?.stats)
+        Ok(self.engine.rule(id)?.stats())
     }
 
     /// Occurrences buffered by a rule's detector.

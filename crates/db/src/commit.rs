@@ -14,13 +14,12 @@
 use crate::catalog::CatalogSnapshot;
 use crate::config::DbConfig;
 use crate::database::{meta, Database};
-use crate::stats::SharedDbStats;
 use sentinel_object::{ObjectError, ObjectStore, Result};
 use sentinel_rules::{BackpressurePolicy, ReadyFiring};
 use sentinel_storage::{
     BatchAck, LogRecord, Snapshot, TxnId, TxnManager, UndoOp, Wal, WalSyncer, WriteBatch,
 };
-use sentinel_telemetry::{BodyKind, ExecutionLane, FiringId, FiringOutcome, FiringRecord, Stage};
+use sentinel_telemetry::{ExecutionLane, Fact, FiringId, FiringOutcome, FiringRecord, Stage};
 
 /// The layered write path of one database: transaction ids, the WAL,
 /// and the active transaction's staged [`WriteBatch`].
@@ -214,16 +213,9 @@ impl Database {
     /// Execute queued detached firings now (each in its own
     /// transaction); returns how many ran.
     pub fn run_pending_detached(&mut self) -> Result<u64> {
-        let before = self
-            .stats
-            .detached_runs
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let before = self.stats().detached_runs;
         self.run_detached()?;
-        Ok(self
-            .stats
-            .detached_runs
-            .load(std::sync::atomic::Ordering::Relaxed)
-            - before)
+        Ok(self.stats().detached_runs - before)
     }
 
     /// Run at most `n` of the oldest queued detached firings, each in
@@ -331,7 +323,7 @@ impl Database {
         self.txn_touched.clear();
         // The transaction is durable: its firings' fates are sealed.
         self.flush_pending_firings(false);
-        SharedDbStats::bump(&self.stats.commits);
+        self.telemetry.facts().bump(Fact::Commits);
         self.telemetry
             .observe_timer(Stage::TxnCommit, self.clock.now(), commit_timer, || {
                 format!("txn {id}")
@@ -390,11 +382,7 @@ impl Database {
     /// One detached firing in its own transaction: an abort in it does
     /// not affect its siblings.
     pub(crate) fn run_detached_serial(&mut self, f: &ReadyFiring) -> Result<()> {
-        SharedDbStats::bump(&self.stats.detached_runs);
-        self.telemetry
-            .hit(Stage::DetachedRun, self.clock.now(), || {
-                f.firing.rule_name.to_string()
-            });
+        self.count_detached_run(f);
         self.pipeline.begin()?;
         match self.execute_firing(f) {
             Ok(()) => self.commit_internal(),
@@ -403,6 +391,16 @@ impl Database {
                 Ok(())
             }
         }
+    }
+
+    /// Count the run of detached firing `f` in its own transaction —
+    /// serially or merged from a worker.
+    pub(crate) fn count_detached_run(&self, f: &ReadyFiring) {
+        self.telemetry.facts().bump(Fact::DetachedRuns);
+        self.telemetry
+            .trace(Stage::DetachedRun, self.clock.now(), || {
+                f.firing.rule_name.to_string()
+            });
     }
 
     /// Evaluate a triggered rule's condition and, if it holds, run its
@@ -477,39 +475,31 @@ impl Database {
     }
 
     fn execute_firing_body(&mut self, f: &ReadyFiring) -> Result<()> {
-        SharedDbStats::bump(&self.stats.condition_evals);
-        if let Some(stats) = self.engine.stats_of(f) {
-            stats.condition_evals += 1;
-        }
-        // Condition and action latencies are observed *before* `?`
-        // propagation so stage counts reconcile with the counters above
-        // even when a body aborts the transaction.
         let cond_timer = self.telemetry.timer();
         let cond = (f.bodies.condition)(self, &f.firing);
-        let at = self.clock.now();
-        if let Some(ns) = cond_timer.elapsed_ns() {
-            let name = &f.firing.rule_name;
-            self.telemetry
-                .observe(Stage::ConditionEval, at, ns, || name.to_string());
-            self.telemetry.observe_rule(name, BodyKind::Condition, ns);
-        }
-        let held = cond?;
-        if !held {
-            return Ok(());
-        }
-        SharedDbStats::bump(&self.stats.condition_true);
-        if let Some(stats) = self.engine.stats_of(f) {
-            stats.condition_true += 1;
-            stats.actions_run += 1;
-        }
-        SharedDbStats::bump(&self.stats.actions_run);
+        let cond_ns = cond_timer.elapsed_ns();
+        let held = matches!(cond, Ok(true));
+        let (out, action_ns) = match cond {
+            Ok(true) => self.run_action(f),
+            Ok(false) => (Ok(()), None),
+            Err(e) => (Err(e), None),
+        };
+        // Accounted before the error propagates, so a firing whose body
+        // aborts the transaction counts like any other.
+        self.engine
+            .account_firing(f, held, cond_ns, action_ns, self.clock.now());
+        out
+    }
+
+    /// Run the action of `f`, whose condition held, one nesting level
+    /// down; returns its result and, if telemetry timed it, its latency.
+    fn run_action(&mut self, f: &ReadyFiring) -> (Result<()>, Option<u64>) {
         // Pre-increment `>= limit` is the same inclusive semantics as
         // `dispatch`'s post-increment `> limit`: the action about to run
         // would sit at nesting level `depth + 1`.
         if self.depth >= self.config.max_cascade_depth {
-            return Err(ObjectError::CascadeDepthExceeded {
-                limit: self.config.max_cascade_depth,
-            });
+            let limit = self.config.max_cascade_depth;
+            return (Err(ObjectError::CascadeDepthExceeded { limit }), None);
         }
         let mut effect_frame = false;
         if self.effect_recorder.is_some() {
@@ -524,20 +514,14 @@ impl Database {
         self.depth += 1;
         let action_timer = self.telemetry.timer();
         let out = (f.bodies.action)(self, &f.firing);
+        let action_ns = action_timer.elapsed_ns();
         self.depth -= 1;
         if effect_frame {
             if let Some(rec) = &mut self.effect_recorder {
                 rec.stack.pop();
             }
         }
-        let at = self.clock.now();
-        if let Some(ns) = action_timer.elapsed_ns() {
-            let name = &f.firing.rule_name;
-            self.telemetry
-                .observe(Stage::ActionRun, at, ns, || name.to_string());
-            self.telemetry.observe_rule(name, BodyKind::Action, ns);
-        }
-        out
+        (out, action_ns)
     }
 
     /// Run `f` inside the active transaction, or inside a fresh

@@ -73,9 +73,9 @@ pub struct DbConfig {
     pub time_mode: TimeMode,
     /// Occurrence-buffer caps applied to every rule detector.
     pub detector_caps: DetectorCaps,
-    /// Record pipeline telemetry (counters and histograms) from the
-    /// start. Off by default: the disabled path costs one branch per
-    /// instrumentation point. Can be toggled at runtime via
+    /// Record pipeline telemetry (histograms and per-rule latencies)
+    /// from the start; facts are counted either way. Off by default:
+    /// the disabled path costs one branch per instrumentation point. Can be toggled at runtime via
     /// [`Database::telemetry`](crate::Database::telemetry).
     pub telemetry_enabled: bool,
     /// Capacity of the structured-trace ring buffer (records kept when

@@ -11,7 +11,7 @@
 use crate::commit::CommitPipeline;
 use crate::config::DbConfig;
 use crate::index::AttrIndex;
-use crate::stats::{DbStats, FullStats, SharedDbStats};
+use crate::stats::{DbStats, FullStats};
 use parking_lot::RwLock;
 use sentinel_analyze::{diff_effects, AnalysisReport, ObservedEffects, RuleAnalyzer};
 use sentinel_events::{EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
@@ -21,7 +21,7 @@ use sentinel_object::{
 };
 use sentinel_rules::{ActionDef, EngineStats, Firing, Lineage, RuleEngine};
 use sentinel_storage::{LogRecord, UndoOp, Wal};
-use sentinel_telemetry::{FiringRecord, Stage, Telemetry};
+use sentinel_telemetry::{Fact, FiringRecord, Stage, Telemetry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -90,7 +90,6 @@ pub struct Database {
     /// transaction's staged write batch (see [`crate::commit`]).
     pub(crate) pipeline: CommitPipeline,
     pub(crate) config: DbConfig,
-    pub(crate) stats: Arc<SharedDbStats>,
     pub(crate) depth: usize,
     /// Logical-clock value when the active transaction began; abort
     /// prunes detector state newer than this.
@@ -111,8 +110,9 @@ pub struct Database {
     pub(crate) txn_rules: Vec<Oid>,
     pub(crate) rule_class: ClassId,
     pub(crate) event_class: ClassId,
-    /// Shared pipeline observability handle; clones live in the engine,
-    /// every rule detector, and the WAL.
+    /// Shared pipeline observability handle, with the fact table every
+    /// counter of `stats` and `engine_stats` reads; clones live in the
+    /// engine, every rule detector, and the WAL.
     pub(crate) telemetry: Arc<Telemetry>,
     /// Opt-in runtime effect recorder: while `Some`, every raise and
     /// attribute write performed during a rule action is attributed to
@@ -193,7 +193,7 @@ impl std::fmt::Debug for Database {
             .field("classes", &self.registry.len())
             .field("objects", &self.store.len())
             .field("rules", &self.engine.rule_count())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -276,7 +276,6 @@ impl Database {
             engine,
             pipeline: CommitPipeline::new(wal),
             config,
-            stats: Arc::new(SharedDbStats::default()),
             depth: 0,
             txn_start_clock: 0,
             inline_detached: true,
@@ -395,8 +394,6 @@ impl Database {
             registry: Arc::clone(&self.published_registry),
             indexes: Arc::clone(&self.indexes),
             clock: Arc::clone(&self.clock),
-            stats: Arc::clone(&self.stats),
-            engine: self.engine.counters(),
             telemetry: Arc::clone(&self.telemetry),
         }
     }
@@ -686,10 +683,11 @@ impl Database {
     }
 
     fn dispatch_inner(&mut self, receiver: Oid, method: &str, args: &[Value]) -> Result<Value> {
-        SharedDbStats::bump(&self.stats.sends);
-        self.telemetry.hit(Stage::MethodSend, self.clock.now(), || {
-            format!("{receiver}.{method}")
-        });
+        self.telemetry.facts().bump(Fact::Sends);
+        self.telemetry
+            .trace(Stage::MethodSend, self.clock.now(), || {
+                format!("{receiver}.{method}")
+            });
         let class = self.store.class_of(receiver)?;
         let (owner, def, body) = self.methods.resolve(&self.registry, class, method, args)?;
         // Visibility (paper §1, difference #2): externally initiated
@@ -774,7 +772,6 @@ impl Database {
         modifier: EventModifier,
         params: Arc<[Value]>,
     ) -> Result<()> {
-        SharedDbStats::bump(&self.stats.events_generated);
         let occ = PrimitiveOccurrence {
             at: self.clock.tick(),
             oid,
@@ -784,7 +781,7 @@ impl Database {
             modifier,
             params,
         };
-        self.telemetry.hit(Stage::EventRaised, occ.at, || {
+        self.telemetry.trace(Stage::EventRaised, occ.at, || {
             format!("{}.{}:{:?}", occ.oid, occ.method, occ.modifier)
         });
         if let Some(rec) = &mut self.effect_recorder {
@@ -886,7 +883,7 @@ impl Database {
 
     /// Facade counters.
     pub fn stats(&self) -> DbStats {
-        self.stats.snapshot()
+        DbStats::read(self.telemetry.facts())
     }
 
     /// Engine counters.
@@ -902,10 +899,11 @@ impl Database {
         self.scheduler.as_ref().map(|s| s.stats).unwrap_or_default()
     }
 
-    /// Zero all counters (benchmark warm-up). Also clears telemetry
-    /// histograms and the trace ring, keeping the enablement flags.
+    /// Zero all counters (benchmark warm-up): the fact table and every
+    /// rule's counters. Also clears telemetry histograms and the trace
+    /// ring, keeping the enablement flags. [`Telemetry::reset`] alone
+    /// leaves the counters as they are.
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
         self.engine.reset_stats();
         self.telemetry.reset();
     }
@@ -919,25 +917,20 @@ impl Database {
     /// Facade + engine counters plus a telemetry snapshot, in one
     /// serializable value.
     pub fn full_stats(&self) -> FullStats {
-        FullStats {
-            db: self.stats.snapshot(),
-            engine: self.engine.stats(),
-            telemetry: self.telemetry.snapshot(),
-        }
+        FullStats::read(&self.telemetry)
     }
 
     /// Prometheus-style text exposition of the full telemetry snapshot
     /// plus the facade and engine counters.
     pub fn metrics_prometheus(&self) -> String {
-        let d = self.stats.snapshot();
-        let e = self.engine.stats();
-        let mut extra = crate::stats::prometheus_counters(&d, &e).to_vec();
+        let full = self.full_stats();
+        let mut extra = crate::stats::prometheus_counters(&full.db, &full.engine).to_vec();
         extra.push((
             "wal_durable_commits_total",
             "Commits made durable in the write-ahead log.",
             self.pipeline.durable_commits(),
         ));
-        let mut out = sentinel_telemetry::prometheus_text(&self.telemetry.snapshot(), &extra);
+        let mut out = sentinel_telemetry::prometheus_text(&full.telemetry, &extra);
         self.append_rule_metrics(&mut out);
         out
     }

@@ -67,7 +67,6 @@
 //! group or a silent race.
 
 use crate::database::Database;
-use crate::stats::SharedDbStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use sentinel_analyze::{ConflictMatrix, ResolvedPattern};
 use sentinel_events::TimeSource;
@@ -76,7 +75,7 @@ use sentinel_object::{
 };
 use sentinel_rules::ReadyFiring;
 use sentinel_storage::{LogRecord, UndoOp};
-use sentinel_telemetry::{BodyKind, ExecutionLane, Stage, Telemetry};
+use sentinel_telemetry::{ExecutionLane, Stage, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -733,39 +732,22 @@ impl Database {
     }
 
     /// Merge one worker-completed firing into the active transaction:
-    /// the same stats bumps, telemetry observations, history record,
-    /// undo/redo staging, and index refreshes the serial path performs
-    /// — just from the recorded write log instead of live execution.
+    /// the same accounting, history record, undo/redo staging, and
+    /// index refreshes the serial path performs — just from the
+    /// recorded write log instead of live execution.
     fn merge_parallel_firing(
         &mut self,
         f: &ReadyFiring,
         done: &FiringDone,
         writes: &[WriteRec],
     ) -> Result<()> {
-        SharedDbStats::bump(&self.stats.condition_evals);
-        if let Some(stats) = self.engine.stats_of(f) {
-            stats.condition_evals += 1;
-        }
-        if done.cond_held {
-            SharedDbStats::bump(&self.stats.condition_true);
-            SharedDbStats::bump(&self.stats.actions_run);
-            if let Some(stats) = self.engine.stats_of(f) {
-                stats.condition_true += 1;
-                stats.actions_run += 1;
-            }
-        }
-        let at = self.clock.now();
-        let name = &f.firing.rule_name;
-        if let Some(ns) = done.cond_ns {
-            self.telemetry
-                .observe(Stage::ConditionEval, at, ns, || name.to_string());
-            self.telemetry.observe_rule(name, BodyKind::Condition, ns);
-        }
-        if let Some(ns) = done.action_ns {
-            self.telemetry
-                .observe(Stage::ActionRun, at, ns, || name.to_string());
-            self.telemetry.observe_rule(name, BodyKind::Action, ns);
-        }
+        self.engine.account_firing(
+            f,
+            done.cond_held,
+            done.cond_ns,
+            done.action_ns,
+            self.clock.now(),
+        );
         if self.telemetry.is_history() && f.firing.lineage.id != 0 {
             self.stage_firing_record(f, done.firing_ns, true, ExecutionLane::Parallel);
         }
@@ -859,11 +841,7 @@ impl Database {
         for k in 0..batch.firings.len() {
             match batch.step(k) {
                 MergeStep::Merge(f, done, writes) => {
-                    SharedDbStats::bump(&self.stats.detached_runs);
-                    self.telemetry
-                        .hit(Stage::DetachedRun, self.clock.now(), || {
-                            f.firing.rule_name.to_string()
-                        });
+                    self.count_detached_run(f);
                     let committed = self
                         .pipeline
                         .begin()

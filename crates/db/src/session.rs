@@ -6,10 +6,11 @@
 //! **write core** (a mutex around the [`Database`]) plus shared
 //! references to its **read side** (the sharded object store, the
 //! published schema, the attribute indexes, the logical clock, and the
-//! atomic stats counters). A [`Session`] opened from the handle reads —
-//! `get_attr`, extents, [`Query`] runs, stats snapshots, metrics export —
-//! without ever taking the core lock, so any number of reader threads
-//! proceed in parallel with each other and with the single writer.
+//! telemetry handle with its atomic fact table). A [`Session`] opened
+//! from the handle reads — `get_attr`, extents, [`Query`] runs, stats
+//! snapshots, metrics export — without ever taking the core lock, so
+//! any number of reader threads proceed in parallel with each other and
+//! with the single writer.
 //!
 //! What stays single-writer: `send` (method dispatch + rule cascades),
 //! DDL, rule/event catalog mutation, explicit transactions, checkpoint
@@ -44,12 +45,11 @@
 use crate::database::Database;
 use crate::index::AttrIndex;
 use crate::query::ObjectView;
-use crate::stats::{DbStats, FullStats, SharedDbStats};
+use crate::stats::{DbStats, FullStats};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use sentinel_events::TimeSource;
 use sentinel_object::{ClassRegistry, ObjectError, ObjectStore, Oid, Result, Value};
-use sentinel_rules::EngineCounters;
 use sentinel_storage::WalSyncer;
 use sentinel_telemetry::{ShardLoad, Telemetry};
 use std::sync::Arc;
@@ -62,8 +62,6 @@ pub(crate) struct ReadHandles {
     pub registry: Arc<RwLock<ClassRegistry>>,
     pub indexes: Arc<RwLock<Vec<AttrIndex>>>,
     pub clock: Arc<TimeSource>,
-    pub stats: Arc<SharedDbStats>,
-    pub engine: Arc<EngineCounters>,
     pub telemetry: Arc<Telemetry>,
 }
 
@@ -368,16 +366,12 @@ impl Session {
 
     /// Facade counters (atomic snapshot, no core lock).
     pub fn stats(&self) -> DbStats {
-        self.reads.stats.snapshot()
+        DbStats::read(self.reads.telemetry.facts())
     }
 
     /// Facade + engine counters plus a telemetry snapshot.
     pub fn full_stats(&self) -> FullStats {
-        FullStats {
-            db: self.reads.stats.snapshot(),
-            engine: self.reads.engine.snapshot(),
-            telemetry: self.reads.telemetry.snapshot(),
-        }
+        FullStats::read(&self.reads.telemetry)
     }
 
     /// Per-shard store-lock load counters.
@@ -388,10 +382,9 @@ impl Session {
     /// Prometheus-style text exposition of the full telemetry snapshot
     /// plus the facade, engine, and per-shard counters.
     pub fn metrics_prometheus(&self) -> String {
-        let d = self.reads.stats.snapshot();
-        let e = self.reads.engine.snapshot();
-        let extra = crate::stats::prometheus_counters(&d, &e);
-        let mut out = sentinel_telemetry::prometheus_text(&self.reads.telemetry.snapshot(), &extra);
+        let full = self.full_stats();
+        let extra = crate::stats::prometheus_counters(&full.db, &full.engine);
+        let mut out = sentinel_telemetry::prometheus_text(&full.telemetry, &extra);
         out.push_str(&sentinel_telemetry::prometheus_shard_text(
             &self.reads.store.shard_loads(),
         ));

@@ -1,26 +1,26 @@
 //! Database-level counters (the root `paper_claims` test asserts the
 //! paper's claims on them).
 //!
-//! [`DbStats`] is the serializable point-in-time snapshot; the live
-//! counters are [`SharedDbStats`] — relaxed atomics shared (via `Arc`)
-//! between the write core and concurrent reader sessions, so `stats`
-//! and the metrics exporters never need the core lock.
+//! [`DbStats`] is a serializable point-in-time read of the pipeline's
+//! one counter table, [`Facts`] — relaxed atomics shared (via `Arc`)
+//! by the rule engine, the write core and concurrent reader sessions,
+//! so `stats` and the metrics exporters never need the core lock.
 
 use sentinel_rules::EngineStats;
-use sentinel_telemetry::TelemetrySnapshot;
+use sentinel_telemetry::{Fact, Facts, Telemetry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters aggregated by the facade on top of the engine's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DbStats {
     /// Messages dispatched (externally initiated and nested).
     pub sends: u64,
-    /// Primitive events generated (bom + eom).
+    /// Primitive events generated (bom + eom): the engine's
+    /// occurrences, each raised event being offered to it once.
     pub events_generated: u64,
     /// Rule condition evaluations executed by the facade.
     pub condition_evals: u64,
-    /// Conditions that held.
+    /// Conditions that held: one per action run, and read from it.
     pub condition_true: u64,
     /// Rule actions executed.
     pub actions_run: u64,
@@ -30,6 +30,22 @@ pub struct DbStats {
     pub aborts: u64,
     /// Detached firings executed (each in its own transaction).
     pub detached_runs: u64,
+}
+
+impl DbStats {
+    /// The facade's counts in a fact table.
+    pub(crate) fn read(facts: &Facts) -> Self {
+        DbStats {
+            sends: facts.get(Fact::Sends),
+            events_generated: facts.get(Fact::Occurrences),
+            condition_evals: facts.get(Fact::ConditionEvals),
+            condition_true: facts.get(Fact::ActionsRun),
+            actions_run: facts.get(Fact::ActionsRun),
+            commits: facts.get(Fact::Commits),
+            aborts: facts.get(Fact::Aborts),
+            detached_runs: facts.get(Fact::DetachedRuns),
+        }
+    }
 }
 
 /// The facade and engine counters of the Prometheus exposition, as
@@ -96,70 +112,6 @@ pub(crate) fn prometheus_counters(
     ]
 }
 
-/// Live facade counters: the atomic twin of [`DbStats`].
-///
-/// Counters are relaxed — they are monotonic tallies, not
-/// synchronisation points — and a [`snapshot`](Self::snapshot) is
-/// therefore only per-field consistent, which is all the counter
-/// assertions in the tests need.
-#[derive(Debug, Default)]
-pub struct SharedDbStats {
-    /// Messages dispatched (externally initiated and nested).
-    pub sends: AtomicU64,
-    /// Primitive events generated (bom + eom).
-    pub events_generated: AtomicU64,
-    /// Rule condition evaluations executed by the facade.
-    pub condition_evals: AtomicU64,
-    /// Conditions that held.
-    pub condition_true: AtomicU64,
-    /// Rule actions executed.
-    pub actions_run: AtomicU64,
-    /// Transactions committed.
-    pub commits: AtomicU64,
-    /// Transactions aborted (by rules or explicitly).
-    pub aborts: AtomicU64,
-    /// Detached firings executed (each in its own transaction).
-    pub detached_runs: AtomicU64,
-}
-
-impl SharedDbStats {
-    /// Add one to `field` (relaxed).
-    #[inline]
-    pub fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> DbStats {
-        DbStats {
-            sends: self.sends.load(Ordering::Relaxed),
-            events_generated: self.events_generated.load(Ordering::Relaxed),
-            condition_evals: self.condition_evals.load(Ordering::Relaxed),
-            condition_true: self.condition_true.load(Ordering::Relaxed),
-            actions_run: self.actions_run.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            detached_runs: self.detached_runs.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (benchmark warm-up).
-    pub fn reset(&self) {
-        for f in [
-            &self.sends,
-            &self.events_generated,
-            &self.condition_evals,
-            &self.condition_true,
-            &self.actions_run,
-            &self.commits,
-            &self.aborts,
-            &self.detached_runs,
-        ] {
-            f.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// The facade's counters plus the engine's and a full telemetry
 /// snapshot, serialized together — the payload of `stats json` and the
 /// JSON metrics exporter.
@@ -169,8 +121,19 @@ pub struct FullStats {
     pub db: DbStats,
     /// Engine-level counters.
     pub engine: EngineStats,
-    /// Pipeline telemetry (stage counters, histograms, trace-ring state).
+    /// Pipeline telemetry (stage counts, histograms, trace-ring state).
     pub telemetry: TelemetrySnapshot,
+}
+
+impl FullStats {
+    /// Everything `telemetry` and its fact table report.
+    pub(crate) fn read(telemetry: &Telemetry) -> Self {
+        FullStats {
+            db: DbStats::read(telemetry.facts()),
+            engine: EngineStats::read(telemetry.facts()),
+            telemetry: telemetry.snapshot(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -192,16 +155,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_stats_snapshot_and_reset() {
-        let s = SharedDbStats::default();
-        SharedDbStats::bump(&s.sends);
-        SharedDbStats::bump(&s.sends);
-        SharedDbStats::bump(&s.aborts);
-        let snap = s.snapshot();
+    fn db_stats_read_the_fact_table() {
+        let f = Facts::default();
+        f.bump(Fact::Sends);
+        f.bump(Fact::Sends);
+        f.bump(Fact::Aborts);
+        f.bump(Fact::Occurrences);
+        f.bump(Fact::ActionsRun);
+        let snap = DbStats::read(&f);
         assert_eq!(snap.sends, 2);
         assert_eq!(snap.aborts, 1);
         assert_eq!(snap.commits, 0);
-        s.reset();
-        assert_eq!(s.snapshot(), DbStats::default());
+        assert_eq!(snap.events_generated, 1);
+        assert_eq!((snap.condition_true, snap.actions_run), (1, 1));
+        f.reset();
+        assert_eq!(DbStats::read(&f), DbStats::default());
     }
 }

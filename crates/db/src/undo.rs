@@ -10,8 +10,7 @@
 //! aborted transaction leaves no trace in the log.
 
 use crate::database::Database;
-use crate::stats::SharedDbStats;
-use sentinel_telemetry::Stage;
+use sentinel_telemetry::{Fact, Stage};
 
 impl Database {
     /// Undo everything the active transaction did (store, and with it
@@ -51,11 +50,11 @@ impl Database {
         }
         self.txn_touched = touched;
         self.engine.prune_detectors_newer_than(self.txn_start_clock);
-        SharedDbStats::bump(&self.stats.aborts);
+        self.telemetry.facts().bump(Fact::Aborts);
         // Firings this transaction executed died with it: seal their
         // history records as aborted.
         self.flush_pending_firings(true);
-        self.telemetry.hit(Stage::TxnAbort, self.clock.now(), || {
+        self.telemetry.trace(Stage::TxnAbort, self.clock.now(), || {
             String::from("rollback")
         });
     }

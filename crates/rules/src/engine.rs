@@ -16,7 +16,7 @@
 
 use crate::body::{BoundBodies, Firing, Lineage, RuleBodyRegistry};
 use crate::coupling::CouplingMode;
-use crate::rule::{Rule, RuleDef, RuleId, RuleStats};
+use crate::rule::{Rule, RuleCounts, RuleDef, RuleId};
 use crate::subscription::SubscriptionManager;
 use sentinel_events::{
     CompositeOccurrence, DetectorCaps, DetectorInstance, EventExpr, ParamContext,
@@ -24,12 +24,11 @@ use sentinel_events::{
 };
 use sentinel_object::{ClassId, ClassRegistry, EventSym, FastMap, ObjectError, Oid, Result};
 use sentinel_telemetry::{
-    FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
+    Fact, Facts, FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A triggered rule, ready to run: a handle onto the detection it
@@ -101,8 +100,8 @@ pub struct EngineStats {
     /// Deliveries of an occurrence (or timer fire) to a detector — the
     /// "rule checking" work the subscription mechanism minimises. Rules
     /// sharing a detector count one delivery between them; each rule's
-    /// own [`RuleStats::notifications`] still counts every delivery it
-    /// heard.
+    /// own [`RuleStats::notifications`](crate::RuleStats::notifications)
+    /// still counts every delivery it heard.
     pub notifications: u64,
     /// Firings routed with immediate coupling.
     pub immediate: u64,
@@ -115,47 +114,16 @@ pub struct EngineStats {
     pub detached_shed: u64,
 }
 
-/// Live engine counters: the atomic twin of [`EngineStats`], shared
-/// (via `Arc`) with stats readers so snapshots need no engine access.
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    occurrences: AtomicU64,
-    notifications: AtomicU64,
-    immediate: AtomicU64,
-    deferred: AtomicU64,
-    detached: AtomicU64,
-    detached_shed: AtomicU64,
-}
-
-impl EngineCounters {
-    #[inline]
-    fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> EngineStats {
+impl EngineStats {
+    /// The engine's counts in a fact table.
+    pub fn read(facts: &Facts) -> Self {
         EngineStats {
-            occurrences: self.occurrences.load(Ordering::Relaxed),
-            notifications: self.notifications.load(Ordering::Relaxed),
-            immediate: self.immediate.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
-            detached: self.detached.load(Ordering::Relaxed),
-            detached_shed: self.detached_shed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (benchmark warm-up).
-    pub fn reset(&self) {
-        for f in [
-            &self.occurrences,
-            &self.notifications,
-            &self.immediate,
-            &self.deferred,
-            &self.detached,
-            &self.detached_shed,
-        ] {
-            f.store(0, Ordering::Relaxed);
+            occurrences: facts.get(Fact::Occurrences),
+            notifications: facts.get(Fact::Notifications),
+            immediate: facts.get(Fact::Immediate),
+            deferred: facts.get(Fact::Deferred),
+            detached: facts.get(Fact::Detached),
+            detached_shed: facts.get(Fact::DetachedShed),
         }
     }
 }
@@ -273,7 +241,7 @@ struct Retired {
     event: EventExpr,
     context: ParamContext,
     detector: DetectorInstance,
-    stats: RuleStats,
+    counts: RuleCounts,
 }
 
 /// What two rules must agree on to share a detector. Rules with equal
@@ -382,11 +350,40 @@ struct Fanout<'a> {
     detached: &'a mut VecDeque<QueuedDetached>,
     detached_cap: usize,
     detached_policy: BackpressurePolicy,
-    stats: &'a EngineCounters,
+    facts: &'a Facts,
     telemetry: &'a Option<Arc<Telemetry>>,
 }
 
 impl Fanout<'_> {
+    /// Count one delivery to `slot` (place `sid`) — once engine-wide,
+    /// and once for each enabled rule it serves — and open the slot's
+    /// undo journal if a capture is in flight. Returns how many of those
+    /// rules fire immediately.
+    fn notify(
+        &self,
+        slot: &mut Slot,
+        sid: SlotId,
+        rules: &mut Slab<Rule>,
+        touched: Option<&mut Vec<SlotId>>,
+    ) -> usize {
+        self.facts.bump(Fact::Notifications);
+        if let Some(touched) = touched {
+            if !slot.detector.in_txn() {
+                slot.detector.begin_txn();
+                touched.push(sid);
+            }
+        }
+        let mut immediate = 0;
+        for &at in &slot.members {
+            let rule = rules.get_mut(at);
+            if rule.enabled {
+                rule.counts.notifications += 1;
+                immediate += usize::from(rule.def.coupling == CouplingMode::Immediate);
+            }
+        }
+        immediate
+    }
+
     /// Schedule the firings of rule `index` for the occurrences its
     /// detector completed: take its bound bodies (rebound if the registry
     /// changed), stamp lineage, and route each firing by the rule's
@@ -399,7 +396,7 @@ impl Fanout<'_> {
         target: Oid,
         at: u64,
     ) -> Result<()> {
-        rule.stats.triggered += completions.len() as u64;
+        rule.counts.triggered += completions.len() as u64;
         let bodies = rule.bodies(self.bodies)?;
         for occurrence in completions {
             let lineage = if self.history {
@@ -443,12 +440,12 @@ impl Fanout<'_> {
     fn route(&mut self, ready: ReadyFiring, rule_name: &Arc<str>, target: Oid, at: u64) {
         let stage = match ready.coupling {
             CouplingMode::Immediate => {
-                EngineCounters::bump(&self.stats.immediate);
+                self.facts.bump(Fact::Immediate);
                 self.immediate.push(ready);
                 Some(Stage::FiringImmediate)
             }
             CouplingMode::Deferred => {
-                EngineCounters::bump(&self.stats.deferred);
+                self.facts.bump(Fact::Deferred);
                 self.deferred.push(ready);
                 Some(Stage::FiringDeferred)
             }
@@ -460,7 +457,7 @@ impl Fanout<'_> {
                     // grow without bound — but leave a lineage record, so
                     // cascade trees show the shed firing instead of a
                     // silent gap.
-                    EngineCounters::bump(&self.stats.detached_shed);
+                    self.facts.bump(Fact::DetachedShed);
                     if let Some(tel) = self.telemetry {
                         let lin = ready.firing.lineage;
                         let end = ready.firing.occurrence.end;
@@ -480,7 +477,7 @@ impl Fanout<'_> {
                     }
                     None
                 } else {
-                    EngineCounters::bump(&self.stats.detached);
+                    self.facts.bump(Fact::Detached);
                     self.detached.push_back(QueuedDetached {
                         ready,
                         queued: std::time::Instant::now(),
@@ -491,7 +488,7 @@ impl Fanout<'_> {
         };
         if let (Some(tel), Some(stage)) = (self.telemetry, stage) {
             // Lazy: the closure runs only when tracing is on.
-            tel.hit(stage, at, || rule_name.to_string());
+            tel.trace(stage, at, || rule_name.to_string());
         }
     }
 }
@@ -524,7 +521,9 @@ pub struct RuleEngine {
     /// discards only the aborting transaction's detached work, not
     /// firings earlier committed transactions already queued.
     detached_floor: usize,
-    stats: Arc<EngineCounters>,
+    /// The fact table the engine counts into: its own until
+    /// [`set_telemetry`](Self::set_telemetry) shares the handle's.
+    facts: Arc<Facts>,
     /// Reused by [`on_occurrence`](Self::on_occurrence): the slots an
     /// occurrence reaches, the ones that completed, and their
     /// completions, each wrapped once for all the rules that consume it.
@@ -570,7 +569,7 @@ impl std::fmt::Debug for RuleEngine {
         f.debug_struct("RuleEngine")
             .field("rules", &self.rules.len())
             .field("detectors", &self.detector_count())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -599,7 +598,7 @@ impl RuleEngine {
             detached_cap: usize::MAX,
             detached_policy: BackpressurePolicy::default(),
             detached_floor: 0,
-            stats: Arc::new(EngineCounters::default()),
+            facts: Arc::default(),
             scratch: Vec::new(),
             completed: Vec::new(),
             shared: Vec::new(),
@@ -642,12 +641,18 @@ impl RuleEngine {
 
     /// Attach an observability handle; it is propagated to every
     /// existing detector (and to detectors compiled later), labelled
-    /// with the name of the (first) rule it serves.
+    /// with the name of the (first) rule it serves; rules take their
+    /// latency cells from it. The engine counts into the handle's fact
+    /// table from now on.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         for slot in self.arena.live_mut() {
             let name = self.rules.get(slot.members[0]).name.clone();
             slot.detector.set_telemetry(telemetry.clone(), name);
         }
+        for rule in self.rules.live_mut() {
+            rule.latency = None;
+        }
+        self.facts = Arc::clone(telemetry.facts());
         self.telemetry = Some(telemetry);
     }
 
@@ -737,7 +742,7 @@ impl RuleEngine {
         let (mut rule, mut detector) = Rule::instantiate(id, oid, def, registry, self.caps)?;
         if let Some(retired) = self.reclaim(oid, &rule.def) {
             detector = retired.detector;
-            rule.stats = retired.stats;
+            rule.counts = retired.counts;
         }
         rule.bind(&self.bodies);
         if let Some(tel) = &self.telemetry {
@@ -839,7 +844,7 @@ impl RuleEngine {
                 rule.def.event.clone(),
                 rule.def.context,
                 detector,
-                rule.stats,
+                rule.counts,
             );
         }
         self.by_name.remove(&rule.def.name);
@@ -881,6 +886,7 @@ impl RuleEngine {
             self.by_name.remove(&rule.def.name);
             self.by_name.insert(def.name.clone(), id);
             rule.name = def.name.as_str().into();
+            rule.latency = None;
         }
         let mut retired = None;
         if let Some((sid, mut detector)) = detector {
@@ -901,9 +907,9 @@ impl RuleEngine {
         }
         let old = std::mem::replace(&mut rule.def, def);
         rule.bind(&self.bodies);
-        let (oid, stats, enabled) = (rule.oid, rule.stats, rule.enabled);
+        let (oid, counts, enabled) = (rule.oid, rule.counts, rule.enabled);
         if let Some(detector) = retired {
-            self.retire(oid, old.event, old.context, detector, stats);
+            self.retire(oid, old.event, old.context, detector, counts);
             if enabled {
                 self.schedule_rule_timers(id);
             }
@@ -927,7 +933,7 @@ impl RuleEngine {
         event: EventExpr,
         context: ParamContext,
         detector: DetectorInstance,
-        stats: RuleStats,
+        counts: RuleCounts,
     ) {
         if self.will_retire(oid) {
             self.retired.push(Retired {
@@ -935,7 +941,7 @@ impl RuleEngine {
                 event,
                 context,
                 detector,
-                stats,
+                counts,
             });
         }
     }
@@ -991,14 +997,51 @@ impl RuleEngine {
             .filter(|r| r.id == f.firing.rule)
     }
 
-    /// The stats of the rule that scheduled `f` (see
-    /// [`rule_of`](Self::rule_of)): the facade credits them as it
-    /// executes the firing's bodies.
-    pub fn stats_of(&mut self, f: &ReadyFiring) -> Option<&mut RuleStats> {
-        self.rules.entries[f.index]
+    /// Count one executed firing — a condition evaluation and, if the
+    /// condition held, an action run — engine-wide and on its rule, and
+    /// record the body latencies measured while telemetry was enabled
+    /// into the `ConditionEval`/`ActionRun` stages and the rule's latency
+    /// cell. The rule resolves its cell by name at its first timed
+    /// firing and keeps it, so an untraced run allocates none. The
+    /// facade's serial executor and its parallel merge both account
+    /// here. A firing whose rule is gone (see [`rule_of`](Self::rule_of))
+    /// counts engine-wide only.
+    pub fn account_firing(
+        &mut self,
+        f: &ReadyFiring,
+        held: bool,
+        condition_ns: Option<u64>,
+        action_ns: Option<u64>,
+        at: u64,
+    ) {
+        self.facts.bump(Fact::ConditionEvals);
+        if held {
+            self.facts.bump(Fact::ActionsRun);
+        }
+        let mut rule = self.rules.entries[f.index]
             .as_mut()
-            .filter(|r| r.id == f.firing.rule)
-            .map(|r| &mut r.stats)
+            .filter(|r| r.id == f.firing.rule);
+        if let Some(rule) = rule.as_mut() {
+            rule.counts.condition_evals += 1;
+            rule.counts.actions_run += u64::from(held);
+        }
+        let (Some(tel), Some(_)) = (&self.telemetry, condition_ns.or(action_ns)) else {
+            return;
+        };
+        let latency = rule.map(|r| &**r.latency.get_or_insert_with(|| tel.rule_latency(&r.name)));
+        let name = &f.firing.rule_name;
+        if let Some(ns) = condition_ns {
+            tel.observe(Stage::ConditionEval, at, ns, || name.to_string());
+            if let Some(l) = latency {
+                l.condition.record(ns);
+            }
+        }
+        if let Some(ns) = action_ns {
+            tel.observe(Stage::ActionRun, at, ns, || name.to_string());
+            if let Some(l) = latency {
+                l.action.record(ns);
+            }
+        }
     }
 
     /// Iterate over all rules (unspecified order).
@@ -1294,7 +1337,7 @@ impl RuleEngine {
             detached: &mut self.detached,
             detached_cap: self.detached_cap,
             detached_policy: self.detached_policy,
-            stats: &self.stats,
+            facts: &self.facts,
             telemetry: &self.telemetry,
         };
         let touched = self.capturing.then_some(&mut self.touched);
@@ -1321,7 +1364,7 @@ impl RuleEngine {
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
     ) -> Result<Vec<ReadyFiring>> {
-        EngineCounters::bump(&self.stats.occurrences);
+        self.facts.bump(Fact::Occurrences);
         let fan_out_timer = match &self.telemetry {
             Some(t) => t.timer(),
             None => Timer::off(),
@@ -1349,22 +1392,8 @@ impl RuleEngine {
         let mut immediate = 0;
         for &sid in &consumers {
             let slot = arena.get_mut(sid);
-            EngineCounters::bump(&fanout.stats.notifications);
-            if let Some(touched) = touched.as_deref_mut() {
-                if !slot.detector.in_txn() {
-                    slot.detector.begin_txn();
-                    touched.push(sid);
-                }
-            }
+            let immediate_members = fanout.notify(slot, sid, rules, touched.as_deref_mut());
             let completions = slot.detector.process_resolved(registry, occ, sym);
-            let mut immediate_members = 0;
-            for &at in &slot.members {
-                let rule = rules.get_mut(at);
-                if rule.enabled {
-                    rule.stats.notifications += 1;
-                    immediate_members += usize::from(rule.def.coupling == CouplingMode::Immediate);
-                }
-            }
             if !completions.is_empty() {
                 immediate += immediate_members * completions.len();
                 let start = shared.len();
@@ -1468,21 +1497,15 @@ impl RuleEngine {
         routed.sort_by_key(|&(at, _, due)| (due, firing_key(rules.get(at))));
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
         for (at, idx, due) in routed {
-            let rule = rules.get_mut(at);
-            if !rule.enabled {
+            if !rules.get(at).enabled {
                 continue;
             }
-            EngineCounters::bump(&fanout.stats.notifications);
-            rule.stats.notifications += 1;
-            let slot = arena.get_mut(rule.slot);
-            if let Some(touched) = touched.as_deref_mut() {
-                if !slot.detector.in_txn() {
-                    slot.detector.begin_txn();
-                    touched.push(rule.slot);
-                }
-            }
+            let sid = rules.get(at).slot;
+            let slot = arena.get_mut(sid);
+            fanout.notify(slot, sid, rules, touched.as_deref_mut());
             let completions = slot.detector.process_timer(idx, due, next_seq());
             if !completions.is_empty() {
+                let rule = rules.get_mut(at);
                 let target = rule.oid;
                 let occurrences = completions.into_iter().map(Arc::new);
                 fanout.fire(at, rule, occurrences, target, due)?;
@@ -1606,20 +1629,16 @@ impl RuleEngine {
 
     /// Engine-wide counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats.snapshot()
+        EngineStats::read(&self.facts)
     }
 
-    /// Shared handle to the live counters (read concurrently by stats
-    /// exporters without going through the engine).
-    pub fn counters(&self) -> Arc<EngineCounters> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Reset engine-wide counters (benchmark warm-up).
+    /// Zero the engine's fact table — shared with the facade once
+    /// telemetry is attached — and every rule's counters (benchmark
+    /// warm-up).
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.facts.reset();
         for r in self.rules.live_mut() {
-            r.stats = RuleStats::default();
+            r.counts = RuleCounts::default();
         }
     }
 }
@@ -1683,7 +1702,7 @@ mod tests {
         assert_eq!(fired[0].firing.rule, r1);
         // Exactly one notification delivered: r2 was never checked.
         assert_eq!(eng.stats().notifications, 1);
-        assert_eq!(eng.rule(r1).unwrap().stats.triggered, 1);
+        assert_eq!(eng.rule(r1).unwrap().stats().triggered, 1);
     }
 
     #[test]
@@ -1897,7 +1916,7 @@ mod tests {
             .on_occurrence(&reg, &occ(&reg, 3, 2, "Index", "SetValue"))
             .unwrap();
         assert!(fired.is_empty());
-        assert_eq!(eng.rule(r).unwrap().stats.notifications, 2);
+        assert_eq!(eng.rule(r).unwrap().stats().notifications, 2);
     }
 
     #[test]
@@ -1921,7 +1940,7 @@ mod tests {
         assert_eq!(eng.id_of("s").unwrap(), r);
         assert!(eng.id_of("r").is_err());
         assert_eq!(eng.detector_of(r).unwrap().buffered(), 1);
-        assert_eq!(eng.rule(r).unwrap().stats.notifications, 1);
+        assert_eq!(eng.rule(r).unwrap().stats().notifications, 1);
 
         // A new event starts from nothing; a taken name is refused.
         let other = eng.add_rule(simple_rule("t"), Oid::NIL, &reg).unwrap();
@@ -2088,7 +2107,7 @@ mod tests {
                 .unwrap();
             assert_eq!(fired.len(), 1, "instance {oid}");
         }
-        assert_eq!(eng.rule(r).unwrap().stats.triggered, 3);
+        assert_eq!(eng.rule(r).unwrap().stats().triggered, 3);
     }
 
     #[test]
@@ -2115,7 +2134,7 @@ mod tests {
         assert!(fired.iter().all(|f| f.firing.rule == r));
         assert_eq!(fired[0].firing.occurrence.end, 101);
         assert_eq!(fired[1].firing.occurrence.end, 102);
-        assert_eq!(eng.rule(r).unwrap().stats.triggered, 2);
+        assert_eq!(eng.rule(r).unwrap().stats().triggered, 2);
         // Nothing new due yet.
         assert!(eng.drain_timers(29, || 0).unwrap().is_empty());
     }

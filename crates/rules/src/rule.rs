@@ -4,6 +4,7 @@ use crate::body::{BoundBodies, RuleBodyRegistry};
 use crate::coupling::CouplingMode;
 use sentinel_events::{DetectorCaps, DetectorInstance, EventExpr, ParamContext};
 use sentinel_object::{ClassRegistry, EventSym, Oid, Result};
+use sentinel_telemetry::RuleLatency;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -182,8 +183,8 @@ impl From<RuleBuilder> for RuleDef {
     }
 }
 
-/// Per-rule counters; the root `paper_claims` test asserts the paper's
-/// comparative claims on them.
+/// Per-rule counters, read from the rule by [`Rule::stats`]; the root
+/// `paper_claims` test asserts the paper's comparative claims on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuleStats {
     /// Primitive occurrences delivered to this rule's detector.
@@ -192,10 +193,20 @@ pub struct RuleStats {
     pub triggered: u64,
     /// Condition evaluations performed.
     pub condition_evals: u64,
-    /// Conditions that held.
+    /// Conditions that held: one per action run, and read from it.
     pub condition_true: u64,
     /// Actions executed.
     pub actions_run: u64,
+}
+
+/// A rule's live counters. A condition that held is an action run, so
+/// conditions that held are not stored apart.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RuleCounts {
+    pub(crate) notifications: u64,
+    pub(crate) triggered: u64,
+    pub(crate) condition_evals: u64,
+    pub(crate) actions_run: u64,
 }
 
 /// A live rule: definition + runtime state. Its event detector lives in
@@ -213,8 +224,12 @@ pub struct Rule {
     pub name: Arc<str>,
     /// Disabled rules receive no events and hold no detector state.
     pub enabled: bool,
-    /// Firing counters.
-    pub stats: RuleStats,
+    /// Firing counters (see [`stats`](Self::stats)).
+    pub(crate) counts: RuleCounts,
+    /// The rule's body-latency cell in the engine's telemetry, resolved
+    /// by name at its first timed firing; `None` until then, and again
+    /// after a rename.
+    pub(crate) latency: Option<Arc<RuleLatency>>,
     /// The detector's primitive-event alphabet: the interned symbols that
     /// can advance it, closed over subclasses. `None` means unbounded
     /// (the expression contains `Plus`, whose deadline is signalled by
@@ -248,7 +263,7 @@ impl fmt::Debug for Rule {
             .field("def", &self.def)
             .field("enabled", &self.enabled)
             .field("slot", &self.slot)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .field("alphabet", &self.alphabet)
             .finish_non_exhaustive()
     }
@@ -274,7 +289,8 @@ impl Rule {
             def,
             name,
             enabled: true,
-            stats: RuleStats::default(),
+            counts: RuleCounts::default(),
+            latency: None,
             alphabet,
             alphabet_schema_len: registry.len(),
             caps,
@@ -283,6 +299,18 @@ impl Rule {
             bodies_version: 0,
         };
         Ok((rule, detector))
+    }
+
+    /// The rule's firing counters.
+    pub fn stats(&self) -> RuleStats {
+        let c = self.counts;
+        RuleStats {
+            notifications: c.notifications,
+            triggered: c.triggered,
+            condition_evals: c.condition_evals,
+            condition_true: c.actions_run,
+            actions_run: c.actions_run,
+        }
     }
 
     /// Bind the bodies the definition names, if they are registered;
@@ -361,7 +389,7 @@ mod tests {
         let (r, _) =
             Rule::instantiate(RuleId(1), Oid::NIL, def, &reg, DetectorCaps::default()).unwrap();
         assert!(r.enabled);
-        assert_eq!(r.stats, RuleStats::default());
+        assert_eq!(r.stats(), RuleStats::default());
         // Unknown class in the event is rejected at instantiation.
         let bad = RuleDef::new(
             "B",

@@ -91,7 +91,7 @@ fn engine_stats_route_per_coupling_mode() {
     assert_eq!(s.notifications, 3);
     for name in ["i", "d", "x"] {
         let id = eng.id_of(name).unwrap();
-        assert_eq!(eng.rule(id).unwrap().stats.notifications, 3);
+        assert_eq!(eng.rule(id).unwrap().stats().notifications, 3);
     }
     assert_eq!((s.immediate, s.deferred, s.detached), (3, 3, 3));
     eng.reset_stats();
@@ -110,7 +110,7 @@ fn class_and_instance_subscription_deliver_once() {
     eng.subscriptions.subscribe_class(class, id);
     let fired = eng.on_occurrence(&reg, &occ(&reg, 1, 1)).unwrap();
     assert_eq!(fired.len(), 1, "exactly one delivery despite two routes");
-    assert_eq!(eng.rule(id).unwrap().stats.notifications, 1);
+    assert_eq!(eng.rule(id).unwrap().stats().notifications, 1);
 }
 
 #[test]

@@ -49,7 +49,8 @@ pub fn prometheus_shard_text(loads: &[ShardLoad]) -> String {
 ///
 /// * `extra` `(name, help, value)` triples become plain counters:
 ///   `sentinel_<name> <value>`, with `help` as their `# HELP` line;
-/// * per-stage counts: `sentinel_stage_total{stage="..."}`;
+/// * per-stage counts: `sentinel_stage_total{stage="..."}` — always on
+///   for a stage that is a fact, else its histogram's count;
 /// * per-stage value distributions as native histograms with
 ///   cumulative power-of-two `le` bounds:
 ///   `sentinel_stage_value{stage="...",unit="..."}`;
@@ -65,7 +66,7 @@ pub fn prometheus_text(snapshot: &TelemetrySnapshot, extra: &[(&str, &str, u64)]
 
     let _ = writeln!(
         out,
-        "# HELP sentinel_stage_total Firings of each pipeline stage."
+        "# HELP sentinel_stage_total Firings of each pipeline stage (always on for facts)."
     );
     let _ = writeln!(out, "# TYPE sentinel_stage_total counter");
     for s in &snapshot.stages {
@@ -141,7 +142,8 @@ fn write_histogram(out: &mut String, name: &str, labels: &str, hist: &HistogramS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::{BodyKind, Telemetry};
+    use crate::fact::Fact;
+    use crate::handle::Telemetry;
     use crate::stage::Stage;
 
     #[test]
@@ -150,8 +152,8 @@ mod tests {
         t.set_enabled(true);
         t.observe(Stage::WalAppend, 0, 700, String::new);
         t.observe(Stage::WalAppend, 0, 900, String::new);
-        t.hit(Stage::MethodSend, 1, String::new);
-        t.observe_rule("R", BodyKind::Condition, 50);
+        t.facts().bump(Fact::Sends);
+        t.rule_latency("R").condition.record(50);
         let text = prometheus_text(&t.snapshot(), &[("sends_total", "Messages sent.", 1)]);
 
         assert!(text.contains("# HELP sentinel_sends_total Messages sent."));

@@ -1,37 +1,26 @@
 //! The [`Telemetry`] handle threaded through the pipeline.
 
+use crate::fact::Facts;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::history::{FiringHistory, FiringRecord, HistoryMeta};
 use crate::stage::Stage;
 use crate::trace::{RingBufferSink, TraceRecord, TraceSink};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-stage storage: a counter plus a value histogram.
+/// One rule's body-latency histograms. A rule takes its cell from
+/// [`Telemetry::rule_latency`] once, at its first timed firing, and
+/// records into it directly from then on: no lookup on the firing path.
 #[derive(Debug, Default)]
-struct StageCell {
-    count: AtomicU64,
-    hist: Histogram,
-}
-
-/// Which rule body a per-rule latency belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BodyKind {
-    /// The rule's condition.
-    Condition,
-    /// The rule's action.
-    Action,
-}
-
-/// Per-rule latency histograms (condition and action bodies).
-#[derive(Debug, Default)]
-struct RuleCell {
-    condition: Histogram,
-    action: Histogram,
+pub struct RuleLatency {
+    /// Condition-evaluation latencies (ns).
+    pub condition: Histogram,
+    /// Action-execution latencies (ns).
+    pub action: Histogram,
 }
 
 /// A started wall-clock timer, or nothing when telemetry was disabled
@@ -52,14 +41,17 @@ impl Timer {
     }
 }
 
-/// The shared observability handle: per-stage counters and histograms,
-/// per-rule body latencies, and a structured trace ring.
+/// The shared observability handle: the always-on [`Facts`] table, and
+/// while enabled per-stage histograms, per-rule body latencies and a
+/// structured trace ring.
 ///
 /// One handle is created per [`Database`] and cloned (via `Arc`) into
 /// the rule engine, each rule's detector, and the WAL, so a single
 /// snapshot sees the whole pipeline.
 ///
-/// All instrumentation entry points are gated on one relaxed atomic
+/// The handle counts no fact itself: the sites that do bump
+/// [`facts`](Self::facts), and a stage that is a fact reports the
+/// fact's count. All other entry points are gated on one relaxed atomic
 /// load; with telemetry disabled (the default) they cost a single
 /// predictable branch.
 ///
@@ -70,8 +62,11 @@ pub struct Telemetry {
     history: AtomicBool,
     seq: AtomicU64,
     firing_seq: AtomicU64,
-    stages: [StageCell; Stage::COUNT],
-    rules: RwLock<BTreeMap<String, Arc<RuleCell>>>,
+    facts: Arc<Facts>,
+    stages: [Histogram; Stage::COUNT],
+    /// Every rule name's latency cell, for snapshots and resets; rules
+    /// hold their own handles for recording.
+    rules: Mutex<BTreeMap<Arc<str>, Arc<RuleLatency>>>,
     ring: RingBufferSink,
     firings: FiringHistory,
     custom: RwLock<Option<Arc<dyn TraceSink>>>,
@@ -106,8 +101,9 @@ impl Telemetry {
             history: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             firing_seq: AtomicU64::new(0),
-            stages: std::array::from_fn(|_| StageCell::default()),
-            rules: RwLock::new(BTreeMap::new()),
+            facts: Arc::default(),
+            stages: std::array::from_fn(|_| Histogram::default()),
+            rules: Mutex::new(BTreeMap::new()),
             ring: RingBufferSink::new(trace_capacity),
             firings: FiringHistory::new(history_capacity),
             custom: RwLock::new(None),
@@ -121,13 +117,13 @@ impl Telemetry {
 
     // -- gating ---------------------------------------------------------
 
-    /// Are counters and histograms being recorded?
+    /// Are histograms being recorded?
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Relaxed)
     }
 
-    /// Turn counter/histogram recording on or off.
+    /// Turn histogram recording on or off. Facts are counted either way.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Relaxed);
     }
@@ -148,7 +144,7 @@ impl Telemetry {
     /// Is firing history (causal lineage) being recorded? Independent
     /// of [`is_enabled`](Self::is_enabled): the history ring records
     /// whenever this flag is on; only the `lineage_record` stage
-    /// counter additionally requires counters to be enabled.
+    /// histogram additionally requires telemetry to be enabled.
     #[inline]
     pub fn is_history(&self) -> bool {
         self.history.load(Relaxed)
@@ -161,24 +157,34 @@ impl Telemetry {
 
     // -- recording ------------------------------------------------------
 
-    /// Count one firing of `stage` with no value. `subject` is evaluated
-    /// only if tracing is on.
+    /// The always-on fact table this handle reports fact stages from.
     #[inline]
-    pub fn hit<F: FnOnce() -> String>(&self, stage: Stage, at: u64, subject: F) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.record_inner(stage, at, None, subject);
+    pub fn facts(&self) -> &Arc<Facts> {
+        &self.facts
     }
 
-    /// Count one firing of `stage` and record `value` into its
-    /// histogram. `subject` is evaluated only if tracing is on.
+    /// Trace one firing of a fact stage that records no value: a trace
+    /// record while tracing, nothing otherwise. The caller counts the
+    /// fact. `subject` is evaluated only if tracing is on.
+    #[inline]
+    pub fn trace<F: FnOnce() -> String>(&self, stage: Stage, at: u64, subject: F) {
+        debug_assert!(stage.fact().is_some(), "{stage} is not a fact");
+        if self.is_enabled() && self.is_tracing() {
+            self.trace_inner(stage, at, 0, subject());
+        }
+    }
+
+    /// Record `value` into `stage`'s histogram and, while tracing, a
+    /// trace record. `subject` is evaluated only if tracing is on.
     #[inline]
     pub fn observe<F: FnOnce() -> String>(&self, stage: Stage, at: u64, value: u64, subject: F) {
         if !self.is_enabled() {
             return;
         }
-        self.record_inner(stage, at, Some(value), subject);
+        self.stages[stage.index()].record(value);
+        if self.is_tracing() {
+            self.trace_inner(stage, at, value, subject());
+        }
     }
 
     /// Start a wall-clock timer — a no-op [`Timer::off`] when disabled,
@@ -249,26 +255,10 @@ impl Telemetry {
         }
     }
 
-    /// Record a body latency against a rule's private histograms.
-    pub fn observe_rule(&self, rule: &str, kind: BodyKind, ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let cell = {
-            let rules = self.rules.read();
-            rules.get(rule).cloned()
-        };
-        let cell = cell.unwrap_or_else(|| {
-            self.rules
-                .write()
-                .entry(rule.to_string())
-                .or_default()
-                .clone()
-        });
-        match kind {
-            BodyKind::Condition => cell.condition.record(ns),
-            BodyKind::Action => cell.action.record(ns),
-        }
+    /// The latency cell of rule `name`, created at the first call.
+    /// Rules of the same name, at different times, share one cell.
+    pub fn rule_latency(&self, name: &str) -> Arc<RuleLatency> {
+        Arc::clone(self.rules.lock().entry(name.into()).or_default())
     }
 
     #[cold]
@@ -286,29 +276,15 @@ impl Telemetry {
         self.ring.record(rec);
     }
 
-    #[inline]
-    fn record_inner<F: FnOnce() -> String>(
-        &self,
-        stage: Stage,
-        at: u64,
-        value: Option<u64>,
-        subject: F,
-    ) {
-        let cell = &self.stages[stage.index()];
-        cell.count.fetch_add(1, Relaxed);
-        if let Some(v) = value {
-            cell.hist.record(v);
-        }
-        if self.is_tracing() {
-            self.trace_inner(stage, at, value.unwrap_or(0), subject());
-        }
-    }
-
     // -- inspection -----------------------------------------------------
 
-    /// Count of firings of one stage.
+    /// Count of firings of one stage: its fact, if it is one, else the
+    /// values its histogram recorded since the last reset.
     pub fn stage_count(&self, stage: Stage) -> u64 {
-        self.stages[stage.index()].count.load(Relaxed)
+        match stage.fact() {
+            Some(fact) => self.facts.get(fact),
+            None => self.stages[stage.index()].count(),
+        }
     }
 
     /// The built-in trace ring.
@@ -337,15 +313,18 @@ impl Telemetry {
         *self.custom.write() = sink;
     }
 
-    /// Zero all counters, histograms, per-rule latencies, and the ring
-    /// (benchmark warm-up / `reset_stats` parity). Enablement flags are
-    /// left as they are.
+    /// Zero the histograms and per-rule latencies, and empty the trace
+    /// and history rings (benchmark warm-up). Facts, which are no
+    /// telemetry, keep their counts; enablement flags are left as they
+    /// are.
     pub fn reset(&self) {
-        for cell in &self.stages {
-            cell.count.store(0, Relaxed);
-            cell.hist.reset();
+        for hist in &self.stages {
+            hist.reset();
         }
-        self.rules.write().clear();
+        for cell in self.rules.lock().values() {
+            cell.condition.reset();
+            cell.action.reset();
+        }
         self.ring.clear();
         self.firings.clear();
         self.seq.store(0, Relaxed);
@@ -356,22 +335,20 @@ impl Telemetry {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let stages = Stage::ALL
             .iter()
-            .map(|&s| {
-                let cell = &self.stages[s.index()];
-                StageSnapshot {
-                    stage: s.name().to_string(),
-                    unit: s.unit().to_string(),
-                    count: cell.count.load(Relaxed),
-                    values: cell.hist.snapshot(),
-                }
+            .map(|&s| StageSnapshot {
+                stage: s.name().to_string(),
+                unit: s.unit().to_string(),
+                count: self.stage_count(s),
+                values: self.stages[s.index()].snapshot(),
             })
             .collect();
         let rules = self
             .rules
-            .read()
+            .lock()
             .iter()
+            .filter(|(_, cell)| cell.condition.count() + cell.action.count() > 0)
             .map(|(name, cell)| RuleLatencySnapshot {
-                rule: name.clone(),
+                rule: name.to_string(),
                 condition: cell.condition.snapshot(),
                 action: cell.action.snapshot(),
             })
@@ -399,14 +376,16 @@ impl Telemetry {
     }
 }
 
-/// Counters and histogram of one stage, frozen for export.
+/// Count and histogram of one stage, frozen for export.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
     /// The stage's snake_case [`name`](Stage::name).
     pub stage: String,
     /// The [`unit`](Stage::unit) of `values`.
     pub unit: String,
-    /// How many times the stage fired.
+    /// How many times the stage fired: its fact's count for a stage
+    /// that is a fact ([`Stage::fact`]), always on; else the count of
+    /// `values`.
     pub count: u64,
     /// Distribution of the recorded values (empty for untimed stages).
     pub values: HistogramSnapshot,
@@ -449,7 +428,8 @@ pub struct TelemetrySnapshot {
     pub history_enabled: bool,
     /// Every stage, in pipeline order.
     pub stages: Vec<StageSnapshot>,
-    /// Per-rule body latencies, sorted by rule name.
+    /// Per-rule body latencies, sorted by rule name; rules with no
+    /// samples are left out.
     pub rules: Vec<RuleLatencySnapshot>,
     /// Trace-ring state.
     pub trace: TraceMeta,
@@ -472,18 +452,20 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::fact::Fact;
 
     #[test]
     fn disabled_records_nothing() {
         let t = Telemetry::new(16);
-        t.hit(Stage::MethodSend, 1, || unreachable!("lazy subject"));
+        t.set_tracing(true);
+        t.trace(Stage::MethodSend, 1, || unreachable!("lazy subject"));
         t.observe(Stage::WalAppend, 1, 99, || unreachable!());
-        t.observe_rule("r", BodyKind::Action, 5);
+        let _cell = t.rule_latency("r");
         assert!(t.timer().elapsed_ns().is_none());
         let s = t.snapshot();
         assert!(s.stages.iter().all(|st| st.count == 0));
-        assert!(s.rules.is_empty());
+        assert!(s.stages.iter().all(|st| st.values.count == 0));
+        assert!(s.rules.is_empty(), "a cell with no samples is left out");
         assert_eq!(s.trace.recorded, 0);
     }
 
@@ -491,9 +473,28 @@ mod tests {
     fn enabled_without_tracing_skips_subjects() {
         let t = Telemetry::new(16);
         t.set_enabled(true);
-        t.hit(Stage::MethodSend, 1, || unreachable!("tracing is off"));
-        assert_eq!(t.stage_count(Stage::MethodSend), 1);
+        t.trace(Stage::MethodSend, 1, || unreachable!("tracing is off"));
         assert_eq!(t.ring().recorded(), 0);
+    }
+
+    #[test]
+    fn fact_stages_report_the_fact_table() {
+        let t = Telemetry::new(16);
+        t.facts().bump(Fact::Sends);
+        t.facts().bump(Fact::Occurrences);
+        assert_eq!(
+            t.stage_count(Stage::MethodSend),
+            1,
+            "counted while disabled"
+        );
+        assert_eq!(t.stage_count(Stage::EventRaised), 1);
+        assert_eq!(t.stage_count(Stage::FanOut), 1);
+        t.set_enabled(true);
+        t.observe(Stage::WalFsync, 0, 10, String::new);
+        assert_eq!(t.stage_count(Stage::WalFsync), 1, "the histogram's count");
+        for stage in Stage::ALL {
+            assert_eq!(t.snapshot().stage_count(stage), t.stage_count(stage));
+        }
     }
 
     #[test]
@@ -501,12 +502,15 @@ mod tests {
         let t = Telemetry::new(16);
         t.set_enabled(true);
         t.set_tracing(true);
+        t.facts().bump(Fact::ConditionEvals);
         t.observe(Stage::ConditionEval, 7, 1000, || "rule-x".into());
-        t.observe_rule("rule-x", BodyKind::Condition, 1000);
-        t.observe_rule("rule-x", BodyKind::Action, 2000);
+        let cell = t.rule_latency("rule-x");
+        cell.condition.record(1000);
+        cell.action.record(2000);
         let s = t.snapshot();
         let stage = s.stage(Stage::ConditionEval).unwrap();
         assert_eq!(stage.count, 1);
+        assert_eq!(stage.values.count, 1);
         assert_eq!(stage.values.sum, 1000);
         assert_eq!(s.rules.len(), 1);
         assert_eq!(s.rules[0].rule, "rule-x");
@@ -531,10 +535,10 @@ mod tests {
         t.set_tracing(true);
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
         t.set_sink(Some(sink.clone()));
-        t.hit(Stage::TxnCommit, 3, || "txn 1".into());
+        t.trace(Stage::TxnAbort, 3, || "txn 1".into());
         assert_eq!(sink.0.lock().len(), 1);
         t.set_sink(None);
-        t.hit(Stage::TxnCommit, 4, || "txn 2".into());
+        t.trace(Stage::TxnAbort, 4, || "txn 2".into());
         assert_eq!(sink.0.lock().len(), 1);
         assert_eq!(t.ring().recorded(), 2);
     }
@@ -544,13 +548,22 @@ mod tests {
         let t = Telemetry::new(4);
         t.set_enabled(true);
         t.set_tracing(true);
+        t.facts().bump(Fact::ActionsRun);
         t.observe(Stage::ActionRun, 1, 5, || "r".into());
-        t.observe_rule("r", BodyKind::Action, 5);
+        let cell = t.rule_latency("r");
+        cell.action.record(5);
         t.reset();
         assert!(t.is_enabled() && t.is_tracing());
-        assert_eq!(t.stage_count(Stage::ActionRun), 0);
+        assert_eq!(t.stage_count(Stage::ActionRun), 1, "facts survive");
+        assert_eq!(
+            t.snapshot().stage(Stage::ActionRun).unwrap().values.count,
+            0
+        );
         assert!(t.snapshot().rules.is_empty());
         assert_eq!(t.ring().recorded(), 0);
+        // The rule's cell was zeroed, not orphaned.
+        cell.action.record(7);
+        assert_eq!(t.snapshot().rules[0].action.sum, 7);
     }
 
     #[test]
@@ -580,8 +593,8 @@ mod tests {
                 lane: Default::default(),
             });
         }
-        // History records regardless of the counters flag; the stage
-        // counter stays gated on `enabled`.
+        // History records regardless of the enabled flag; the stage
+        // histogram stays gated on it.
         assert_eq!(t.stage_count(Stage::LineageRecord), 0);
         let s = t.snapshot();
         assert!(s.history_enabled);
@@ -602,7 +615,7 @@ mod tests {
         let t = Telemetry::new(8);
         t.set_enabled(true);
         t.observe(Stage::WalFsync, 0, 12_345, String::new);
-        t.observe_rule("r1", BodyKind::Condition, 10);
+        t.rule_latency("r1").condition.record(10);
         let s = t.snapshot();
         let json = serde_json::to_string(&s).unwrap();
         assert_eq!(serde_json::from_str::<TelemetrySnapshot>(&json).unwrap(), s);

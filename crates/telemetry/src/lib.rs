@@ -7,8 +7,14 @@
 //! subscribed rules, detectors advance, firings are scheduled per
 //! coupling mode, conditions and actions run inside transactions — and
 //! this crate gives every stage of that pipeline a name ([`Stage`]), a
-//! counter, a latency histogram, and an optional structured trace
-//! record.
+//! latency histogram, and an optional structured trace record.
+//!
+//! It also holds the pipeline's one counter table, [`Facts`]: sends,
+//! occurrences, notifications, scheduled firings, condition evaluations,
+//! action runs, commits, aborts and detached runs, each counted once,
+//! always on. A stage that is a fact ([`Stage::fact`]) reports the
+//! fact's count; telemetry itself keeps only distributions, trace
+//! records and firing history.
 //!
 //! Design constraints:
 //!
@@ -17,14 +23,17 @@
 //!   and returns; subjects are lazy closures that are never evaluated
 //!   unless tracing is on. The repository benchmark (`benchmark/`)
 //!   reports the enabled path's cost as `telemetry.overhead_ratio`.
-//! * **Lock-light when enabled.** Counters and histogram buckets are
-//!   relaxed atomics; the only lock is the trace ring buffer's mutex,
-//!   taken per record and only while tracing.
+//! * **Lock-light when enabled.** Facts and histogram buckets are
+//!   relaxed atomics, and each rule records into its own latency cell
+//!   (found by name once, at its first timed firing); the only lock
+//!   taken per record is the trace ring buffer's mutex, and only while
+//!   tracing.
 //! * **No external deps.** Histograms use power-of-two buckets (no HDR
 //!   dependency); exporters emit Prometheus-style text and JSON from the
 //!   serializable [`TelemetrySnapshot`].
 
 pub mod export;
+pub mod fact;
 pub mod handle;
 pub mod histogram;
 pub mod history;
@@ -33,7 +42,8 @@ pub mod stage;
 pub mod trace;
 
 pub use export::{prometheus_shard_text, prometheus_text};
-pub use handle::{BodyKind, Telemetry, TelemetrySnapshot, Timer, TraceMeta};
+pub use fact::{Fact, Facts};
+pub use handle::{RuleLatency, Telemetry, TelemetrySnapshot, Timer, TraceMeta};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use history::{
     ExecutionLane, FiringCoupling, FiringHistory, FiringId, FiringOutcome, FiringRecord,

@@ -1,13 +1,16 @@
 //! Named stages of the event → rule → transaction pipeline.
 
+use crate::fact::Fact;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One stage of an occurrence's life, from the method send that raised
 /// it to the commit (or abort) of the transaction that consumed it.
 ///
-/// Each stage owns a counter and a histogram in [`Telemetry`]
-/// (crate::Telemetry). Most stages record latencies in nanoseconds; the
+/// A stage's count is either a [`Fact`] ([`Stage::fact`], always on) or
+/// the count of its histogram in [`Telemetry`](crate::Telemetry)
+/// (recorded while telemetry is enabled, since its last reset). Most
+/// stages record latencies in nanoseconds; the
 /// exceptions are [`Stage::DetectorDepth`] (occurrences buffered by a
 /// detector after a delivery), [`Stage::WalBatch`] (committed
 /// transactions covered by one group-commit fsync),
@@ -136,6 +139,26 @@ impl Stage {
             Stage::SchedulerGroup => "scheduler_group",
             Stage::TimerDrain => "timer_drain",
         }
+    }
+
+    /// The fact this stage's count reads, for the stages that are facts.
+    /// Their counts are always on; every other stage counts the values
+    /// its histogram recorded while telemetry was enabled.
+    pub const fn fact(self) -> Option<Fact> {
+        Some(match self {
+            Stage::MethodSend => Fact::Sends,
+            Stage::EventRaised | Stage::FanOut => Fact::Occurrences,
+            Stage::DetectorTransition => Fact::Notifications,
+            Stage::FiringImmediate => Fact::Immediate,
+            Stage::FiringDeferred => Fact::Deferred,
+            Stage::FiringDetached => Fact::Detached,
+            Stage::ConditionEval => Fact::ConditionEvals,
+            Stage::ActionRun => Fact::ActionsRun,
+            Stage::TxnCommit => Fact::Commits,
+            Stage::TxnAbort => Fact::Aborts,
+            Stage::DetachedRun => Fact::DetachedRuns,
+            _ => return None,
+        })
     }
 
     /// Unit of the values this stage records into its histogram.

@@ -48,7 +48,7 @@ fn watcher(name: &str, class: &str, method: &str) -> RuleDef {
 fn notified(eng: &RuleEngine) -> Vec<RuleId> {
     let mut ids: Vec<RuleId> = eng
         .iter_rules()
-        .filter(|r| r.stats.notifications > 0)
+        .filter(|r| r.stats().notifications > 0)
         .map(|r| r.id)
         .collect();
     ids.sort();
@@ -94,9 +94,9 @@ fn routing_notifies_a_subset_of_the_consumers() {
     eng.on_occurrence(&reg, &occ(&reg, 2, 1, "Stock", "SetVolume"))
         .unwrap();
     assert_eq!(eng.stats().notifications, 3);
-    assert_eq!(eng.rule(volume).unwrap().stats.notifications, 1);
+    assert_eq!(eng.rule(volume).unwrap().stats().notifications, 1);
     assert!(notified(&eng).iter().all(|r| consumers.contains(r)));
-    assert_eq!(eng.rule(other).unwrap().stats.notifications, 0);
+    assert_eq!(eng.rule(other).unwrap().stats().notifications, 0);
 }
 
 /// Removing a rule after the index was built must stop its deliveries.
@@ -191,7 +191,7 @@ fn disable_enable_invalidates_index() {
     eng.on_occurrence(&reg, &occ(&reg, 2, 1, "Stock", "SetPrice"))
         .unwrap();
     assert_eq!(eng.stats().notifications, 1, "disabled: not notified");
-    assert_eq!(eng.rule(r).unwrap().stats.notifications, 1);
+    assert_eq!(eng.rule(r).unwrap().stats().notifications, 1);
 
     eng.enable(r).unwrap();
     let fired = eng
@@ -322,7 +322,7 @@ fn symbol_less_occurrences_reach_only_broad_rules() {
     eng.on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "Audit"))
         .unwrap();
     assert_eq!(eng.stats().notifications, 1);
-    assert_eq!(eng.rule(broad).unwrap().stats.notifications, 1);
-    assert_eq!(eng.rule(bounded).unwrap().stats.notifications, 0);
-    assert_eq!(eng.rule(broad).unwrap().stats.triggered, 0);
+    assert_eq!(eng.rule(broad).unwrap().stats().notifications, 1);
+    assert_eq!(eng.rule(bounded).unwrap().stats().notifications, 0);
+    assert_eq!(eng.rule(broad).unwrap().stats().triggered, 0);
 }

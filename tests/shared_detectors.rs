@@ -291,7 +291,7 @@ impl World {
                     let id = self.ids[name];
                     add_stats(
                         self.past.entry(name.clone()).or_default(),
-                        self.eng.rule(id).unwrap().stats,
+                        self.eng.rule(id).unwrap().stats(),
                     );
                     self.eng.remove_rule(id).unwrap();
                 }
@@ -334,7 +334,7 @@ impl World {
             let old_id = self.ids[&name];
             add_stats(
                 self.past.entry(name.clone()).or_default(),
-                old.rule(old_id).unwrap().stats,
+                old.rule(old_id).unwrap().stats(),
             );
             let state = old.detector_of(old_id).unwrap().export_state();
             let id = self.install(&name, &entry);
@@ -367,7 +367,7 @@ impl World {
     fn outcome(&self, name: &str) -> (RuleStats, Vec<Fired>) {
         let mut stats = self.past.get(name).copied().unwrap_or_default();
         if self.live.contains_key(name) {
-            add_stats(&mut stats, self.eng.rule(self.ids[name]).unwrap().stats);
+            add_stats(&mut stats, self.eng.rule(self.ids[name]).unwrap().stats());
         }
         let mut fired = self.fired.get(name).cloned().unwrap_or_default();
         fired.sort();

@@ -1,8 +1,11 @@
 //! Integration test of the metrics exporters: the Prometheus text
 //! exposition and the JSON snapshot must reconcile exactly with the
-//! counters the database reports through `stats()` / `engine_stats()`.
+//! counters the database reports through `stats()` / `engine_stats()`;
+//! and the two reset scopes: `Telemetry::reset` empties telemetry only,
+//! `Database::reset_stats` zeroes the counters too.
 
 use sentinel::prelude::*;
+use sentinel::rules::EngineStats;
 use std::collections::HashMap;
 
 /// A fixed workload touching every pipeline stage: three coupling
@@ -148,10 +151,66 @@ fn telemetry_disabled_by_default_and_costs_nothing() {
     db.send(o, "Set", &[Value::Float(1.0)]).unwrap();
     let snap = db.telemetry().snapshot();
     assert!(!snap.enabled);
-    assert!(snap.stages.iter().all(|s| s.count == 0));
+    // Facts count while telemetry is off; histograms, rule latencies
+    // and the trace stay empty.
+    assert!(snap.stages.iter().all(|s| s.values.count == 0));
+    assert!(snap.rules.is_empty());
     assert_eq!(snap.trace.recorded, 0);
+    assert_eq!(snap.stage_count(Stage::MethodSend), db.stats().sends);
     // Runtime enablement works without reopening the database.
     db.telemetry().set_enabled(true);
     db.send(o, "Set", &[Value::Float(2.0)]).unwrap();
-    assert_eq!(db.telemetry().stage_count(Stage::MethodSend), 1);
+    let commits = db
+        .telemetry()
+        .snapshot()
+        .stage(Stage::TxnCommit)
+        .unwrap()
+        .values
+        .count;
+    assert_eq!(commits, 1);
+}
+
+/// `Telemetry::reset` (the benchmark's switch into its traced phase)
+/// empties histograms, rule latencies and the trace, and changes no
+/// counter; `Database::reset_stats` zeroes the counters as well.
+#[test]
+fn reset_scopes_telemetry_and_counters_apart() {
+    let sentinel = Sentinel::open(run_workload());
+    let session = sentinel.session();
+    let rules = ["def", "det", "imm"];
+    let counters = |db: &Database| {
+        let per_rule: Vec<RuleStats> = rules.iter().map(|r| db.rule_stats(r).unwrap()).collect();
+        (db.stats(), db.engine_stats(), per_rule, session.stats())
+    };
+    sentinel.with(|db| {
+        let before = counters(db);
+        assert!(before.0.condition_evals > 0 && before.2.iter().all(|r| r.actions_run > 0));
+        assert_eq!(before.3, before.0);
+        db.telemetry().reset();
+        assert_eq!(counters(db), before, "Telemetry::reset changed a counter");
+        let snap = db.telemetry().snapshot();
+        assert!(snap.stages.iter().all(|s| s.values.count == 0));
+        assert!(snap.rules.is_empty());
+        assert_eq!(snap.trace.recorded, 0);
+        assert!(db.telemetry().trace_dump(usize::MAX).is_empty());
+    });
+    // A later evaluation lands in the rule's cell, which the reset
+    // zeroed rather than dropped.
+    let s = sentinel.with(|db| db.extent("Stock").unwrap()[0]);
+    sentinel.send(s, "SetPrice", &[Value::Float(1.0)]).unwrap();
+    sentinel.drain();
+    sentinel.with(|db| {
+        let snap = db.telemetry().snapshot();
+        let imm = snap.rules.iter().find(|r| r.rule == "imm").unwrap();
+        assert_eq!(imm.condition.count, 1);
+        assert_eq!(imm.action.count, 1);
+        db.reset_stats();
+        assert_eq!(db.stats(), DbStats::default());
+        assert_eq!(db.engine_stats(), EngineStats::default());
+        for r in rules {
+            assert_eq!(db.rule_stats(r).unwrap(), RuleStats::default(), "{r}");
+        }
+        assert_eq!(session.stats(), DbStats::default());
+        assert!(db.telemetry().snapshot().rules.is_empty());
+    });
 }

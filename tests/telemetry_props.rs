@@ -1,9 +1,11 @@
 //! Property-based reconciliation of pipeline telemetry with the
 //! engine's own statistics: across random workloads — including
-//! transaction aborts that exercise the detector undo journal — every
-//! stage counter must exactly equal the corresponding `DbStats` /
-//! `EngineStats` counter, and with a large-enough ring the structured
-//! trace must contain exactly one record per stage firing.
+//! transaction aborts that exercise the detector undo journal — with a
+//! large-enough ring the structured trace must contain exactly one
+//! record per counted fact for each stage that is a fact, and one per
+//! stage firing overall; and the Prometheus text, the `full_stats`
+//! JSON and `stats()` / `engine_stats()` must report the same value for
+//! every fact.
 
 use proptest::prelude::*;
 use sentinel::prelude::*;
@@ -115,20 +117,37 @@ proptest! {
         let tel = db.telemetry().clone();
         let d = db.stats();
         let e = db.engine_stats();
+        let facts = [
+            (Stage::MethodSend, "sends_total", d.sends),
+            (Stage::EventRaised, "events_generated_total", d.events_generated),
+            (Stage::FanOut, "occurrences_total", e.occurrences),
+            (Stage::DetectorTransition, "notifications_total", e.notifications),
+            (Stage::ConditionEval, "condition_evals_total", d.condition_evals),
+            (Stage::ActionRun, "actions_run_total", d.actions_run),
+            (Stage::FiringImmediate, "scheduled_immediate_total", e.immediate),
+            (Stage::FiringDeferred, "scheduled_deferred_total", e.deferred),
+            (Stage::FiringDetached, "scheduled_detached_total", e.detached),
+            (Stage::TxnCommit, "commits_total", d.commits),
+            (Stage::TxnAbort, "aborts_total", d.aborts),
+            (Stage::DetachedRun, "detached_runs_total", d.detached_runs),
+        ];
+        prop_assert_eq!(
+            facts.len(),
+            Stage::ALL.iter().filter(|s| s.fact().is_some()).count()
+        );
 
-        // Stage counters against the facade/engine statistics.
-        prop_assert_eq!(tel.stage_count(Stage::MethodSend), d.sends);
-        prop_assert_eq!(tel.stage_count(Stage::EventRaised), d.events_generated);
-        prop_assert_eq!(tel.stage_count(Stage::FanOut), e.occurrences);
-        prop_assert_eq!(tel.stage_count(Stage::DetectorTransition), e.notifications);
-        prop_assert_eq!(tel.stage_count(Stage::ConditionEval), d.condition_evals);
-        prop_assert_eq!(tel.stage_count(Stage::ActionRun), d.actions_run);
-        prop_assert_eq!(tel.stage_count(Stage::FiringImmediate), e.immediate);
-        prop_assert_eq!(tel.stage_count(Stage::FiringDeferred), e.deferred);
-        prop_assert_eq!(tel.stage_count(Stage::FiringDetached), e.detached);
-        prop_assert_eq!(tel.stage_count(Stage::TxnCommit), d.commits);
-        prop_assert_eq!(tel.stage_count(Stage::TxnAbort), d.aborts);
-        prop_assert_eq!(tel.stage_count(Stage::DetachedRun), d.detached_runs);
+        // Every export reports each fact as `stats()` does.
+        let text = db.metrics_prometheus();
+        let json: FullStats = serde_json::from_str(&db.metrics_json().unwrap()).unwrap();
+        prop_assert_eq!(json.db, d);
+        prop_assert_eq!(json.engine, e);
+        for (stage, counter, want) in facts {
+            let series = format!("sentinel_stage_total{{stage=\"{stage}\"}} {want}");
+            prop_assert!(text.lines().any(|l| l == series), "missing `{}`", series);
+            let counter = format!("sentinel_{counter} {want}");
+            prop_assert!(text.lines().any(|l| l == counter), "missing `{}`", counter);
+            prop_assert_eq!(json.telemetry.stage_count(stage), want, "{}", stage);
+        }
 
         // The trace ring is big enough for these workloads, so nothing
         // was evicted and every stage firing left exactly one record.
@@ -144,6 +163,11 @@ proptest! {
         prop_assert_eq!(count_of(Stage::EventRaised), e.occurrences);
         prop_assert_eq!(count_of(Stage::ConditionEval), d.condition_evals);
         prop_assert_eq!(count_of(Stage::TxnAbort), d.aborts);
+        // With tracing on since the reset, each fact stage left exactly
+        // one record per counted fact.
+        for (stage, _, want) in facts {
+            prop_assert_eq!(count_of(stage), want, "{}", stage);
+        }
     }
 
     /// The abort path restores detector state exactly: a rolled-back
