@@ -15,7 +15,7 @@ use crate::catalog::CatalogSnapshot;
 use crate::config::DbConfig;
 use crate::database::{meta, Database};
 use sentinel_object::{ObjectError, ObjectStore, Result};
-use sentinel_rules::{BackpressurePolicy, ReadyFiring};
+use sentinel_rules::{BackpressurePolicy, FiringBatch, ReadyRef};
 use sentinel_storage::{
     BatchAck, LogRecord, Snapshot, TxnId, TxnManager, UndoOp, Wal, WalSyncer, WriteBatch,
 };
@@ -302,11 +302,9 @@ impl Database {
             }
             match self.plan_batch(batch) {
                 crate::scheduler::Plan::Serial(batch) => {
-                    for f in &batch {
-                        if let Err(e) = self.execute_firing(f) {
-                            self.rollback();
-                            return Err(e);
-                        }
+                    if let Err(e) = self.execute_batch(batch) {
+                        self.rollback();
+                        return Err(e);
                     }
                 }
                 crate::scheduler::Plan::Parallel(groups) => {
@@ -323,7 +321,8 @@ impl Database {
         self.txn_touched.clear();
         // The transaction is durable: its firings' fates are sealed.
         self.flush_pending_firings(false);
-        self.telemetry.facts().bump(Fact::Commits);
+        self.engine.count_fact(Fact::Commits);
+        self.engine.publish_facts();
         self.telemetry
             .observe_timer(Stage::TxnCommit, self.clock.now(), commit_timer, || {
                 format!("txn {id}")
@@ -367,12 +366,13 @@ impl Database {
         self.run_detached_batch(over)
     }
 
-    fn run_detached_batch(&mut self, batch: Vec<ReadyFiring>) -> Result<()> {
+    fn run_detached_batch(&mut self, batch: FiringBatch) -> Result<()> {
         match self.plan_batch(batch) {
             crate::scheduler::Plan::Serial(batch) => {
-                for f in batch {
+                for f in batch.iter() {
                     self.run_detached_serial(&f)?;
                 }
+                self.engine.recycle(batch);
                 Ok(())
             }
             crate::scheduler::Plan::Parallel(groups) => self.run_detached_parallel(groups),
@@ -381,7 +381,7 @@ impl Database {
 
     /// One detached firing in its own transaction: an abort in it does
     /// not affect its siblings.
-    pub(crate) fn run_detached_serial(&mut self, f: &ReadyFiring) -> Result<()> {
+    pub(crate) fn run_detached_serial(&mut self, f: &ReadyRef<'_>) -> Result<()> {
         self.count_detached_run(f);
         self.pipeline.begin()?;
         match self.execute_firing(f) {
@@ -395,8 +395,8 @@ impl Database {
 
     /// Count the run of detached firing `f` in its own transaction —
     /// serially or merged from a worker.
-    pub(crate) fn count_detached_run(&self, f: &ReadyFiring) {
-        self.telemetry.facts().bump(Fact::DetachedRuns);
+    pub(crate) fn count_detached_run(&mut self, f: &ReadyRef<'_>) {
+        self.engine.count_fact(Fact::DetachedRuns);
         self.telemetry
             .trace(Stage::DetachedRun, self.clock.now(), || {
                 f.firing.rule_name.to_string()
@@ -411,7 +411,7 @@ impl Database {
     /// their parent) and a [`FiringRecord`] is staged; the record's
     /// outcome is sealed when the surrounding transaction commits or
     /// rolls back.
-    pub(crate) fn execute_firing(&mut self, f: &ReadyFiring) -> Result<()> {
+    pub(crate) fn execute_firing(&mut self, f: &ReadyRef<'_>) -> Result<()> {
         let history = self.telemetry.is_history() && f.firing.lineage.id != 0;
         if !history {
             return self.execute_firing_body(f);
@@ -427,7 +427,7 @@ impl Database {
 
     pub(crate) fn stage_firing_record(
         &mut self,
-        f: &ReadyFiring,
+        f: &ReadyRef<'_>,
         latency_ns: u64,
         ok: bool,
         lane: ExecutionLane,
@@ -474,7 +474,7 @@ impl Database {
         }
     }
 
-    fn execute_firing_body(&mut self, f: &ReadyFiring) -> Result<()> {
+    fn execute_firing_body(&mut self, f: &ReadyRef<'_>) -> Result<()> {
         let cond_timer = self.telemetry.timer();
         let cond = (f.bodies.condition)(self, &f.firing);
         let cond_ns = cond_timer.elapsed_ns();
@@ -493,7 +493,7 @@ impl Database {
 
     /// Run the action of `f`, whose condition held, one nesting level
     /// down; returns its result and, if telemetry timed it, its latency.
-    fn run_action(&mut self, f: &ReadyFiring) -> (Result<()>, Option<u64>) {
+    fn run_action(&mut self, f: &ReadyRef<'_>) -> (Result<()>, Option<u64>) {
         // Pre-increment `>= limit` is the same inclusive semantics as
         // `dispatch`'s post-increment `> limit`: the action about to run
         // would sit at nesting level `depth + 1`.

@@ -19,7 +19,7 @@ use sentinel_object::{
     ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectState,
     ObjectStore, Oid, Reactivity, Result, TypeTag, Value, World,
 };
-use sentinel_rules::{ActionDef, EngineStats, Firing, Lineage, RuleEngine};
+use sentinel_rules::{ActionDef, EngineStats, Firing, FiringBatch, Lineage, RuleEngine};
 use sentinel_storage::{LogRecord, UndoOp, Wal};
 use sentinel_telemetry::{Fact, FiringRecord, Stage, Telemetry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -683,7 +683,7 @@ impl Database {
     }
 
     fn dispatch_inner(&mut self, receiver: Oid, method: &str, args: &[Value]) -> Result<Value> {
-        self.telemetry.facts().bump(Fact::Sends);
+        self.engine.count_fact(Fact::Sends);
         self.telemetry
             .trace(Stage::MethodSend, self.clock.now(), || {
                 format!("{receiver}.{method}")
@@ -755,9 +755,7 @@ impl Database {
         let clock = Arc::clone(&self.clock);
         let immediate = self.engine.drain_timers(now, || clock.tick())?;
         let n = immediate.len();
-        for f in &immediate {
-            self.execute_firing(f)?;
-        }
+        self.execute_batch(immediate)?;
         Ok(n)
     }
 
@@ -797,9 +795,16 @@ impl Database {
             self.engine.set_lineage_context(ctx);
         }
         let immediate = self.engine.on_occurrence(&self.registry, &occ)?;
-        for f in &immediate {
-            self.execute_firing(f)?;
+        self.execute_batch(immediate)
+    }
+
+    /// Run a batch of firings in order, inside the open transaction,
+    /// then hand it back to the engine for reuse.
+    pub(crate) fn execute_batch(&mut self, batch: FiringBatch) -> Result<()> {
+        for f in batch.iter() {
+            self.execute_firing(&f)?;
         }
+        self.engine.recycle(batch);
         Ok(())
     }
 
@@ -881,9 +886,10 @@ impl Database {
         &self.registry
     }
 
-    /// Facade counters.
+    /// Facade counters: everything published so far, plus what the
+    /// transaction in flight has counted.
     pub fn stats(&self) -> DbStats {
-        DbStats::read(self.telemetry.facts())
+        DbStats::read(&self.engine.fact_counts())
     }
 
     /// Engine counters.
@@ -899,8 +905,9 @@ impl Database {
         self.scheduler.as_ref().map(|s| s.stats).unwrap_or_default()
     }
 
-    /// Zero all counters (benchmark warm-up): the fact table and every
-    /// rule's counters. Also clears telemetry histograms and the trace
+    /// Zero all counters (benchmark warm-up): the published fact table,
+    /// the facts the transaction in flight has counted, and every rule's
+    /// counters. Also clears telemetry histograms and the trace
     /// ring, keeping the enablement flags. [`Telemetry::reset`] alone
     /// leaves the counters as they are.
     pub fn reset_stats(&mut self) {
@@ -917,7 +924,7 @@ impl Database {
     /// Facade + engine counters plus a telemetry snapshot, in one
     /// serializable value.
     pub fn full_stats(&self) -> FullStats {
-        FullStats::read(&self.telemetry)
+        FullStats::read(&self.telemetry, &self.engine.fact_counts())
     }
 
     /// Prometheus-style text exposition of the full telemetry snapshot

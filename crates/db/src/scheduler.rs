@@ -73,7 +73,7 @@ use sentinel_events::TimeSource;
 use sentinel_object::{
     ClassId, ClassRegistry, ObjectError, ObjectStore, Oid, Result, Value, World,
 };
-use sentinel_rules::ReadyFiring;
+use sentinel_rules::{FiringBatch, ReadyRef};
 use sentinel_storage::{LogRecord, UndoOp};
 use sentinel_telemetry::{ExecutionLane, Stage, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -305,7 +305,7 @@ struct Group {
 /// commit up.
 pub(crate) struct Batch {
     /// The ready firings, in batch (firing) order.
-    firings: Vec<ReadyFiring>,
+    firings: FiringBatch,
     /// `(target, batch index)` of every firing, sorted: each group is a
     /// run of one target, in batch order.
     order: Vec<(Oid, u32)>,
@@ -393,7 +393,7 @@ impl Batch {
     ) -> Option<Vec<FiringDone>> {
         let mut done = Vec::with_capacity(group.members.len());
         for &(_, i) in &self.order[group.members.clone()] {
-            let f = &self.firings[i as usize];
+            let f = self.firings.get(i as usize).expect("planned firing");
             // Arm the guard with this firing's declared footprint (the
             // plan found one for every firing in this same matrix).
             let footprint = self.matrix.footprint(f.rule_index(), f.firing.rule)?;
@@ -441,7 +441,7 @@ impl Batch {
     /// outcome and writes, or marked for a serial re-run if its group
     /// failed.
     fn step(&self, k: usize) -> MergeStep<'_> {
-        let f = &self.firings[k];
+        let f = self.firings.get(k).expect("merge step in range");
         let (group, pos) = self.place[k];
         match self.results[group as usize]
             .get()
@@ -460,8 +460,8 @@ impl Batch {
 /// worker-completed firing and its writes, or re-run a firing whose
 /// group fell back.
 enum MergeStep<'a> {
-    Merge(&'a ReadyFiring, &'a FiringDone, &'a [WriteRec]),
-    Rerun(&'a ReadyFiring),
+    Merge(ReadyRef<'a>, &'a FiringDone, &'a [WriteRec]),
+    Rerun(ReadyRef<'a>),
 }
 
 fn worker_loop(
@@ -586,7 +586,7 @@ impl Drop for Scheduler {
 pub(crate) enum Plan {
     /// On the committing/draining thread, in firing order (the only
     /// plan under `ExecutionMode::Serial`).
-    Serial(Vec<ReadyFiring>),
+    Serial(FiringBatch),
     /// On the pool, in ≥ 2 groups, one per target.
     Parallel(Arc<Batch>),
 }
@@ -610,7 +610,7 @@ fn helpers() -> usize {
 }
 
 /// The object a firing fired on: the last constituent of its occurrence.
-fn target_of(f: &ReadyFiring) -> Oid {
+fn target_of(f: &ReadyRef<'_>) -> Oid {
     f.firing
         .occurrence
         .constituents
@@ -644,7 +644,7 @@ impl Database {
     /// serial), a footprint in the fresh matrix for every firing's rule,
     /// and at least two distinct targets — one group would serialize on
     /// a worker anyway.
-    pub(crate) fn plan_batch(&mut self, batch: Vec<ReadyFiring>) -> Plan {
+    pub(crate) fn plan_batch(&mut self, batch: FiringBatch) -> Plan {
         if self.scheduler.is_none() || batch.is_empty() {
             return Plan::Serial(batch);
         }
@@ -655,13 +655,14 @@ impl Database {
         let sched = self.scheduler.as_ref().expect("checked above");
         let matrix = Arc::clone(sched.matrix.as_ref().expect("refreshed above"));
         let mut order = Vec::with_capacity(batch.len());
-        for (i, f) in batch.iter().enumerate() {
-            if matrix.footprint(f.rule_index(), f.firing.rule).is_none() {
-                // A serial-lane rule, or one removed since the firing was
-                // scheduled: the whole batch keeps the serial order.
-                return self.plan_serial_fallback(batch);
-            }
-            order.push((target_of(f), i as u32));
+        // A serial-lane rule, or one removed since the firing was
+        // scheduled, keeps the whole batch in the serial order.
+        let planned = batch.iter().enumerate().all(|(i, f)| {
+            order.push((target_of(&f), i as u32));
+            matrix.footprint(f.rule_index(), f.firing.rule).is_some()
+        });
+        if !planned {
+            return self.plan_serial_fallback(batch);
         }
         order.sort_unstable();
         let mut groups: Vec<Group> = Vec::new();
@@ -698,7 +699,7 @@ impl Database {
         }))
     }
 
-    fn plan_serial_fallback(&mut self, batch: Vec<ReadyFiring>) -> Plan {
+    fn plan_serial_fallback(&mut self, batch: FiringBatch) -> Plan {
         if let Some(sched) = &mut self.scheduler {
             sched.stats.serial_fallbacks += 1;
             sched.stats.serial_firings += batch.len() as u64;
@@ -737,19 +738,19 @@ impl Database {
     /// recorded write log instead of live execution.
     fn merge_parallel_firing(
         &mut self,
-        f: &ReadyFiring,
+        f: ReadyRef<'_>,
         done: &FiringDone,
         writes: &[WriteRec],
     ) -> Result<()> {
         self.engine.account_firing(
-            f,
+            &f,
             done.cond_held,
             done.cond_ns,
             done.action_ns,
             self.clock.now(),
         );
         if self.telemetry.is_history() && f.firing.lineage.id != 0 {
-            self.stage_firing_record(f, done.firing_ns, true, ExecutionLane::Parallel);
+            self.stage_firing_record(&f, done.firing_ns, true, ExecutionLane::Parallel);
         }
         let durable = self.pipeline.is_durable();
         let txn = self.pipeline.current().expect("merge runs inside a txn");
@@ -821,14 +822,23 @@ impl Database {
         for k in 0..batch.firings.len() {
             let outcome = match batch.step(k) {
                 MergeStep::Merge(f, done, writes) => self.merge_parallel_firing(f, done, writes),
-                MergeStep::Rerun(f) => self.rerun_serial(&batch, k, |db| db.execute_firing(f)),
+                MergeStep::Rerun(f) => self.rerun_serial(&batch, k, |db| db.execute_firing(&f)),
             };
             if let Err(e) = outcome {
                 self.undo_unmerged(&batch, k);
                 return Err(e);
             }
         }
+        self.recycle_parallel(batch);
         Ok(())
+    }
+
+    /// Hand a run batch's firings back to the engine for reuse, unless a
+    /// worker still holds the batch.
+    fn recycle_parallel(&mut self, batch: Arc<Batch>) {
+        if let Ok(batch) = Arc::try_unwrap(batch) {
+            self.engine.recycle(batch.firings);
+        }
     }
 
     /// Parallel execution of a detached batch: worker-completed firings
@@ -841,7 +851,7 @@ impl Database {
         for k in 0..batch.firings.len() {
             match batch.step(k) {
                 MergeStep::Merge(f, done, writes) => {
-                    self.count_detached_run(f);
+                    self.count_detached_run(&f);
                     let committed = self
                         .pipeline
                         .begin()
@@ -856,13 +866,14 @@ impl Database {
                     }
                 }
                 MergeStep::Rerun(f) => {
-                    if let Err(e) = self.rerun_serial(&batch, k, |db| db.run_detached_serial(f)) {
+                    if let Err(e) = self.rerun_serial(&batch, k, |db| db.run_detached_serial(&f)) {
                         self.undo_unmerged(&batch, k);
                         return Err(e);
                     }
                 }
             }
         }
+        self.recycle_parallel(batch);
         Ok(())
     }
 }

@@ -364,14 +364,17 @@ impl Session {
         self.reads.clock.now()
     }
 
-    /// Facade counters (atomic snapshot, no core lock).
+    /// Facade counters, as of the last transaction boundary: one
+    /// published cut, read without the core lock.
     pub fn stats(&self) -> DbStats {
-        DbStats::read(self.reads.telemetry.facts())
+        DbStats::read(&self.reads.telemetry.facts().read())
     }
 
-    /// Facade + engine counters plus a telemetry snapshot.
+    /// Facade + engine counters plus a telemetry snapshot, all counted
+    /// from one published cut.
     pub fn full_stats(&self) -> FullStats {
-        FullStats::read(&self.reads.telemetry)
+        let facts = self.reads.telemetry.facts().read();
+        FullStats::read(&self.reads.telemetry, &facts)
     }
 
     /// Per-shard store-lock load counters.

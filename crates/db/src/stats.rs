@@ -1,13 +1,17 @@
 //! Database-level counters (the root `paper_claims` test asserts the
 //! paper's claims on them).
 //!
-//! [`DbStats`] is a serializable point-in-time read of the pipeline's
-//! one counter table, [`Facts`] — relaxed atomics shared (via `Arc`)
-//! by the rule engine, the write core and concurrent reader sessions,
-//! so `stats` and the metrics exporters never need the core lock.
+//! [`DbStats`] is a serializable read of the pipeline's one counter
+//! table, the facts. The write core counts them in plain cells and
+//! publishes them into the telemetry handle's [`Facts`] once per commit
+//! or abort; concurrent reader sessions and the metrics exporters read
+//! one published cut without the core lock, and the core's own reads
+//! add the transaction in flight's counts.
 
 use sentinel_rules::EngineStats;
-use sentinel_telemetry::{Fact, Facts, Telemetry, TelemetrySnapshot};
+#[cfg(doc)]
+use sentinel_telemetry::Facts;
+use sentinel_telemetry::{Fact, FactCounts, Telemetry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 
 /// Counters aggregated by the facade on top of the engine's.
@@ -33,8 +37,8 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    /// The facade's counts in a fact table.
-    pub(crate) fn read(facts: &Facts) -> Self {
+    /// The facade's counts in a cut of the fact table.
+    pub(crate) fn read(facts: &FactCounts) -> Self {
         DbStats {
             sends: facts.get(Fact::Sends),
             events_generated: facts.get(Fact::Occurrences),
@@ -126,12 +130,13 @@ pub struct FullStats {
 }
 
 impl FullStats {
-    /// Everything `telemetry` and its fact table report.
-    pub(crate) fn read(telemetry: &Telemetry) -> Self {
+    /// Everything `telemetry` reports, its fact stages and the counters
+    /// read from `facts`.
+    pub(crate) fn read(telemetry: &Telemetry, facts: &FactCounts) -> Self {
         FullStats {
-            db: DbStats::read(telemetry.facts()),
-            engine: EngineStats::read(telemetry.facts()),
-            telemetry: telemetry.snapshot(),
+            db: DbStats::read(facts),
+            engine: EngineStats::read(facts),
+            telemetry: telemetry.snapshot_with(facts),
         }
     }
 }
@@ -156,7 +161,7 @@ mod tests {
 
     #[test]
     fn db_stats_read_the_fact_table() {
-        let f = Facts::default();
+        let mut f = FactCounts::default();
         f.bump(Fact::Sends);
         f.bump(Fact::Sends);
         f.bump(Fact::Aborts);
@@ -168,7 +173,6 @@ mod tests {
         assert_eq!(snap.commits, 0);
         assert_eq!(snap.events_generated, 1);
         assert_eq!((snap.condition_true, snap.actions_run), (1, 1));
-        f.reset();
-        assert_eq!(DbStats::read(&f), DbStats::default());
+        assert_eq!(DbStats::read(&FactCounts::default()), DbStats::default());
     }
 }

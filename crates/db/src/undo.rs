@@ -50,7 +50,8 @@ impl Database {
         }
         self.txn_touched = touched;
         self.engine.prune_detectors_newer_than(self.txn_start_clock);
-        self.telemetry.facts().bump(Fact::Aborts);
+        self.engine.count_fact(Fact::Aborts);
+        self.engine.publish_facts();
         // Firings this transaction executed died with it: seal their
         // history records as aborted.
         self.flush_pending_firings(true);

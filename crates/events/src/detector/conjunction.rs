@@ -5,18 +5,19 @@
 use crate::context::ParamContext;
 use crate::occurrence::CompositeOccurrence;
 
+use super::emit::Emits;
 use super::state::{Buffer, Env};
 
 /// Conjunction pairing under each parameter context.
 pub(super) fn pair_and(
     id: u32,
-    le: Vec<CompositeOccurrence>,
-    re: Vec<CompositeOccurrence>,
+    le: Emits,
+    re: Emits,
     lbuf: &mut Buffer,
     rbuf: &mut Buffer,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
-    let mut out = Vec::new();
+) -> Emits {
+    let mut out = Emits::new();
     match env.context {
         ParamContext::Unrestricted => {
             for l in &le {
@@ -64,15 +65,22 @@ pub(super) fn pair_and(
             }
         }
         ParamContext::Chronicle => {
+            // The partner is read in place, then moves into the journal.
             for l in le {
-                match rbuf.pop_front(id, 1, env) {
-                    Some(r) => out.push(CompositeOccurrence::merge(&l, &r)),
+                match rbuf.items.front() {
+                    Some(r) => {
+                        out.push(CompositeOccurrence::merge(&l, r));
+                        rbuf.consume_front(id, 1, env);
+                    }
                     None => lbuf.push(id, 0, l, env),
                 }
             }
             for r in re {
-                match lbuf.pop_front(id, 0, env) {
-                    Some(l) => out.push(CompositeOccurrence::merge(&l, &r)),
+                match lbuf.items.front() {
+                    Some(l) => {
+                        out.push(CompositeOccurrence::merge(l, &r));
+                        lbuf.consume_front(id, 0, env);
+                    }
                     None => rbuf.push(id, 1, r, env),
                 }
             }

@@ -39,12 +39,14 @@
 //! [`commit_txn`](DetectorInstance::commit_txn) /
 //! [`abort_txn`](DetectorInstance::abort_txn) every state mutation
 //! records its inverse. The journal costs O(1) per mutation (a marker
-//! for appends; a clone only for destructive pops/clears), so a
+//! for appends; the removed occurrence itself, moved, for destructive
+//! pops; a clone only for whole-side clears), so a
 //! transaction over a detector with a large buffer does **not** pay for
 //! the buffer size — the reason this design replaced an earlier
 //! clone-the-detector checkpoint (see DESIGN.md §9).
 
 mod conjunction;
+mod emit;
 mod leaf;
 mod sequence;
 mod state;
@@ -62,11 +64,16 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use conjunction::pair_and;
+pub use emit::{Emits, IntoIter as EmitsIntoIter};
 use sequence::pair_seq;
 use state::{
     apply_buffer_undo, evict_buffer, Buffer, Env, JournalEntry, NodeUndo, Stim, WindowBuf,
 };
 use window::Watermarks;
+
+/// Most journal entries a detector keeps room for between
+/// transactions; a journal that grew past it is freed at the close.
+const JOURNAL_KEEP: usize = 256;
 
 /// Resource limits protecting against unbounded detector state (the
 /// unrestricted context never discards occurrences on its own).
@@ -110,7 +117,10 @@ pub struct DetectorInstance {
     context: ParamContext,
     caps: DetectorCaps,
     stats: DetectorStats,
-    journal: Option<Vec<JournalEntry>>,
+    /// The undo journal of the open transaction, if `in_txn`; kept
+    /// (emptied) between transactions for its capacity.
+    journal: Vec<JournalEntry>,
+    in_txn: bool,
     telemetry: Option<Arc<Telemetry>>,
     /// The instant axis windows are measured on. `None` (unit tests,
     /// standalone detectors) falls back to each stimulus's seq — i.e.
@@ -129,7 +139,7 @@ impl std::fmt::Debug for DetectorInstance {
             .field("context", &self.context)
             .field("stats", &self.stats)
             .field("buffered", &self.buffered())
-            .field("in_txn", &self.journal.is_some())
+            .field("in_txn", &self.in_txn)
             .finish()
     }
 }
@@ -151,7 +161,8 @@ impl DetectorInstance {
             context,
             caps,
             stats: DetectorStats::default(),
-            journal: None,
+            journal: Vec::new(),
+            in_txn: false,
             telemetry: None,
             time: None,
             label: Arc::from(""),
@@ -186,11 +197,7 @@ impl DetectorInstance {
     /// of the whole expression completed by it (possibly several under
     /// the unrestricted context, at most one under the restricted ones
     /// for binary operators).
-    pub fn process(
-        &mut self,
-        registry: &ClassRegistry,
-        occ: &PrimitiveOccurrence,
-    ) -> Vec<CompositeOccurrence> {
+    pub fn process(&mut self, registry: &ClassRegistry, occ: &PrimitiveOccurrence) -> Emits {
         let sym = registry.event_sym(occ.class, &occ.method, occ.modifier.is_end());
         self.process_resolved(registry, occ, sym)
     }
@@ -205,19 +212,34 @@ impl DetectorInstance {
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
         sym: Option<EventSym>,
-    ) -> Vec<CompositeOccurrence> {
+    ) -> Emits {
         if self.schema_len != registry.len() {
             self.root.refresh_alphabets(registry);
             self.schema_len = registry.len();
         }
+        let now = match &self.time {
+            Some(t) => t.instant_now(),
+            None => occ.at,
+        };
+        self.deliver(&Stim::Prim(occ), sym, now)
+    }
+
+    /// Deliver one timer fire to the `at`/`every` leaf at `idx` (its
+    /// position in [`EventExpr::timer_specs`] leaf order). `due` is the
+    /// instant the timer came due — windows advance to it — and `seq`
+    /// the fresh logical timestamp the engine assigned to the fire, so
+    /// the tick is totally ordered against event occurrences.
+    pub fn process_timer(&mut self, idx: usize, due: u64, seq: u64) -> Emits {
+        self.deliver(&Stim::Timer { idx, seq }, None, due)
+    }
+
+    /// Drive one stimulus through the node tree at instant `now`,
+    /// counting it and timing it as one detector transition.
+    fn deliver(&mut self, stim: &Stim<'_>, sym: Option<EventSym>, now: u64) -> Emits {
         self.stats.offered += 1;
         let timer = match &self.telemetry {
             Some(t) => t.timer(),
             None => Timer::off(),
-        };
-        let now = match &self.time {
-            Some(t) => t.instant_now(),
-            None => occ.at,
         };
         let mut env = Env {
             sym,
@@ -226,9 +248,9 @@ impl DetectorInstance {
             now,
             matched: false,
             dropped: 0,
-            journal: self.journal.as_mut(),
+            journal: self.in_txn.then_some(&mut self.journal),
         };
-        let out = self.root.process(&Stim::Prim(occ), &mut env);
+        let out = self.root.process(stim, &mut env);
         if env.matched {
             self.stats.matched += 1;
         }
@@ -239,42 +261,16 @@ impl DetectorInstance {
             // is not free on deep expressions.
             if tel.is_enabled() {
                 let label = &self.label;
-                tel.observe_timer(Stage::DetectorTransition, occ.at, timer, || {
-                    label.to_string()
-                });
+                let at = stim.seq();
+                tel.observe_timer(Stage::DetectorTransition, at, timer, || label.to_string());
                 tel.observe(
                     Stage::DetectorDepth,
-                    occ.at,
+                    at,
                     self.root.buffered() as u64,
                     || label.to_string(),
                 );
             }
         }
-        out
-    }
-
-    /// Deliver one timer fire to the `at`/`every` leaf at `idx` (its
-    /// position in [`EventExpr::timer_specs`] leaf order). `due` is the
-    /// instant the timer came due — windows advance to it — and `seq`
-    /// the fresh logical timestamp the engine assigned to the fire, so
-    /// the tick is totally ordered against event occurrences.
-    pub fn process_timer(&mut self, idx: usize, due: u64, seq: u64) -> Vec<CompositeOccurrence> {
-        self.stats.offered += 1;
-        let mut env = Env {
-            sym: None,
-            context: self.context,
-            caps: self.caps,
-            now: due,
-            matched: false,
-            dropped: 0,
-            journal: self.journal.as_mut(),
-        };
-        let out = self.root.process(&Stim::Timer { idx, seq }, &mut env);
-        if env.matched {
-            self.stats.matched += 1;
-        }
-        self.stats.dropped += env.dropped;
-        self.stats.emitted += out.len() as u64;
         out
     }
 
@@ -303,22 +299,29 @@ impl DetectorInstance {
 
     /// Start journaling state mutations for the enclosing transaction.
     pub fn begin_txn(&mut self) {
-        debug_assert!(self.journal.is_none(), "nested detector transactions");
-        self.journal = Some(Vec::new());
+        debug_assert!(!self.in_txn, "nested detector transactions");
+        self.in_txn = true;
     }
 
-    /// The transaction committed: discard the journal.
+    /// The transaction committed: empty the journal, keeping its
+    /// capacity for the next transaction unless one transaction grew it
+    /// unusually large.
     pub fn commit_txn(&mut self) {
-        self.journal = None;
+        self.in_txn = false;
+        self.journal.clear();
+        if self.journal.capacity() > JOURNAL_KEEP {
+            self.journal = Vec::new();
+        }
     }
 
     /// The transaction aborted: replay the journal in reverse, restoring
     /// exactly the pre-transaction detection state.
     pub fn abort_txn(&mut self) {
-        let Some(journal) = self.journal.take() else {
+        if !std::mem::take(&mut self.in_txn) {
             return;
-        };
-        for entry in journal.into_iter().rev() {
+        }
+        let mut journal = std::mem::take(&mut self.journal);
+        for entry in journal.drain(..).rev() {
             match entry {
                 JournalEntry::Full(node) => {
                     self.root = *node;
@@ -328,11 +331,14 @@ impl DetectorInstance {
                 }
             }
         }
+        if journal.capacity() <= JOURNAL_KEEP {
+            self.journal = journal;
+        }
     }
 
     /// Is a journal currently active?
     pub fn in_txn(&self) -> bool {
-        self.journal.is_some()
+        self.in_txn
     }
 
     /// Total occurrences currently buffered across all operator nodes —
@@ -352,8 +358,9 @@ impl DetectorInstance {
     /// journal is active the pre-reset state is recorded so an abort can
     /// restore it.
     pub fn reset(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(JournalEntry::Full(Box::new(self.root.clone())));
+        if self.in_txn {
+            self.journal
+                .push(JournalEntry::Full(Box::new(self.root.clone())));
         }
         self.root.reset();
     }
@@ -629,22 +636,26 @@ impl Node {
         })
     }
 
-    fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>) -> Vec<CompositeOccurrence> {
+    fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>) -> Emits {
         match self {
             Node::Primitive { alphabet, .. } => match stim {
                 Stim::Prim(occ) if leaf::matches(env.sym, alphabet) => {
                     env.matched = true;
-                    vec![CompositeOccurrence::from_primitive((*occ).clone())]
+                    let mut out = Emits::new();
+                    out.push(CompositeOccurrence::from_primitive((*occ).clone()));
+                    out
                 }
-                _ => Vec::new(),
+                _ => Emits::new(),
             },
 
             Node::At { timer_idx } | Node::Every { timer_idx } => match stim {
                 Stim::Timer { idx, seq } if idx == timer_idx => {
                     env.matched = true;
-                    vec![temporal::timer_occurrence(*seq)]
+                    let mut out = Emits::new();
+                    out.push(temporal::timer_occurrence(*seq));
+                    out
                 }
-                _ => Vec::new(),
+                _ => Emits::new(),
             },
 
             Node::Or { left, right } => {
@@ -684,11 +695,9 @@ impl Node {
                 if let Some(cut) = temporal::within_cutoff(stim.seq(), deadline) {
                     child.evict_state(cut, true, env);
                 }
-                child
-                    .process(stim, env)
-                    .into_iter()
-                    .filter(|o| temporal::within_span_ok(o, deadline))
-                    .collect()
+                let mut out = child.process(stim, env);
+                out.retain(|o| temporal::within_span_ok(o, deadline));
+                out
             }
 
             Node::Window {
@@ -729,10 +738,9 @@ impl Node {
                 latest,
             } => {
                 let id = *id;
-                let mut completed = Vec::new();
+                let mut completed = Emits::new();
                 for (i, child) in children.iter_mut().enumerate() {
-                    let es = child.process(stim, env);
-                    if let Some(e) = es.into_iter().next_back() {
+                    if let Some(e) = child.process(stim, env).into_last() {
                         let prev = latest[i].replace(e);
                         let was_present = prev.is_some();
                         env.record(id, NodeUndo::SetLatest { i, prev });
@@ -766,9 +774,8 @@ impl Node {
                 let id = *id;
                 // Deterministic intra-occurrence ordering: close windows
                 // first, then record violations, then open new windows.
-                let ee = end.process(stim, env);
-                let mut out = Vec::new();
-                if let Some(e) = ee.into_iter().next() {
+                let mut out = Emits::new();
+                if let Some(e) = end.process(stim, env).into_first() {
                     let prev_open = open.take();
                     if let Some(s) = prev_open.clone() {
                         if !*violated {
@@ -785,7 +792,7 @@ impl Node {
                     env.record(id, NodeUndo::SetViolated { prev: false });
                     *violated = true;
                 }
-                if let Some(s) = start.process(stim, env).into_iter().next_back() {
+                if let Some(s) = start.process(stim, env).into_last() {
                     let prev = open.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                     if *violated {
@@ -808,7 +815,7 @@ impl Node {
                     let prev = open.take();
                     env.record(id, NodeUndo::SetOpen { prev });
                 }
-                let mut out = Vec::new();
+                let mut out = Emits::new();
                 if let Some(s) = open.as_ref() {
                     for e in each.process(stim, env) {
                         out.push(CompositeOccurrence::merge(s, &e));
@@ -817,7 +824,7 @@ impl Node {
                     // Still drive the child so its own state stays fresh.
                     let _ = each.process(stim, env);
                 }
-                if let Some(s) = start.process(stim, env).into_iter().next_back() {
+                if let Some(s) = start.process(stim, env).into_last() {
                     let prev = open.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                 }
@@ -826,7 +833,7 @@ impl Node {
 
             Node::Times { id, n, child, buf } => {
                 let id = *id;
-                let mut out = Vec::new();
+                let mut out = Emits::new();
                 for e in child.process(stim, env) {
                     buf.push(id, 0, e, env);
                     if buf.len() >= *n {
@@ -848,19 +855,14 @@ impl Node {
                 // Deadlines are checked against the *current* stimulus's
                 // timestamp first (lazy timer), then new bases enqueue.
                 let at = stim.seq();
-                let mut out = Vec::new();
-                while pending
-                    .items
-                    .front()
-                    .map(|b| b.end + *delta <= at)
-                    .unwrap_or(false)
-                {
-                    let base = pending.pop_front(id, 0, env).expect("checked non-empty");
+                let mut out = Emits::new();
+                while let Some(base) = pending.items.front().filter(|b| b.end + *delta <= at) {
                     out.push(CompositeOccurrence {
                         constituents: base.constituents.clone(),
                         start: base.start,
                         end: at,
                     });
+                    pending.consume_front(id, 0, env);
                 }
                 for e in child.process(stim, env) {
                     pending.push(id, 0, e, env);
@@ -2149,12 +2151,12 @@ mod tests {
         }
         d.begin_txn();
         d.process(&reg, &occ(&reg, 2000, "Stock", "SetPrice"));
-        assert_eq!(
-            d.journal.as_ref().map(|j| j.len()),
-            Some(1),
-            "one journal marker for one append"
-        );
+        assert_eq!(d.journal.len(), 1, "one journal marker for one append");
         d.commit_txn();
+        assert!(
+            d.journal.is_empty() && d.journal.capacity() > 0,
+            "kept for the next"
+        );
     }
 }
 

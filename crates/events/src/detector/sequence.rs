@@ -4,6 +4,7 @@
 use crate::context::ParamContext;
 use crate::occurrence::CompositeOccurrence;
 
+use super::emit::Emits;
 use super::state::{Buffer, Env, NodeUndo};
 
 /// Sequence pairing under each parameter context. Only left-side
@@ -11,12 +12,12 @@ use super::state::{Buffer, Env, NodeUndo};
 /// left can never participate later and is discarded.
 pub(super) fn pair_seq(
     id: u32,
-    le: Vec<CompositeOccurrence>,
-    re: Vec<CompositeOccurrence>,
+    le: Emits,
+    re: Emits,
     lbuf: &mut Buffer,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
-    let mut out = Vec::new();
+) -> Emits {
+    let mut out = Emits::new();
     match env.context {
         ParamContext::Unrestricted => {
             for r in &re {
@@ -41,9 +42,9 @@ pub(super) fn pair_seq(
         }
         ParamContext::Chronicle => {
             for r in &re {
-                if lbuf.items.front().map(|l| l.end < r.start).unwrap_or(false) {
-                    let l = lbuf.pop_front(id, 0, env).expect("checked non-empty");
-                    out.push(CompositeOccurrence::merge(&l, r));
+                if let Some(l) = lbuf.items.front().filter(|l| l.end < r.start) {
+                    out.push(CompositeOccurrence::merge(l, r));
+                    lbuf.consume_front(id, 0, env);
                 }
             }
             for l in le {

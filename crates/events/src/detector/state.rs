@@ -143,24 +143,13 @@ impl Buffer {
         env.record(node, NodeUndo::PopBack { side });
     }
 
-    /// Consume from the front; journals the consumption.
-    pub(super) fn pop_front(
-        &mut self,
-        node: u32,
-        side: u8,
-        env: &mut Env<'_>,
-    ) -> Option<CompositeOccurrence> {
-        let occ = self.items.pop_front()?;
-        if env.journaling() {
-            env.record(
-                node,
-                NodeUndo::PushFront {
-                    side,
-                    occ: occ.clone(),
-                },
-            );
+    /// Consume the front occurrence, which the caller has read in
+    /// place: it moves into the journal (or is dropped when none is
+    /// open).
+    pub(super) fn consume_front(&mut self, node: u32, side: u8, env: &mut Env<'_>) {
+        if let Some(occ) = self.items.pop_front() {
+            env.record(node, NodeUndo::PushFront { side, occ });
         }
-        Some(occ)
     }
 
     /// Drop everything; journals the old contents.
@@ -181,8 +170,10 @@ impl Buffer {
 
 /// Evict from `buf` every occurrence whose scope key (`start` when
 /// `by_start`, the `within` axis; `end` otherwise, the window axis) is
-/// at or before `cutoff`. Journals the pre-eviction contents when
-/// anything is evicted.
+/// at or before `cutoff`. When the evicted occurrences are a prefix of
+/// the buffer — the usual case, as keys mostly grow along it — each
+/// moves into the journal as it is consumed; otherwise the journal
+/// keeps a copy of the pre-eviction contents.
 pub(super) fn evict_buffer(
     buf: &mut Buffer,
     node: u32,
@@ -192,7 +183,11 @@ pub(super) fn evict_buffer(
     env: &mut Env<'_>,
 ) {
     let key = |o: &CompositeOccurrence| if by_start { o.start } else { o.end };
-    if !buf.items.iter().any(|o| key(o) <= cutoff) {
+    let prefix = buf.items.iter().take_while(|o| key(o) <= cutoff).count();
+    if !buf.items.iter().skip(prefix).any(|o| key(o) <= cutoff) {
+        for _ in 0..prefix {
+            buf.consume_front(node, side, env);
+        }
         return;
     }
     if env.journaling() {

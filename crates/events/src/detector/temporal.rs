@@ -15,7 +15,7 @@ use crate::occurrence::CompositeOccurrence;
 /// The occurrence a timer fire contributes at its leaf.
 pub(super) fn timer_occurrence(seq: u64) -> CompositeOccurrence {
     CompositeOccurrence {
-        constituents: Vec::new(),
+        constituents: Default::default(),
         start: seq,
         end: seq,
     }
@@ -46,13 +46,13 @@ mod tests {
         let cut = within_cutoff(seq, deadline).unwrap();
         assert_eq!(cut, 89);
         let kept = CompositeOccurrence {
-            constituents: Vec::new(),
+            constituents: Default::default(),
             start: cut + 1,
             end: seq,
         };
         assert!(within_span_ok(&kept, deadline));
         let evicted = CompositeOccurrence {
-            constituents: Vec::new(),
+            constituents: Default::default(),
             start: cut,
             end: seq,
         };

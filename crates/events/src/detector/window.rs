@@ -30,6 +30,7 @@ use crate::algebra::AggFn;
 use crate::occurrence::CompositeOccurrence;
 use sentinel_object::Value;
 
+use super::emit::Emits;
 use super::state::{Env, NodeUndo, WindowBuf};
 
 /// Bound on retained `(instant, seq)` samples; past it the oldest is
@@ -114,7 +115,7 @@ pub(super) fn window_cutoff(
 #[allow(clippy::too_many_arguments)]
 pub(super) fn step_aggregate(
     id: u32,
-    arrivals: Vec<CompositeOccurrence>,
+    arrivals: Emits,
     now: u64,
     size: u64,
     tumbling: bool,
@@ -124,7 +125,7 @@ pub(super) fn step_aggregate(
     epoch: &mut u64,
     latched: &mut bool,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
+) -> Emits {
     if tumbling {
         let cur = now / size.max(1);
         if cur != *epoch {
@@ -164,7 +165,7 @@ pub(super) fn step_aggregate(
         env.record(id, NodeUndo::PopWindowBack);
     }
     let value = eval(agg, wbuf);
-    let mut out = Vec::new();
+    let mut out = Emits::new();
     if value >= threshold && !wbuf.is_empty() {
         if !*latched {
             env.record(id, NodeUndo::SetLatched { prev: false });

@@ -35,8 +35,8 @@ pub mod timer;
 pub use algebra::{AggFn, EventExpr};
 pub use clock::{LogicalClock, TimeMode, TimeSource, Timestamp};
 pub use context::ParamContext;
-pub use detector::{DetectorCaps, DetectorInstance, DetectorState, DetectorStats};
-pub use occurrence::{CompositeOccurrence, PrimitiveOccurrence};
+pub use detector::{DetectorCaps, DetectorInstance, DetectorState, DetectorStats, Emits};
+pub use occurrence::{CompositeOccurrence, Constituents, PrimitiveOccurrence};
 pub use parse::parse_signature;
 pub use spec::{sym_alphabet, EventModifier, PrimitiveEventSpec};
 pub use timer::{TimerFire, TimerId, TimerRow, TimerWheel};

@@ -72,12 +72,121 @@ impl fmt::Display for PrimitiveOccurrence {
     }
 }
 
+/// The constituent primitives of a [`CompositeOccurrence`], in
+/// detection order. A primitive detection holds its one constituent
+/// inline, so detecting it allocates nothing beyond the occurrence
+/// itself; composites hold theirs in a `Vec`. Either way it reads as a
+/// slice (`.last()`, `[0]`, `.iter()`, `.len()`), compares by contents,
+/// and serialises as an array.
+#[derive(Clone)]
+pub struct Constituents(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One(PrimitiveOccurrence),
+    Many(Vec<PrimitiveOccurrence>),
+}
+
+impl Constituents {
+    /// No constituents (a timer tick's occurrence).
+    pub const fn new() -> Self {
+        Constituents(Repr::Many(Vec::new()))
+    }
+
+    /// Room for `n` constituents.
+    pub fn with_capacity(n: usize) -> Self {
+        Constituents(Repr::Many(Vec::with_capacity(n)))
+    }
+
+    /// Append clones of every constituent in `more`.
+    pub fn extend_from_slice(&mut self, more: &[PrimitiveOccurrence]) {
+        match (&mut self.0, more) {
+            (_, []) => {}
+            (Repr::Many(v), _) if !v.is_empty() || v.capacity() > 0 => v.extend_from_slice(more),
+            (Repr::Many(_), [one]) => self.0 = Repr::One(one.clone()),
+            _ => {
+                let mut v = Vec::with_capacity(self.len() + more.len());
+                v.extend_from_slice(self);
+                v.extend_from_slice(more);
+                self.0 = Repr::Many(v);
+            }
+        }
+    }
+}
+
+impl Default for Constituents {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for Constituents {
+    type Target = [PrimitiveOccurrence];
+
+    #[inline]
+    fn deref(&self) -> &[PrimitiveOccurrence] {
+        match &self.0 {
+            Repr::One(p) => std::slice::from_ref(p),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl From<Vec<PrimitiveOccurrence>> for Constituents {
+    fn from(v: Vec<PrimitiveOccurrence>) -> Self {
+        Constituents(Repr::Many(v))
+    }
+}
+
+impl From<PrimitiveOccurrence> for Constituents {
+    fn from(p: PrimitiveOccurrence) -> Self {
+        Constituents(Repr::One(p))
+    }
+}
+
+impl<'a> IntoIterator for &'a Constituents {
+    type Item = &'a PrimitiveOccurrence;
+    type IntoIter = std::slice::Iter<'a, PrimitiveOccurrence>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Constituents {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Constituents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Constituents {
+    fn to_content(&self) -> serde::Content {
+        serde::Content::Array(self.iter().map(Serialize::to_content).collect())
+    }
+}
+
+impl Deserialize for Constituents {
+    fn from_content(v: &serde::Content) -> Result<Self, serde::Error> {
+        let mut all = Vec::<PrimitiveOccurrence>::from_content(v)?;
+        Ok(match all.len() {
+            1 => Constituents(Repr::One(all.pop().expect("one constituent"))),
+            _ => Constituents(Repr::Many(all)),
+        })
+    }
+}
+
 /// An occurrence of a (possibly composite) event: the constituent
 /// primitive occurrences plus the occurrence interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompositeOccurrence {
     /// Constituents in detection order.
-    pub constituents: Vec<PrimitiveOccurrence>,
+    pub constituents: Constituents,
     /// Timestamp of the earliest constituent.
     pub start: u64,
     /// Timestamp of the latest constituent — the detection time.
@@ -89,7 +198,7 @@ impl CompositeOccurrence {
     pub fn from_primitive(p: PrimitiveOccurrence) -> Self {
         let at = p.at;
         CompositeOccurrence {
-            constituents: vec![p],
+            constituents: Constituents::from(p),
             start: at,
             end: at,
         }
@@ -97,9 +206,10 @@ impl CompositeOccurrence {
 
     /// Merge two occurrences into one (conjunction/sequence emission).
     pub fn merge(a: &CompositeOccurrence, b: &CompositeOccurrence) -> Self {
-        let mut constituents = Vec::with_capacity(a.constituents.len() + b.constituents.len());
-        constituents.extend(a.constituents.iter().cloned());
-        constituents.extend(b.constituents.iter().cloned());
+        let mut constituents =
+            Constituents::with_capacity(a.constituents.len() + b.constituents.len());
+        constituents.extend_from_slice(&a.constituents);
+        constituents.extend_from_slice(&b.constituents);
         CompositeOccurrence {
             constituents,
             start: a.start.min(b.start),
@@ -110,12 +220,12 @@ impl CompositeOccurrence {
     /// Merge many occurrences (cumulative context, `any` operator).
     pub fn merge_all<'a>(occs: impl IntoIterator<Item = &'a CompositeOccurrence>) -> Self {
         let mut out = CompositeOccurrence {
-            constituents: Vec::new(),
+            constituents: Constituents::new(),
             start: u64::MAX,
             end: 0,
         };
         for o in occs {
-            out.constituents.extend(o.constituents.iter().cloned());
+            out.constituents.extend_from_slice(&o.constituents);
             out.start = out.start.min(o.start);
             out.end = out.end.max(o.end);
         }
@@ -176,6 +286,28 @@ mod tests {
         assert_eq!(m.constituent_for_method("SetValue").unwrap().at, 2);
         assert!(m.constituent_of(Oid(99)).is_none());
         assert_eq!(m.last().unwrap().at, 2);
+    }
+
+    #[test]
+    fn constituents_compare_and_serialise_by_contents() {
+        let one = CompositeOccurrence::from_primitive(prim(1, 10, "A"));
+        let many = Constituents::from(vec![prim(1, 10, "A")]);
+        assert_eq!(one.constituents, many, "inline and vec forms are equal");
+        let json = serde_json::to_string(&one).unwrap();
+        let vec_json = serde_json::to_string(&vec![prim(1, 10, "A")]).unwrap();
+        assert!(json.contains(&vec_json), "serialised as an array: {json}");
+        let back: CompositeOccurrence = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, one);
+        let two = CompositeOccurrence::merge(&one, &one);
+        assert_eq!(two.constituents.len(), 2);
+        let back: CompositeOccurrence =
+            serde_json::from_str(&serde_json::to_string(&two).unwrap()).unwrap();
+        assert_eq!(back, two);
+        let mut grown = Constituents::new();
+        grown.extend_from_slice(&[prim(1, 10, "A")]);
+        grown.extend_from_slice(&[prim(2, 20, "B")]);
+        let oids: Vec<Oid> = grown.iter().map(|c| c.oid).collect();
+        assert_eq!(oids, [Oid(10), Oid(20)]);
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl ActionDef {
     /// Attach the body closure.
     pub fn body<F>(mut self, f: F) -> Self
     where
-        F: Fn(&mut dyn World, &Firing) -> Result<()> + Send + Sync + 'static,
+        F: Fn(&mut dyn World, &Firing<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.body = Some(Arc::new(f));
         self

@@ -158,25 +158,30 @@ pub struct Lineage {
 /// Everything a condition/action can inspect about its triggering: the
 /// rule identity and the composite occurrence (constituent primitives
 /// with their recorded parameters — the paper's `Record`ed state).
-#[derive(Debug, Clone)]
-pub struct Firing {
+///
+/// Bodies borrow it for the length of their call: the executor lends
+/// it out of the batch that holds the detection and the rule's binding,
+/// so running a firing clones no reference count. A body that keeps the
+/// detection past its call clones `occurrence` (one `Arc`).
+#[derive(Debug, Clone, Copy)]
+pub struct Firing<'a> {
     /// The triggered rule.
     pub rule: RuleId,
-    /// Its name (cheap to clone into error messages).
-    pub rule_name: Arc<str>,
+    /// Its name.
+    pub rule_name: &'a str,
     /// The detected (possibly composite) event occurrence, shared by
     /// every rule that consumes the same detection.
-    pub occurrence: Arc<CompositeOccurrence>,
+    pub occurrence: &'a Arc<CompositeOccurrence>,
     /// Causal coordinates (meaningful only while firing history is
     /// enabled).
     pub lineage: Lineage,
 }
 
-impl Firing {
+impl<'a> Firing<'a> {
     /// Parameter `i` of the constituent raised by `method`, if present.
     /// The common access pattern for conditions ("the amount passed to
     /// Change-Income").
-    pub fn param_of(&self, method: &str, i: usize) -> Option<&Value> {
+    pub fn param_of(&self, method: &str, i: usize) -> Option<&'a Value> {
         self.occurrence
             .constituent_for_method(method)
             .and_then(|c| c.param(i))
@@ -185,11 +190,11 @@ impl Firing {
 
 /// A condition body: evaluated when the rule's event is detected;
 /// returning `Ok(true)` lets the action run.
-pub type CondFn = Arc<dyn Fn(&mut dyn World, &Firing) -> Result<bool> + Send + Sync>;
+pub type CondFn = Arc<dyn Fn(&mut dyn World, &Firing<'_>) -> Result<bool> + Send + Sync>;
 
 /// An action body: executed when the condition holds. Returning
 /// `Err(TransactionAborted)` aborts the triggering transaction.
-pub type ActionFn = Arc<dyn Fn(&mut dyn World, &Firing) -> Result<()> + Send + Sync>;
+pub type ActionFn = Arc<dyn Fn(&mut dyn World, &Firing<'_>) -> Result<()> + Send + Sync>;
 
 /// A rule's condition and action, resolved once and shared by every
 /// firing the rule schedules. A queued firing keeps the bodies it was
@@ -265,7 +270,7 @@ impl RuleBodyRegistry {
     /// Register (or replace) a condition body under `name`.
     pub fn register_condition<F>(&mut self, name: impl Into<String>, f: F)
     where
-        F: Fn(&mut dyn World, &Firing) -> Result<bool> + Send + Sync + 'static,
+        F: Fn(&mut dyn World, &Firing<'_>) -> Result<bool> + Send + Sync + 'static,
     {
         self.version += 1;
         self.conditions.insert(name.into(), Arc::new(f));
@@ -277,7 +282,7 @@ impl RuleBodyRegistry {
     /// described the replaced body.
     pub fn register_action<F>(&mut self, name: impl Into<String>, f: F)
     where
-        F: Fn(&mut dyn World, &Firing) -> Result<()> + Send + Sync + 'static,
+        F: Fn(&mut dyn World, &Firing<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.version += 1;
         let name = name.into();
@@ -295,7 +300,7 @@ impl RuleBodyRegistry {
         effects: ActionEffects,
         f: F,
     ) where
-        F: Fn(&mut dyn World, &Firing) -> Result<()> + Send + Sync + 'static,
+        F: Fn(&mut dyn World, &Firing<'_>) -> Result<()> + Send + Sync + 'static,
     {
         self.install_action(name.into(), Some(effects), Arc::new(f));
     }
@@ -408,7 +413,7 @@ mod tests {
     use sentinel_events::{EventModifier, PrimitiveOccurrence};
     use sentinel_object::{ClassId, Oid};
 
-    fn firing() -> Firing {
+    fn occurrence() -> Arc<CompositeOccurrence> {
         let p = PrimitiveOccurrence {
             at: 1,
             oid: Oid(9),
@@ -418,10 +423,14 @@ mod tests {
             modifier: EventModifier::End,
             params: Arc::from(vec![Value::Float(55.0)]),
         };
+        Arc::new(CompositeOccurrence::from_primitive(p))
+    }
+
+    fn firing(occurrence: &Arc<CompositeOccurrence>) -> Firing<'_> {
         Firing {
             rule: RuleId(1),
-            rule_name: "IncomeLevel".into(),
-            occurrence: Arc::new(CompositeOccurrence::from_primitive(p)),
+            rule_name: "IncomeLevel",
+            occurrence,
             lineage: Lineage::default(),
         }
     }
@@ -523,14 +532,15 @@ mod tests {
             }
         }
         let mut w = NoWorld(sentinel_object::ClassRegistry::new());
-        let err = action(&mut w, &firing()).err().unwrap();
+        let err = action(&mut w, &firing(&occurrence())).err().unwrap();
         assert!(err.is_abort());
         assert!(err.to_string().contains("IncomeLevel"));
     }
 
     #[test]
     fn firing_param_access() {
-        let f = firing();
+        let occ = occurrence();
+        let f = firing(&occ);
         assert_eq!(f.param_of("Change-Income", 0), Some(&Value::Float(55.0)));
         assert_eq!(f.param_of("Change-Income", 1), None);
         assert_eq!(f.param_of("Other", 0), None);

@@ -5,8 +5,14 @@
 //! to its local detector; when the detector signals, the rule checks its
 //! condition and runs its action. This engine implements everything up
 //! to (but not including) body execution: the database facade executes
-//! the [`ReadyFiring`]s the engine hands back, because execution needs
+//! the [`FiringBatch`]es the engine hands back, because execution needs
 //! the full `World`, which owns the engine.
+//!
+//! A batch holds each detection once and one handle on the table of
+//! rule bindings it was scheduled under; its firings are a few indices
+//! into both. Executing a firing borrows its [`Firing`] from the batch,
+//! so the send → detect → fire path clones no reference count per
+//! firing, and batches go back to the engine to be reused.
 //!
 //! Detectors live in an engine-owned arena, not in the rules. Rules whose
 //! detectors could never be told apart — same event, context, caps and
@@ -24,59 +30,217 @@ use sentinel_events::{
 };
 use sentinel_object::{ClassId, ClassRegistry, EventSym, FastMap, ObjectError, Oid, Result};
 use sentinel_telemetry::{
-    Fact, Facts, FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
+    Fact, FactCounts, FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry,
+    Timer,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// A triggered rule, ready to run: a handle onto the detection it
-/// consumes (shared with every other rule that consumes it) and onto
-/// the rule's bound bodies, plus its lineage.
+/// What a firing runs and reports under: its rule's name and bound
+/// bodies, as of the scheduling that made it.
+#[derive(Clone)]
+struct Binding {
+    name: Arc<str>,
+    bodies: Arc<BoundBodies>,
+}
+
+/// The binding of every rule place, as of one engine epoch and
+/// body-registry version. Immutable once built: a batch holds the table
+/// it was scheduled under, so an earlier firing's action that changes
+/// the catalog cannot change what a later firing of the batch runs.
+#[derive(Default)]
+struct BindingTable {
+    /// `(engine epoch, body-registry version)` the table was built at;
+    /// `None` before the first build.
+    stamp: Option<(u64, u64)>,
+    /// By rule place; `None` for a free place, or while a rule's bodies
+    /// are not registered (its firing then fails with the lookup error).
+    entries: Vec<Option<Binding>>,
+}
+
+/// A triggered rule, ready to run: indices into the batch that holds
+/// its detection and into the binding table of its rule, plus its
+/// lineage. A queued firing whose table was replaced since it was
+/// scheduled carries a copy of its binding instead (it is *pinned*), so
+/// it still runs the bodies bound when it was scheduled.
 #[derive(Clone)]
 pub struct ReadyFiring {
     /// The coupling mode the firing was scheduled under (recorded into
     /// its lineage record by the executor).
     pub coupling: CouplingMode,
-    /// The rule's condition and action as bound when the firing was
-    /// scheduled: a queued firing runs these even if its rule has been
-    /// redefined or removed since.
-    pub bodies: Arc<BoundBodies>,
-    /// What triggered and with which occurrence.
-    pub firing: Firing,
+    /// The triggered rule.
+    pub rule: RuleId,
+    /// Causal coordinates (meaningful only while firing history is
+    /// enabled).
+    pub lineage: Lineage,
     /// The rule's place in the engine's rule table. A place is reused
     /// after its rule is removed, so it is only trusted together with
-    /// `firing.rule`.
+    /// `rule`.
     index: RuleIdx,
+    /// The detection's place in its batch's occurrences.
+    occurrence: u32,
+    pinned: Option<Box<Binding>>,
 }
 
 impl ReadyFiring {
     /// The rule's place in the engine's rule table when the firing was
     /// scheduled (see [`RuleEngine::iter_rules_indexed`]). A place is
     /// reused after its rule is removed, so it identifies the rule only
-    /// together with `firing.rule`.
+    /// together with `rule`.
     pub fn rule_index(&self) -> usize {
         self.index
+    }
+
+    /// The binding the firing runs under: its pinned copy, or its place
+    /// in `table`.
+    fn binding<'a>(&'a self, table: &'a BindingTable) -> &'a Binding {
+        match &self.pinned {
+            Some(b) => b,
+            None => table.entries[self.index]
+                .as_ref()
+                .expect("a firing is scheduled only under a bound rule"),
+        }
     }
 }
 
 impl std::fmt::Debug for ReadyFiring {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadyFiring")
+            .field("rule", &self.rule)
+            .field("coupling", &self.coupling)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Firings ready to run, in execution order, with what they run on:
+/// each detection they consume, once, and the binding table they were
+/// scheduled under. Returned by [`RuleEngine::on_occurrence`],
+/// [`RuleEngine::drain_timers`] and the `take_*` queue drains; hand an
+/// executed batch back through [`RuleEngine::recycle`] so its buffers
+/// are reused.
+#[derive(Default)]
+pub struct FiringBatch {
+    firings: Vec<ReadyFiring>,
+    occurrences: Vec<Arc<CompositeOccurrence>>,
+    bindings: Option<Arc<BindingTable>>,
+}
+
+impl FiringBatch {
+    /// Number of firings.
+    pub fn len(&self) -> usize {
+        self.firings.len()
+    }
+
+    /// No firings?
+    pub fn is_empty(&self) -> bool {
+        self.firings.is_empty()
+    }
+
+    /// The `i`-th firing, borrowed with its bodies and detection.
+    pub fn get(&self, i: usize) -> Option<ReadyRef<'_>> {
+        let f = self.firings.get(i)?;
+        let binding = f.binding(
+            self.bindings
+                .as_ref()
+                .expect("a batch with firings is bound"),
+        );
+        Some(ReadyRef {
+            coupling: f.coupling,
+            bodies: &binding.bodies,
+            firing: Firing {
+                rule: f.rule,
+                rule_name: &binding.name,
+                occurrence: &self.occurrences[f.occurrence as usize],
+                lineage: f.lineage,
+            },
+            index: f.index,
+        })
+    }
+
+    /// The firings in execution order, each borrowed with its bodies
+    /// and detection.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ReadyRef<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("in range"))
+    }
+
+    /// Bind to `table` and make room for `n` more firings.
+    fn open(&mut self, table: &Arc<BindingTable>, n: usize) {
+        if self.bindings.is_none() {
+            self.bindings = Some(Arc::clone(table));
+        }
+        self.firings.reserve(n);
+    }
+}
+
+impl std::fmt::Debug for FiringBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.firings).finish()
+    }
+}
+
+/// One firing of a [`FiringBatch`], borrowed from it: what the executor
+/// needs to run the firing and account for it.
+#[derive(Clone, Copy)]
+pub struct ReadyRef<'a> {
+    /// The coupling mode the firing was scheduled under.
+    pub coupling: CouplingMode,
+    /// The rule's condition and action as bound when the firing was
+    /// scheduled: a queued firing runs these even if its rule has been
+    /// redefined or removed since.
+    pub bodies: &'a BoundBodies,
+    /// What the bodies see: the rule and the detection.
+    pub firing: Firing<'a>,
+    index: RuleIdx,
+}
+
+impl ReadyRef<'_> {
+    /// See [`ReadyFiring::rule_index`].
+    pub fn rule_index(&self) -> usize {
+        self.index
+    }
+}
+
+impl std::fmt::Debug for ReadyRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReadyRef")
             .field("rule", &self.firing.rule)
             .field("name", &self.firing.rule_name)
             .finish()
     }
 }
 
-/// A detached firing waiting in the queue, stamped with its enqueue time
-/// so the drain can report queue-wait latency (`detached_queue_wait`).
-#[derive(Debug, Clone)]
+/// A detached firing waiting in the queue with its own handle on its
+/// detection, stamped with its enqueue time so the drain can report
+/// queue-wait latency (`detached_queue_wait`).
 struct QueuedDetached {
     ready: ReadyFiring,
+    occurrence: Arc<CompositeOccurrence>,
     queued: std::time::Instant,
 }
+
+/// One detection a slot completed during an occurrence, wrapped once,
+/// with its place in the immediate batch and in the deferred queue once
+/// a member has fired on it there.
+struct Shared {
+    occ: Arc<CompositeOccurrence>,
+    immediate: Option<u32>,
+    deferred: Option<u32>,
+}
+
+impl Shared {
+    fn new(occ: CompositeOccurrence) -> Self {
+        Shared {
+            occ: Arc::new(occ),
+            immediate: None,
+            deferred: None,
+        }
+    }
+}
+
+/// Emptied batches the engine keeps for reuse; more are dropped.
+const SPARE_BATCHES: usize = 8;
 
 /// What to do when a detached firing arrives and the detached queue is
 /// already at capacity.
@@ -115,8 +279,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// The engine's counts in a fact table.
-    pub fn read(facts: &Facts) -> Self {
+    /// The engine's counts in a cut of the fact table.
+    pub fn read(facts: &FactCounts) -> Self {
         EngineStats {
             occurrences: facts.get(Fact::Occurrences),
             notifications: facts.get(Fact::Notifications),
@@ -301,16 +465,16 @@ struct RoutingIndex {
     /// Engine epoch (rule add/remove/enable/disable) at build time.
     epoch: u64,
     /// Instance subscriptions of symbol-bounded slots.
-    by_object: HashMap<(Oid, EventSym), Vec<SlotId>>,
+    by_object: FastMap<(Oid, EventSym), Vec<SlotId>>,
     /// Instance subscriptions of unbounded (broad) slots.
-    broad_by_object: HashMap<Oid, Vec<SlotId>>,
+    broad_by_object: FastMap<Oid, Vec<SlotId>>,
     /// Class subscriptions of symbol-bounded slots. A symbol names its
     /// dynamic class, so subclass closure is resolved at build time and
     /// dispatch is a single lookup — no linearization walk.
-    by_class_sym: HashMap<EventSym, Vec<SlotId>>,
+    by_class_sym: FastMap<EventSym, Vec<SlotId>>,
     /// Class subscriptions of unbounded slots, looked up along the
     /// occurrence's class linearization (only when non-empty).
-    broad_by_class: HashMap<ClassId, Vec<SlotId>>,
+    broad_by_class: FastMap<ClassId, Vec<SlotId>>,
 }
 
 impl RoutingIndex {
@@ -343,14 +507,17 @@ fn push_unique(out: &mut Vec<SlotId>, list: Option<&Vec<SlotId>>) {
 /// the same time.
 struct Fanout<'a> {
     bodies: &'a RuleBodyRegistry,
+    bindings: &'a Arc<BindingTable>,
     history: bool,
     lineage_ctx: Option<(u64, u64, u32)>,
-    immediate: Vec<ReadyFiring>,
+    immediate: FiringBatch,
+    spare: &'a mut Vec<FiringBatch>,
     deferred: &'a mut Vec<ReadyFiring>,
+    deferred_occ: &'a mut Vec<Arc<CompositeOccurrence>>,
     detached: &'a mut VecDeque<QueuedDetached>,
     detached_cap: usize,
     detached_policy: BackpressurePolicy,
-    facts: &'a Facts,
+    facts: &'a mut FactCounts,
     telemetry: &'a Option<Arc<Telemetry>>,
 }
 
@@ -360,7 +527,7 @@ impl Fanout<'_> {
     /// undo journal if a capture is in flight. Returns how many of those
     /// rules fire immediately.
     fn notify(
-        &self,
+        &mut self,
         slot: &mut Slot,
         sid: SlotId,
         rules: &mut Slab<Rule>,
@@ -384,21 +551,32 @@ impl Fanout<'_> {
         immediate
     }
 
-    /// Schedule the firings of rule `index` for the occurrences its
-    /// detector completed: take its bound bodies (rebound if the registry
-    /// changed), stamp lineage, and route each firing by the rule's
-    /// coupling mode.
+    /// Make room for `n` immediate firings in one allocation at most,
+    /// reusing a spare batch.
+    fn reserve_immediate(&mut self, n: usize) {
+        if n > 0 && self.immediate.bindings.is_none() {
+            self.immediate = self.spare.pop().unwrap_or_default();
+        }
+        self.immediate.open(self.bindings, n);
+    }
+
+    /// Schedule the firings of rule `index` for the detections its
+    /// detector completed: stamp lineage, and route each firing by the
+    /// rule's coupling mode. Fails, as the body lookup does, while the
+    /// rule's bodies are not registered.
     fn fire(
         &mut self,
         index: RuleIdx,
         rule: &mut Rule,
-        completions: impl ExactSizeIterator<Item = Arc<CompositeOccurrence>>,
+        completions: &mut [Shared],
         target: Oid,
         at: u64,
     ) -> Result<()> {
         rule.counts.triggered += completions.len() as u64;
-        let bodies = rule.bodies(self.bodies)?;
-        for occurrence in completions {
+        if self.bindings.entries[index].is_none() {
+            self.bodies.bind(&rule.def.condition, &rule.def.action)?;
+        }
+        for shared in completions {
             let lineage = if self.history {
                 let tel = self.telemetry.as_ref().expect("history implies telemetry");
                 let id = tel.next_firing_id();
@@ -412,7 +590,7 @@ impl Fanout<'_> {
                     None => Lineage {
                         id,
                         parent: None,
-                        root: occurrence.end,
+                        root: shared.occ.end,
                         depth: 0,
                     },
                 }
@@ -421,31 +599,49 @@ impl Fanout<'_> {
             };
             let ready = ReadyFiring {
                 coupling: rule.def.coupling,
-                bodies: Arc::clone(&bodies),
-                firing: Firing {
-                    rule: rule.id,
-                    rule_name: rule.name.clone(),
-                    occurrence,
-                    lineage,
-                },
+                rule: rule.id,
+                lineage,
                 index,
+                occurrence: 0,
+                pinned: None,
             };
-            self.route(ready, &rule.name, target, at);
+            self.route(ready, shared, &rule.name, target, at);
         }
         Ok(())
     }
 
     /// Route one ready firing to its coupling destination — the immediate
-    /// batch, the deferred queue, or the (bounded) detached queue.
-    fn route(&mut self, ready: ReadyFiring, rule_name: &Arc<str>, target: Oid, at: u64) {
+    /// batch, the deferred queue, or the (bounded) detached queue. The
+    /// batch and the deferred queue each take the detection once.
+    fn route(
+        &mut self,
+        mut ready: ReadyFiring,
+        shared: &mut Shared,
+        rule_name: &Arc<str>,
+        target: Oid,
+        at: u64,
+    ) {
         let stage = match ready.coupling {
             CouplingMode::Immediate => {
                 self.facts.bump(Fact::Immediate);
-                self.immediate.push(ready);
+                if self.immediate.bindings.is_none() {
+                    self.reserve_immediate(1);
+                }
+                let batch = &mut self.immediate;
+                ready.occurrence = *shared.immediate.get_or_insert_with(|| {
+                    batch.occurrences.push(Arc::clone(&shared.occ));
+                    (batch.occurrences.len() - 1) as u32
+                });
+                batch.firings.push(ready);
                 Some(Stage::FiringImmediate)
             }
             CouplingMode::Deferred => {
                 self.facts.bump(Fact::Deferred);
+                let queue = &mut *self.deferred_occ;
+                ready.occurrence = *shared.deferred.get_or_insert_with(|| {
+                    queue.push(Arc::clone(&shared.occ));
+                    (queue.len() - 1) as u32
+                });
                 self.deferred.push(ready);
                 Some(Stage::FiringDeferred)
             }
@@ -459,8 +655,8 @@ impl Fanout<'_> {
                     // silent gap.
                     self.facts.bump(Fact::DetachedShed);
                     if let Some(tel) = self.telemetry {
-                        let lin = ready.firing.lineage;
-                        let end = ready.firing.occurrence.end;
+                        let lin = ready.lineage;
+                        let end = shared.occ.end;
                         tel.record_firing(|| FiringRecord {
                             id: FiringId(lin.id),
                             rule: rule_name.to_string(),
@@ -480,6 +676,7 @@ impl Fanout<'_> {
                     self.facts.bump(Fact::Detached);
                     self.detached.push_back(QueuedDetached {
                         ready,
+                        occurrence: Arc::clone(&shared.occ),
                         queued: std::time::Instant::now(),
                     });
                     Some(Stage::FiringDetached)
@@ -511,7 +708,14 @@ pub struct RuleEngine {
     pub subscriptions: SubscriptionManager,
     caps: DetectorCaps,
     next_rule: u64,
+    /// The bindings firings are scheduled under, rebuilt at the first
+    /// scheduling after the engine epoch or the body-registry version
+    /// moved. Every queued firing that is not pinned refers to it.
+    bindings: Arc<BindingTable>,
+    /// The deferred queue: its firings, and each detection they consume
+    /// once.
     deferred: Vec<ReadyFiring>,
+    deferred_occ: Vec<Arc<CompositeOccurrence>>,
     /// Bounded detached-firing queue: each entry remembers when it was
     /// scheduled so the drain can report queue-wait latency.
     detached: VecDeque<QueuedDetached>,
@@ -521,15 +725,20 @@ pub struct RuleEngine {
     /// discards only the aborting transaction's detached work, not
     /// firings earlier committed transactions already queued.
     detached_floor: usize,
-    /// The fact table the engine counts into: its own until
-    /// [`set_telemetry`](Self::set_telemetry) shares the handle's.
-    facts: Arc<Facts>,
+    /// The facts counted since the last publish, in plain cells. With
+    /// telemetry attached, the write core publishes them into the
+    /// handle's table once per transaction
+    /// ([`publish_facts`](Self::publish_facts)); a bare engine keeps
+    /// them here.
+    facts: FactCounts,
+    /// Emptied batches, reused for the next ones.
+    spare: Vec<FiringBatch>,
     /// Reused by [`on_occurrence`](Self::on_occurrence): the slots an
     /// occurrence reaches, the ones that completed, and their
     /// completions, each wrapped once for all the rules that consume it.
     scratch: Vec<SlotId>,
     completed: Vec<Completed>,
-    shared: Vec<Arc<CompositeOccurrence>>,
+    shared: Vec<Shared>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
     /// first occurrence.
     routing: Option<RoutingIndex>,
@@ -593,12 +802,15 @@ impl RuleEngine {
             subscriptions: SubscriptionManager::new(),
             caps: DetectorCaps::default(),
             next_rule: 0,
+            bindings: Arc::default(),
             deferred: Vec::new(),
+            deferred_occ: Vec::new(),
             detached: VecDeque::new(),
             detached_cap: usize::MAX,
             detached_policy: BackpressurePolicy::default(),
             detached_floor: 0,
-            facts: Arc::default(),
+            facts: FactCounts::default(),
+            spare: Vec::new(),
             scratch: Vec::new(),
             completed: Vec::new(),
             shared: Vec::new(),
@@ -642,8 +854,8 @@ impl RuleEngine {
     /// Attach an observability handle; it is propagated to every
     /// existing detector (and to detectors compiled later), labelled
     /// with the name of the (first) rule it serves; rules take their
-    /// latency cells from it. The engine counts into the handle's fact
-    /// table from now on.
+    /// latency cells from it. The engine's facts are published into the
+    /// handle's table from now on.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         for slot in self.arena.live_mut() {
             let name = self.rules.get(slot.members[0]).name.clone();
@@ -652,7 +864,6 @@ impl RuleEngine {
         for rule in self.rules.live_mut() {
             rule.latency = None;
         }
-        self.facts = Arc::clone(telemetry.facts());
         self.telemetry = Some(telemetry);
     }
 
@@ -991,7 +1202,7 @@ impl RuleEngine {
     /// The rule that scheduled `f`, found through the firing's handle
     /// without a lookup by id; `None` once that rule is removed, even if
     /// another rule has since taken its place in the table.
-    pub fn rule_of(&self, f: &ReadyFiring) -> Option<&Rule> {
+    pub fn rule_of(&self, f: &ReadyRef<'_>) -> Option<&Rule> {
         self.rules.entries[f.index]
             .as_ref()
             .filter(|r| r.id == f.firing.rule)
@@ -1008,7 +1219,7 @@ impl RuleEngine {
     /// counts engine-wide only.
     pub fn account_firing(
         &mut self,
-        f: &ReadyFiring,
+        f: &ReadyRef<'_>,
         held: bool,
         condition_ns: Option<u64>,
         action_ns: Option<u64>,
@@ -1029,7 +1240,7 @@ impl RuleEngine {
             return;
         };
         let latency = rule.map(|r| &**r.latency.get_or_insert_with(|| tel.rule_latency(&r.name)));
-        let name = &f.firing.rule_name;
+        let name = f.firing.rule_name;
         if let Some(ns) = condition_ns {
             tel.observe(Stage::ConditionEval, at, ns, || name.to_string());
             if let Some(l) = latency {
@@ -1318,8 +1529,62 @@ impl RuleEngine {
         }
     }
 
+    /// Rebuild the binding table if a rule or a body changed since it
+    /// was built. Queued firings scheduled under the old table are
+    /// pinned first: each keeps a copy of its binding, so it runs the
+    /// bodies bound when it was scheduled. Rules are bound from their
+    /// cached handles, so a rebuild resolves only what changed.
+    fn refresh_bindings(&mut self) {
+        let stamp = (self.epoch, self.bodies.version());
+        if self.bindings.stamp == Some(stamp) {
+            return;
+        }
+        let old = &self.bindings;
+        let queued = self
+            .deferred
+            .iter_mut()
+            .chain(self.detached.iter_mut().map(|q| &mut q.ready));
+        for f in queued.filter(|f| f.pinned.is_none()) {
+            f.pinned = Some(Box::new(f.binding(old).clone()));
+        }
+        if Arc::get_mut(&mut self.bindings).is_none() {
+            self.bindings = Arc::default();
+        }
+        let table = Arc::get_mut(&mut self.bindings).expect("unshared");
+        table.entries.clear();
+        for entry in &mut self.rules.entries {
+            let binding = entry.as_mut().and_then(|rule| {
+                let bodies = rule.bodies(&self.bodies).ok()?;
+                Some(Binding {
+                    name: Arc::clone(&rule.name),
+                    bodies,
+                })
+            });
+            table.entries.push(binding);
+        }
+        table.stamp = Some(stamp);
+    }
+
+    /// A spare batch, or a new one.
+    fn spare_batch(&mut self) -> FiringBatch {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Take back an executed batch: its buffers are reused for the next
+    /// firings, and its hold on the binding table and the detections is
+    /// dropped.
+    pub fn recycle(&mut self, mut batch: FiringBatch) {
+        batch.bindings = None;
+        if self.spare.len() < SPARE_BATCHES && batch.firings.capacity() > 0 {
+            batch.firings.clear();
+            batch.occurrences.clear();
+            self.spare.push(batch);
+        }
+    }
+
     /// Split borrow for dispatch: the arena, the rules, the touched-slot
-    /// list, and a fan-out over everything firings are routed through.
+    /// list, and a fan-out over everything firings are routed through,
+    /// under a fresh binding table.
     fn dispatch_parts(
         &mut self,
     ) -> (
@@ -1328,16 +1593,20 @@ impl RuleEngine {
         Option<&mut Vec<SlotId>>,
         Fanout<'_>,
     ) {
+        self.refresh_bindings();
         let fanout = Fanout {
             bodies: &self.bodies,
+            bindings: &self.bindings,
             history: self.telemetry.as_ref().is_some_and(|t| t.is_history()),
             lineage_ctx: self.lineage_ctx,
-            immediate: Vec::new(),
+            immediate: FiringBatch::default(),
+            spare: &mut self.spare,
             deferred: &mut self.deferred,
+            deferred_occ: &mut self.deferred_occ,
             detached: &mut self.detached,
             detached_cap: self.detached_cap,
             detached_policy: self.detached_policy,
-            facts: &self.facts,
+            facts: &mut self.facts,
             telemetry: &self.telemetry,
         };
         let touched = self.capturing.then_some(&mut self.touched);
@@ -1363,7 +1632,7 @@ impl RuleEngine {
         &mut self,
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
-    ) -> Result<Vec<ReadyFiring>> {
+    ) -> Result<FiringBatch> {
         self.facts.bump(Fact::Occurrences);
         let fan_out_timer = match &self.telemetry {
             Some(t) => t.timer(),
@@ -1397,7 +1666,7 @@ impl RuleEngine {
             if !completions.is_empty() {
                 immediate += immediate_members * completions.len();
                 let start = shared.len();
-                shared.extend(completions.into_iter().map(Arc::new));
+                shared.extend(completions.into_iter().map(Shared::new));
                 completed.push(Completed {
                     slot: sid,
                     occurrences: start..shared.len(),
@@ -1405,9 +1674,11 @@ impl RuleEngine {
                 });
             }
         }
-        // One allocation for the immediate firings, however many rules
-        // share each detection.
-        fanout.immediate.reserve_exact(immediate);
+        // One allocation at most for the immediate firings, however many
+        // rules share each detection.
+        if immediate > 0 {
+            fanout.reserve_immediate(immediate);
+        }
         // Fire the completed slots' members, merged by rank: each step
         // takes the slot whose next member ranks lowest. Every member
         // shares the slot's completions.
@@ -1428,8 +1699,8 @@ impl RuleEngine {
             done.next += 1;
             let rule = rules.get_mut(at);
             if rule.enabled {
-                let occurrences = shared[done.occurrences.clone()].iter().cloned();
-                fanout.fire(at, rule, occurrences, occ.oid, occ.at)?;
+                let completions = &mut shared[done.occurrences.clone()];
+                fanout.fire(at, rule, completions, occ.oid, occ.at)?;
             }
         }
         let immediate = fanout.immediate;
@@ -1461,13 +1732,13 @@ impl RuleEngine {
         &mut self,
         now: u64,
         mut next_seq: impl FnMut() -> u64,
-    ) -> Result<Vec<ReadyFiring>> {
+    ) -> Result<FiringBatch> {
         if self.timers.is_empty() {
             // Keep the cursor tracking `now` even with nothing scheduled,
             // so timers registered later (a rule enabled mid-run) align
             // to the present rather than replaying from instant 0.
             self.timers.advance(now);
-            return Ok(Vec::new());
+            return Ok(FiringBatch::default());
         }
         let drain_timer = match &self.telemetry {
             Some(t) => t.timer(),
@@ -1475,7 +1746,7 @@ impl RuleEngine {
         };
         let fires = self.timers.advance(now);
         if fires.is_empty() {
-            return Ok(Vec::new());
+            return Ok(FiringBatch::default());
         }
         let n_fires = fires.len();
         let routes = &mut self.timer_routes;
@@ -1495,6 +1766,7 @@ impl RuleEngine {
         // slots' cached ranks may predate the last rule change.
         let rules = &self.rules;
         routed.sort_by_key(|&(at, _, due)| (due, firing_key(rules.get(at))));
+        let mut shared = std::mem::take(&mut self.shared);
         let (arena, rules, mut touched, mut fanout) = self.dispatch_parts();
         for (at, idx, due) in routed {
             if !rules.get(at).enabled {
@@ -1507,11 +1779,13 @@ impl RuleEngine {
             if !completions.is_empty() {
                 let rule = rules.get_mut(at);
                 let target = rule.oid;
-                let occurrences = completions.into_iter().map(Arc::new);
-                fanout.fire(at, rule, occurrences, target, due)?;
+                shared.extend(completions.into_iter().map(Shared::new));
+                fanout.fire(at, rule, &mut shared, target, due)?;
+                shared.clear();
             }
         }
         let immediate = fanout.immediate;
+        self.shared = shared;
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::TimerDrain, now, drain_timer, || {
                 format!("fires={n_fires}")
@@ -1549,12 +1823,19 @@ impl RuleEngine {
 
     /// Drain the deferred queue (at commit), in execution order: by
     /// occurrence, and in firing order within one.
-    pub fn take_deferred(&mut self) -> Vec<ReadyFiring> {
-        std::mem::take(&mut self.deferred)
+    pub fn take_deferred(&mut self) -> FiringBatch {
+        if self.deferred.is_empty() {
+            return FiringBatch::default();
+        }
+        let mut batch = self.spare_batch();
+        std::mem::swap(&mut batch.firings, &mut self.deferred);
+        std::mem::swap(&mut batch.occurrences, &mut self.deferred_occ);
+        batch.bindings = Some(Arc::clone(&self.bindings));
+        batch
     }
 
     /// Drain the detached queue (after commit), in execution order.
-    pub fn take_detached(&mut self) -> Vec<ReadyFiring> {
+    pub fn take_detached(&mut self) -> FiringBatch {
         let n = self.detached.len();
         self.drain_detached_front(n)
     }
@@ -1563,7 +1844,7 @@ impl RuleEngine {
     /// execution order. The commit path uses this under
     /// [`BackpressurePolicy::Block`] to bring a transiently over-full
     /// queue back to its cap before acknowledging the commit.
-    pub fn take_detached_over(&mut self, cap: usize) -> Vec<ReadyFiring> {
+    pub fn take_detached_over(&mut self, cap: usize) -> FiringBatch {
         let n = self.detached.len().saturating_sub(cap);
         self.drain_detached_front(n)
     }
@@ -1571,28 +1852,38 @@ impl RuleEngine {
     /// Drain at most the `n` oldest firings, in execution order. A
     /// background executor runs the queue in such slices so that it
     /// gives the write core back between them.
-    pub fn take_detached_oldest(&mut self, n: usize) -> Vec<ReadyFiring> {
+    pub fn take_detached_oldest(&mut self, n: usize) -> FiringBatch {
         let n = n.min(self.detached.len());
         self.drain_detached_front(n)
     }
 
-    fn drain_detached_front(&mut self, n: usize) -> Vec<ReadyFiring> {
-        let mut out = Vec::with_capacity(n);
-        for q in self.detached.drain(..n) {
-            if let Some(tel) = &self.telemetry {
-                let waited = q.queued.elapsed().as_nanos() as u64;
-                let name = q.ready.firing.rule_name.clone();
-                tel.observe(
-                    Stage::DetachedQueueWait,
-                    q.ready.firing.occurrence.end,
-                    waited,
-                    || name.to_string(),
-                );
-            }
-            out.push(q.ready);
+    fn drain_detached_front(&mut self, n: usize) -> FiringBatch {
+        if n == 0 {
+            return FiringBatch::default();
         }
+        let mut batch = self.spare_batch();
+        batch.firings.reserve(n);
+        batch.occurrences.reserve(n);
+        for q in self.detached.drain(..n) {
+            let QueuedDetached {
+                mut ready,
+                occurrence,
+                queued,
+            } = q;
+            if let Some(tel) = &self.telemetry {
+                let waited = queued.elapsed().as_nanos() as u64;
+                let name = &ready.binding(&self.bindings).name;
+                tel.observe(Stage::DetachedQueueWait, occurrence.end, waited, || {
+                    name.to_string()
+                });
+            }
+            ready.occurrence = batch.occurrences.len() as u32;
+            batch.occurrences.push(occurrence);
+            batch.firings.push(ready);
+        }
+        batch.bindings = Some(Arc::clone(&self.bindings));
         self.detached_floor = self.detached_floor.min(self.detached.len());
-        out
+        batch
     }
 
     /// Throw away the aborting transaction's queued work: its deferred
@@ -1602,6 +1893,7 @@ impl RuleEngine {
     /// [`begin_capture`](Self::begin_capture)) survives.
     pub fn discard_pending(&mut self) {
         self.deferred.clear();
+        self.deferred_occ.clear();
         self.detached.truncate(self.detached_floor);
     }
 
@@ -1629,14 +1921,46 @@ impl RuleEngine {
 
     /// Engine-wide counters.
     pub fn stats(&self) -> EngineStats {
-        EngineStats::read(&self.facts)
+        EngineStats::read(&self.fact_counts())
     }
 
-    /// Zero the engine's fact table — shared with the facade once
-    /// telemetry is attached — and every rule's counters (benchmark
-    /// warm-up).
+    /// Every fact counted so far: the published cut of the attached
+    /// telemetry's table plus the engine's unpublished delta (the delta
+    /// alone for a bare engine).
+    pub fn fact_counts(&self) -> FactCounts {
+        match &self.telemetry {
+            Some(tel) => tel.facts().read().plus(&self.facts),
+            None => self.facts,
+        }
+    }
+
+    /// Count one occurrence of `fact` into the unpublished delta: the
+    /// write core counts its own facts (sends, commits, aborts,
+    /// detached runs) here too, so one publish carries them all.
+    #[inline]
+    pub fn count_fact(&mut self, fact: Fact) {
+        self.facts.bump(fact);
+    }
+
+    /// Publish the facts counted since the last publish into the
+    /// attached telemetry's table, as one cut. The write core calls
+    /// this at every commit and abort; a bare engine keeps its counts.
+    pub fn publish_facts(&mut self) {
+        if let Some(tel) = &self.telemetry {
+            if !self.facts.is_zero() {
+                tel.facts().publish(&self.facts);
+                self.facts = FactCounts::default();
+            }
+        }
+    }
+
+    /// Zero the engine's facts — published and unpublished — and every
+    /// rule's counters (benchmark warm-up).
     pub fn reset_stats(&mut self) {
-        self.facts.reset();
+        self.facts = FactCounts::default();
+        if let Some(tel) = &self.telemetry {
+            tel.facts().reset();
+        }
         for r in self.rules.live_mut() {
             r.counts = RuleCounts::default();
         }
@@ -1699,7 +2023,7 @@ mod tests {
             .on_occurrence(&reg, &occ(&reg, 1, 1, "Stock", "SetPrice"))
             .unwrap();
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].firing.rule, r1);
+        assert_eq!(fired.get(0).unwrap().firing.rule, r1);
         // Exactly one notification delivered: r2 was never checked.
         assert_eq!(eng.stats().notifications, 1);
         assert_eq!(eng.rule(r1).unwrap().stats().triggered, 1);
@@ -1729,7 +2053,7 @@ mod tests {
             .on_occurrence(&reg, &occ(&reg, 2, 20, "Index", "SetValue"))
             .unwrap();
         assert_eq!(fired.len(), 1);
-        let f = &fired[0].firing;
+        let f = &fired.get(0).unwrap().firing;
         assert!(f.occurrence.constituent_of(ibm).is_some());
         assert!(f.occurrence.constituent_of(dj).is_some());
     }
@@ -1778,9 +2102,9 @@ mod tests {
         assert_eq!(eng.pending(), (1, 1));
         let d = eng.take_deferred();
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].firing.rule, rd);
+        assert_eq!(d.get(0).unwrap().firing.rule, rd);
         let x = eng.take_detached();
-        assert_eq!(x[0].firing.rule, rx);
+        assert_eq!(x.get(0).unwrap().firing.rule, rx);
         assert_eq!(eng.pending(), (0, 0));
     }
 
@@ -1845,7 +2169,7 @@ mod tests {
         // The committer drains the overflow, oldest first, back to cap.
         let over = eng.take_detached_over(3);
         assert_eq!(over.len(), 7);
-        assert_eq!(over[0].firing.occurrence.end, 0);
+        assert_eq!(over.get(0).unwrap().firing.occurrence.end, 0);
         assert_eq!(eng.pending(), (0, 3));
         assert_eq!(eng.take_detached_over(3).len(), 0);
     }
@@ -1889,7 +2213,7 @@ mod tests {
         eng.discard_pending();
         eng.abort_capture();
         assert_eq!(eng.pending(), (0, 1));
-        assert_eq!(eng.take_detached()[0].firing.occurrence.end, 1);
+        assert_eq!(eng.take_detached().get(0).unwrap().firing.occurrence.end, 1);
     }
 
     #[test]
@@ -2084,12 +2408,13 @@ mod tests {
             .unwrap();
         assert_eq!(eng.detector_count(), 1);
         assert_eq!(fired.iter().map(|f| f.firing.rule).collect::<Vec<_>>(), ids);
-        let first = &fired[0].firing.occurrence;
+        let first = fired.get(0).unwrap().firing.occurrence;
         assert!(fired
             .iter()
-            .all(|f| Arc::ptr_eq(&f.firing.occurrence, first)));
+            .all(|f| Arc::ptr_eq(f.firing.occurrence, first)));
         // Each rule shares its bodies among its own firings only.
-        assert!(!Arc::ptr_eq(&fired[0].bodies, &fired[1].bodies));
+        let (r0, r1) = (fired.get(0).unwrap(), fired.get(1).unwrap());
+        assert!(!std::ptr::eq(r0.bodies, r1.bodies));
     }
 
     #[test]
@@ -2132,8 +2457,8 @@ mod tests {
         // Boundaries 10 and 20 elapsed: two firings, in due order.
         assert_eq!(fired.len(), 2);
         assert!(fired.iter().all(|f| f.firing.rule == r));
-        assert_eq!(fired[0].firing.occurrence.end, 101);
-        assert_eq!(fired[1].firing.occurrence.end, 102);
+        assert_eq!(fired.get(0).unwrap().firing.occurrence.end, 101);
+        assert_eq!(fired.get(1).unwrap().firing.occurrence.end, 102);
         assert_eq!(eng.rule(r).unwrap().stats().triggered, 2);
         // Nothing new due yet.
         assert!(eng.drain_timers(29, || 0).unwrap().is_empty());

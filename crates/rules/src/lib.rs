@@ -42,6 +42,6 @@ pub use body::{
     RuleBodyRegistry, ACTION_ABORT, ACTION_NOOP, COND_TRUE,
 };
 pub use coupling::CouplingMode;
-pub use engine::{BackpressurePolicy, EngineStats, ReadyFiring, RuleEngine};
+pub use engine::{BackpressurePolicy, EngineStats, FiringBatch, ReadyFiring, ReadyRef, RuleEngine};
 pub use rule::{Rule, RuleBuilder, RuleDef, RuleId, RuleStats};
 pub use subscription::SubscriptionManager;

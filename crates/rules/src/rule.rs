@@ -244,14 +244,14 @@ pub struct Rule {
     /// Figure 2) — shared with every rule whose detector would be
     /// indistinguishable from it.
     pub(crate) slot: usize,
-    /// Resolved condition and action, shared by every firing the rule
-    /// schedules, so a firing costs one refcount bump, not a name
-    /// lookup. Bound when the rule is created or redefined; `None`
-    /// while a body is unregistered (recovery), until the first firing.
+    /// Resolved condition and action, cached: the engine's binding table
+    /// takes them from here, so a table rebuild resolves only what
+    /// changed. Bound when the rule is created or redefined; `None`
+    /// while a body is unregistered (recovery).
     pub(crate) bound: Option<Arc<BoundBodies>>,
     /// Body-registry version `bound` was resolved at; re-registering a
     /// body bumps the registry version and forces a rebind at the next
-    /// completion.
+    /// binding-table rebuild.
     pub(crate) bodies_version: u64,
 }
 

@@ -58,7 +58,7 @@ fn deferred_queue_is_ordered_by_the_resolver_at_drain() {
     eng.on_occurrence(&reg, &occ(&reg, 1, 1)).unwrap();
     eng.on_occurrence(&reg, &occ(&reg, 2, 2)).unwrap();
     let drained = eng.take_deferred();
-    let names: Vec<&str> = drained.iter().map(|f| &*f.firing.rule_name).collect();
+    let names: Vec<&str> = drained.iter().map(|f| f.firing.rule_name).collect();
     assert_eq!(names, ["high", "mid", "low", "top", "high", "mid", "low"]);
     // Queue is empty afterwards.
     assert!(eng.take_deferred().is_empty());

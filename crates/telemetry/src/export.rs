@@ -142,7 +142,7 @@ fn write_histogram(out: &mut String, name: &str, labels: &str, hist: &HistogramS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::Fact;
+    use crate::fact::{Fact, FactCounts};
     use crate::handle::Telemetry;
     use crate::stage::Stage;
 
@@ -152,7 +152,9 @@ mod tests {
         t.set_enabled(true);
         t.observe(Stage::WalAppend, 0, 700, String::new);
         t.observe(Stage::WalAppend, 0, 900, String::new);
-        t.facts().bump(Fact::Sends);
+        let mut sends = FactCounts::default();
+        sends.bump(Fact::Sends);
+        t.facts().publish(&sends);
         t.rule_latency("R").condition.record(50);
         let text = prometheus_text(&t.snapshot(), &[("sends_total", "Messages sent.", 1)]);
 

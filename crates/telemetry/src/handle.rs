@@ -1,6 +1,6 @@
 //! The [`Telemetry`] handle threaded through the pipeline.
 
-use crate::fact::Facts;
+use crate::fact::{FactCounts, Facts};
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::history::{FiringHistory, FiringRecord, HistoryMeta};
 use crate::stage::Stage;
@@ -157,7 +157,7 @@ impl Telemetry {
 
     // -- recording ------------------------------------------------------
 
-    /// The always-on fact table this handle reports fact stages from.
+    /// The published fact table this handle reports fact stages from.
     #[inline]
     pub fn facts(&self) -> &Arc<Facts> {
         &self.facts
@@ -331,14 +331,25 @@ impl Telemetry {
         self.firing_seq.store(0, Relaxed);
     }
 
-    /// A serializable copy of everything recorded so far.
+    /// A serializable copy of everything recorded so far, its fact
+    /// stages counted from one published cut of the fact table.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.snapshot_with(&self.facts.read())
+    }
+
+    /// [`snapshot`](Self::snapshot), with the fact stages counted from
+    /// `facts` — the write core passes the published cut plus its
+    /// in-flight delta.
+    pub fn snapshot_with(&self, facts: &FactCounts) -> TelemetrySnapshot {
         let stages = Stage::ALL
             .iter()
             .map(|&s| StageSnapshot {
                 stage: s.name().to_string(),
                 unit: s.unit().to_string(),
-                count: self.stage_count(s),
+                count: match s.fact() {
+                    Some(fact) => facts.get(fact),
+                    None => self.stages[s.index()].count(),
+                },
                 values: self.stages[s.index()].snapshot(),
             })
             .collect();
@@ -454,6 +465,15 @@ mod tests {
     use super::*;
     use crate::fact::Fact;
 
+    /// Publish one count of each of `facts`, as the write core would.
+    fn publish(t: &Telemetry, facts: &[Fact]) {
+        let mut delta = FactCounts::default();
+        for &f in facts {
+            delta.bump(f);
+        }
+        t.facts().publish(&delta);
+    }
+
     #[test]
     fn disabled_records_nothing() {
         let t = Telemetry::new(16);
@@ -480,8 +500,7 @@ mod tests {
     #[test]
     fn fact_stages_report_the_fact_table() {
         let t = Telemetry::new(16);
-        t.facts().bump(Fact::Sends);
-        t.facts().bump(Fact::Occurrences);
+        publish(&t, &[Fact::Sends, Fact::Occurrences]);
         assert_eq!(
             t.stage_count(Stage::MethodSend),
             1,
@@ -502,7 +521,7 @@ mod tests {
         let t = Telemetry::new(16);
         t.set_enabled(true);
         t.set_tracing(true);
-        t.facts().bump(Fact::ConditionEvals);
+        publish(&t, &[Fact::ConditionEvals]);
         t.observe(Stage::ConditionEval, 7, 1000, || "rule-x".into());
         let cell = t.rule_latency("rule-x");
         cell.condition.record(1000);
@@ -548,7 +567,7 @@ mod tests {
         let t = Telemetry::new(4);
         t.set_enabled(true);
         t.set_tracing(true);
-        t.facts().bump(Fact::ActionsRun);
+        publish(&t, &[Fact::ActionsRun]);
         t.observe(Stage::ActionRun, 1, 5, || "r".into());
         let cell = t.rule_latency("r");
         cell.action.record(5);

@@ -12,7 +12,7 @@
 //! It also holds the pipeline's one counter table, [`Facts`]: sends,
 //! occurrences, notifications, scheduled firings, condition evaluations,
 //! action runs, commits, aborts and detached runs, each counted once,
-//! always on. A stage that is a fact ([`Stage::fact`]) reports the
+//! always on, and published as one cut per transaction. A stage that is a fact ([`Stage::fact`]) reports the
 //! fact's count; telemetry itself keeps only distributions, trace
 //! records and firing history.
 //!
@@ -23,8 +23,9 @@
 //!   and returns; subjects are lazy closures that are never evaluated
 //!   unless tracing is on. The repository benchmark (`benchmark/`)
 //!   reports the enabled path's cost as `telemetry.overhead_ratio`.
-//! * **Lock-light when enabled.** Facts and histogram buckets are
-//!   relaxed atomics, and each rule records into its own latency cell
+//! * **Lock-light when enabled.** Facts are counted in plain cells and
+//!   published once per transaction; histogram buckets are relaxed
+//!   atomics, and each rule records into its own latency cell
 //!   (found by name once, at its first timed firing); the only lock
 //!   taken per record is the trace ring buffer's mutex, and only while
 //!   tracing.
@@ -42,7 +43,7 @@ pub mod stage;
 pub mod trace;
 
 pub use export::{prometheus_shard_text, prometheus_text};
-pub use fact::{Fact, Facts};
+pub use fact::{Fact, FactCounts, Facts};
 pub use handle::{RuleLatency, Telemetry, TelemetrySnapshot, Timer, TraceMeta};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use history::{

@@ -748,3 +748,103 @@ fn a_queued_detached_firing_survives_an_aborted_removal() {
     let stats = db.rule_stats("R").unwrap();
     assert_eq!((stats.triggered, stats.condition_evals), (1, 0));
 }
+
+#[test]
+fn a_deferred_firing_runs_the_body_registered_when_it_was_scheduled() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, _] = counted_conditions(&mut db);
+    db.add_class_rule("Employee", counted_rule(CouplingMode::Deferred))
+        .unwrap();
+    let fred = db.create("Employee").unwrap();
+
+    db.begin().unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    // Re-register the condition's code under the same name, then
+    // schedule a second firing under it before the commit.
+    let replaced = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&replaced);
+    db.register_condition("counted", move |_, _| {
+        seen.fetch_add(1, Ordering::SeqCst);
+        Ok(false)
+    });
+    db.send(fred, "Change-Income", &[Value::Float(2.0)])
+        .unwrap();
+    db.commit().unwrap();
+    assert_eq!((runs(&counted), runs(&replaced)), (1, 1));
+    assert_eq!(db.rule_stats("R").unwrap().condition_evals, 2);
+}
+
+#[test]
+fn a_detached_firing_runs_the_bodies_bound_before_its_rule_was_redefined() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, counted2] = counted_conditions(&mut db);
+    db.set_inline_detached(false);
+    let rule = db
+        .add_class_rule("Employee", counted_rule(CouplingMode::Detached))
+        .unwrap();
+    let fred = db.create("Employee").unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    db.set_attr(rule, "condition", Value::Str("counted2".into()))
+        .unwrap();
+    db.send(fred, "Change-Income", &[Value::Float(2.0)])
+        .unwrap();
+    assert_eq!(db.pending_detached(), 2);
+
+    assert_eq!(db.run_pending_detached().unwrap(), 2);
+    assert_eq!((runs(&counted), runs(&counted2)), (1, 1));
+    let stats = db.rule_stats("R").unwrap();
+    assert_eq!((stats.triggered, stats.condition_evals), (2, 2));
+}
+
+/// Two rules fire on one event, in one immediate batch. The first one's
+/// action deletes the second rule's object; the second firing was
+/// already scheduled, so it still runs its condition, once, and is
+/// counted engine-wide only, its rule being gone.
+#[test]
+fn an_immediate_firing_runs_after_an_earlier_firing_removes_its_rule() {
+    let mut db = payroll_db(DbConfig::in_memory());
+    let [counted, _] = counted_conditions(&mut db);
+    let second = db
+        .add_class_rule(
+            "Employee",
+            income_rule("Second").condition("counted").priority(1),
+        )
+        .unwrap();
+    db.register_action("remove-second", move |w, _| match w.class_of(second) {
+        Ok(_) => w.delete(second),
+        Err(_) => Ok(()),
+    });
+    db.add_class_rule(
+        "Employee",
+        RuleDef::new(
+            "First",
+            event("end Employee::Change-Income(float x)").unwrap(),
+            "remove-second",
+        )
+        .priority(10),
+    )
+    .unwrap();
+    let fred = db.create("Employee").unwrap();
+    db.reset_stats();
+
+    db.send(fred, "Change-Income", &[Value::Float(1.0)])
+        .unwrap();
+    assert_eq!(
+        runs(&counted),
+        1,
+        "the second firing ran its condition once"
+    );
+    assert_eq!(db.rule_names(), ["First"]);
+    let stats = db.stats();
+    assert_eq!((stats.condition_evals, stats.actions_run), (2, 1));
+    assert_eq!(db.engine_stats().immediate, 2);
+    assert_eq!(db.rule_stats("First").unwrap().condition_evals, 1);
+
+    // Later events reach the first rule only.
+    db.send(fred, "Change-Income", &[Value::Float(2.0)])
+        .unwrap();
+    assert_eq!(runs(&counted), 1);
+    assert_eq!(db.stats().condition_evals, 3);
+}

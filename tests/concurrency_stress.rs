@@ -137,6 +137,9 @@ fn stats_reconcile_exactly_after_concurrent_load() {
                 // Monotone counters mid-flight: an audit can only have
                 // run for a send that happened.
                 assert!(s.actions_run <= s.sends);
+                // One published cut: an action follows its condition's
+                // evaluation in the same transaction.
+                assert!(s.actions_run <= s.condition_evals);
                 let _ = session.full_stats();
             }
         }));
@@ -483,6 +486,7 @@ fn stats_reconcile_exactly_after_parallel_load() {
             while !stop.load(Ordering::Relaxed) {
                 let s = session.stats();
                 assert!(s.actions_run <= s.sends);
+                assert!(s.actions_run <= s.condition_evals);
                 let _ = session.full_stats();
             }
         }));

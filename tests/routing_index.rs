@@ -126,7 +126,7 @@ fn remove_rule_invalidates_index() {
         .on_occurrence(&reg, &occ(&reg, 2, 1, "Stock", "SetPrice"))
         .unwrap();
     assert_eq!(fired.len(), 1);
-    assert_eq!(fired[0].firing.rule, b);
+    assert_eq!(fired.get(0).unwrap().firing.rule, b);
     assert_eq!(eng.stats().notifications, 2);
 }
 

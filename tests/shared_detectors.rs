@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sentinel::db::CatalogSnapshot;
 use sentinel::prelude::*;
-use sentinel::rules::{ReadyFiring, RuleEngine};
+use sentinel::rules::{FiringBatch, ReadyRef, RuleEngine};
 use sentinel::storage::Snapshot;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -220,8 +220,8 @@ impl World {
         }
     }
 
-    fn record(&mut self, firings: Vec<ReadyFiring>) {
-        for f in firings {
+    fn record(&mut self, firings: FiringBatch) {
+        for f in firings.iter() {
             let (name, fired) = detection(&f);
             self.fired.entry(name).or_default().push(fired);
         }
@@ -229,11 +229,11 @@ impl World {
 
     /// Record an occurrence's immediate firings, keyed, in the order
     /// they came.
-    fn record_send(&mut self, firings: Vec<ReadyFiring>) {
+    fn record_send(&mut self, firings: FiringBatch) {
         let steps = firings
             .iter()
             .map(|f| {
-                let (name, fired) = detection(f);
+                let (name, fired) = detection(&f);
                 let (def, oid) = &self.defs[&name];
                 ((Reverse(def.priority), *oid), name, fired)
             })
@@ -376,8 +376,8 @@ impl World {
 }
 
 /// The rule a firing belongs to, and what it detected.
-fn detection(f: &ReadyFiring) -> (String, Fired) {
-    let occ = &f.firing.occurrence;
+fn detection(f: &ReadyRef<'_>) -> (String, Fired) {
+    let occ = f.firing.occurrence;
     let parts = occ.constituents.iter().map(|c| (c.at, c.oid)).collect();
     (f.firing.rule_name.to_string(), (occ.start, occ.end, parts))
 }

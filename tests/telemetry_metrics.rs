@@ -214,3 +214,32 @@ fn reset_scopes_telemetry_and_counters_apart() {
         assert!(db.telemetry().snapshot().rules.is_empty());
     });
 }
+
+/// A timer delivery is a detector transition like any other: each one
+/// is a notification, a `detector_transition` sample and, while
+/// tracing, a trace record.
+#[test]
+fn timer_deliveries_are_timed_and_traced() {
+    let mut db = Database::with_config(DbConfig::in_memory().time_mode(TimeMode::Virtual)).unwrap();
+    db.add_rule(RuleDef::new("Tick", EventExpr::every(100), ACTION_NOOP))
+        .unwrap();
+    db.telemetry().set_enabled(true);
+    db.telemetry().set_tracing(true);
+    db.reset_stats();
+    db.advance_time(1_000).unwrap();
+    assert_eq!(db.engine_stats().notifications, 10);
+    let snap = db.full_stats().telemetry;
+    let transitions = snap.stage(Stage::DetectorTransition).unwrap();
+    assert_eq!(transitions.count, 10, "the fact: one per delivery");
+    assert_eq!(
+        transitions.values.count, 10,
+        "one timing sample per delivery"
+    );
+    let traced = db
+        .telemetry()
+        .trace_dump(usize::MAX)
+        .iter()
+        .filter(|r| r.stage == Stage::DetectorTransition)
+        .count();
+    assert_eq!(traced, 10, "one trace record per delivery");
+}
